@@ -2,23 +2,8 @@
 
 Simulation engine covering single negotiations, supply chains, money-free
 exchanges, trust-based power chains, and society-scale wealth dynamics,
-plus a scenario-file CLI.
+plus a scenario-file CLI.  Submodules are imported on use, so that only
+society runs load numpy.
 """
 
 __version__ = "0.1.0"
-
-from . import chain, cli, core, errors, negotiation, nonmarket, powerchain, report, scenario, society
-
-__all__ = [
-    "chain",
-    "cli",
-    "core",
-    "errors",
-    "negotiation",
-    "nonmarket",
-    "powerchain",
-    "report",
-    "scenario",
-    "society",
-    "__version__",
-]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import negotiation
 from .core import PerceptionView, Role, adjust_reserve_full, imbalance_ratio
 from .errors import InvalidConfig
-from .negotiation import Agreement, ConcessionRates, NegotiationConfig
+from .negotiation import Agreement, ConcessionRates, NegotiationConfig, check_stopping_rule
 
 
 @dataclass(frozen=True)
@@ -37,13 +37,13 @@ class ChainStage:
 
     def __post_init__(self):
         if self.buyer_view.role is not Role.BUYER:
-            raise InvalidConfig(f"stage {self.name!r}: buyer_view must have role BUYER")
+            raise InvalidConfig("must have role BUYER", field="buyer_view")
         if self.seller_view.role is not Role.SELLER:
-            raise InvalidConfig(f"stage {self.name!r}: seller_view must have role SELLER")
+            raise InvalidConfig("must have role SELLER", field="seller_view")
         if self.base_seller_reserve < 0.0:
-            raise InvalidConfig(f"stage {self.name!r}: base_seller_reserve must be >= 0")
+            raise InvalidConfig("must be >= 0", field="base_seller_reserve")
         if self.margin_floor < 0.0:
-            raise InvalidConfig(f"stage {self.name!r}: margin_floor must be >= 0")
+            raise InvalidConfig("must be >= 0", field="margin_floor")
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,22 @@ class ChainSpec:
 
     def __post_init__(self):
         if len(self.stages) < 1:
-            raise InvalidConfig("a chain needs at least one stage")
+            raise InvalidConfig("must have at least one stage", field="stages")
         if self.anchor_price <= 0.0:
-            raise InvalidConfig("anchor_price must be > 0")
+            raise InvalidConfig("must be > 0", field="anchor_price")
         object.__setattr__(self, "stages", tuple(self.stages))
+
+
+@dataclass(frozen=True)
+class ChainScenario:
+    """A chain with the stopping rule every link negotiates under."""
+
+    spec: ChainSpec
+    gap_epsilon: float | None = None  # None: propagate's anchor-scaled default
+    max_steps: int = 5000
+
+    def __post_init__(self):
+        check_stopping_rule(self.gap_epsilon, self.max_steps)
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,12 @@
                    [--format csv|json] [--seed <u64>] [--quiet]
     bargainlab presets
 
+``python -m bargainlab`` and ``python -m bargainlab.cli`` run the same.
+
 Exit codes: 0 success (a negotiation breakdown or missing power chain is a
 recorded outcome, not an error), 1 scenario errors (missing file, parse,
-schema, or invariant failures), 2 runtime errors.
+schema, invariant or work-budget failures, each naming the field's path),
+2 runtime errors.
 """
 
 from __future__ import annotations
@@ -94,3 +97,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

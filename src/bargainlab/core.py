@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DegenerateRatio, InvalidInput
+from .errors import BargainError, DegenerateRatio, InvalidInput
 
 #: Divisors below this floor raise DegenerateRatio instead of being used.
 DEFAULT_EPSILON = 1e-9
@@ -33,15 +33,16 @@ class Role(Enum):
     SELLER = "seller"
 
 
-def _require_finite(name: str, value: float) -> float:
+def require_finite(name: str, value: float, error: type[BargainError] = InvalidInput) -> float:
+    """``value`` as a float, or ``error`` naming ``name`` if it is not a finite number."""
     if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
-        raise InvalidInput(f"{name} must be a finite number, got {value!r}")
+        raise error("must be a finite number", field=name)
     return float(value)
 
 
 def _require_divisor(name: str, value: float, eps: float) -> float:
     if value < eps:
-        raise DegenerateRatio(f"{name} = {value!r} is below the epsilon floor {eps!r}")
+        raise DegenerateRatio(f"must be >= the epsilon floor {eps!r}, got {value!r}", field=name)
     return value
 
 
@@ -64,12 +65,12 @@ class PerceptionView:
     def __post_init__(self):
         for name in ("own_motivation", "other_motivation_perceived",
                      "own_power", "other_power_perceived"):
-            value = _require_finite(name, getattr(self, name))
+            value = require_finite(name, getattr(self, name))
             if value <= 0.0:
-                raise InvalidInput(f"{name} must be strictly positive, got {value!r}")
+                raise InvalidInput("must be > 0", field=name)
             object.__setattr__(self, name, value)
         if not isinstance(self.role, Role):
-            raise InvalidInput(f"role must be a Role, got {self.role!r}")
+            raise InvalidInput("must be a Role", field="role")
 
 
 def motivation(gain: float, loss: float) -> float:
@@ -79,13 +80,13 @@ def motivation(gain: float, loss: float) -> float:
     may be negative; negative motivations are legal values but are rejected
     wherever they would become divisors (see PerceptionView).
     """
-    return _require_finite("gain", gain) - _require_finite("loss", loss)
+    return require_finite("gain", gain) - require_finite("loss", loss)
 
 
 def power(effect_on_other: float, own_cost: float) -> float:
     """Exchange power: welfare change inflicted on the other party, net of
     the welfare the holder must spend to produce it."""
-    return _require_finite("effect_on_other", effect_on_other) - _require_finite("own_cost", own_cost)
+    return require_finite("effect_on_other", effect_on_other) - require_finite("own_cost", own_cost)
 
 
 def imbalance_ratio(view: PerceptionView, eps: float = DEFAULT_EPSILON) -> float:
@@ -110,10 +111,11 @@ def imbalance_ratio(view: PerceptionView, eps: float = DEFAULT_EPSILON) -> float
         view.own_power / view.other_power_perceived)
 
 
-def _require_reserve(base: float) -> float:
-    value = _require_finite("base reserve", base)
+def require_reserve(base: float) -> float:
+    """A reserve price: finite and non-negative."""
+    value = require_finite("reserve", base)
     if value < 0.0:
-        raise InvalidInput(f"reserve price must be non-negative, got {value!r}")
+        raise InvalidInput("must be >= 0", field="reserve")
     return value
 
 
@@ -124,7 +126,7 @@ def adjust_reserve_motivation(base: float, view: PerceptionView,
     Buyer multiplies by own/other motivation, seller by other/own; the
     result is clamped at zero (a negative price is meaningless).
     """
-    base = _require_reserve(base)
+    base = require_reserve(base)
     if view.role is Role.BUYER:
         _require_divisor("other_motivation_perceived", view.other_motivation_perceived, eps)
         ratio = view.own_motivation / view.other_motivation_perceived
@@ -143,7 +145,7 @@ def adjust_reserve_full(base: float, view: PerceptionView,
     fraction of the going rate, which is exactly the squeeze the model is
     built to expose.
     """
-    base = _require_reserve(base)
+    base = require_reserve(base)
     return max(0.0, base * imbalance_ratio(view, eps))
 
 
@@ -157,6 +159,6 @@ def equity_index(m_a: float, k_a: float, m_b: float, k_b: float,
     motivations must treat DegenerateRatio as "index undefined".
     """
     for name, value in (("m_a", m_a), ("k_a", k_a), ("m_b", m_b), ("k_b", k_b)):
-        _require_finite(name, value)
+        require_finite(name, value)
         _require_divisor(name, value, eps)
     return (m_a * k_b) / (m_b * k_a)

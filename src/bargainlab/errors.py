@@ -1,8 +1,20 @@
 """Exception types shared across the simulation engine."""
 
+from __future__ import annotations
+
 
 class BargainError(Exception):
-    """Base class for all engine errors."""
+    """Base class for all engine errors.
+
+    ``field`` names the offending field of the object that raised the
+    error, when there is one, and ``rule`` is the message without it, so a
+    caller that knows where the object came from can report a full path.
+    """
+
+    def __init__(self, rule: str, field: str | None = None):
+        super().__init__(f"{field} {rule}" if field else rule)
+        self.rule = rule
+        self.field = field
 
 
 class InvalidInput(BargainError):
@@ -66,6 +78,6 @@ class InvariantError(ScenarioError):
     """Scenario field has the right type but violates a value invariant."""
 
     def __init__(self, path: str, rule: str):
-        super().__init__(f"{path}: {rule}")
+        super().__init__(f"{path}: {rule}" if path else rule)
         self.path = path
         self.rule = rule

@@ -20,8 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from .core import PerceptionView, adjust_reserve_full, imbalance_ratio, require_finite, require_reserve
 from .errors import DegenerateRatio, InvalidConfig, SingularSystem
 
 #: Clamp bounds used when imbalance scaling pushes a rate out of range.
@@ -49,16 +48,13 @@ class ConcessionRates:
 
     def __post_init__(self):
         for name in ("r_a", "r_a_prime", "r_b", "r_b_prime"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
-                raise InvalidConfig(f"{name} must be a finite number, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, require_finite(name, getattr(self, name), InvalidConfig))
         for name in ("r_a", "r_b"):
             if not 0.0 < getattr(self, name) < 1.0:
-                raise InvalidConfig(f"{name} must lie in (0, 1), got {getattr(self, name)!r}")
+                raise InvalidConfig("must lie in (0, 1)", field=name)
         for name in ("r_a_prime", "r_b_prime"):
             if not 0.0 <= getattr(self, name) < 1.0:
-                raise InvalidConfig(f"{name} must lie in [0, 1), got {getattr(self, name)!r}")
+                raise InvalidConfig("must lie in [0, 1)", field=name)
         if self.r_a + self.r_a_prime >= 1.0:
             raise InvalidConfig("r_a + r_a_prime must be < 1")
         if self.r_b + self.r_b_prime >= 1.0:
@@ -78,18 +74,73 @@ class NegotiationConfig:
     def __post_init__(self):
         for name in ("buyer_open", "seller_open", "buyer_reserve_adj",
                      "seller_reserve_adj", "gap_epsilon"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
-                raise InvalidConfig(f"{name} must be a finite number, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, require_finite(name, getattr(self, name), InvalidConfig))
         if self.seller_open < self.buyer_open:
-            raise InvalidConfig("seller_open must be >= buyer_open at the start")
-        if self.gap_epsilon <= 0.0:
-            raise InvalidConfig("gap_epsilon must be > 0")
-        if not isinstance(self.max_steps, int) or isinstance(self.max_steps, bool) or self.max_steps < 1:
-            raise InvalidConfig("max_steps must be a positive integer")
+            raise InvalidConfig("must be >= buyer_open", field="seller_open")
+        check_stopping_rule(self.gap_epsilon, self.max_steps)
         if not isinstance(self.rates, ConcessionRates):
-            raise InvalidConfig("rates must be a ConcessionRates")
+            raise InvalidConfig("must be a ConcessionRates", field="rates")
+
+
+def check_stopping_rule(gap_epsilon: float | None, max_steps: int) -> None:
+    """A run stops when the gap is at most gap_epsilon > 0 (None: the
+    caller's default) or after max_steps >= 1 updates."""
+    if gap_epsilon is not None and not gap_epsilon > 0.0:
+        raise InvalidConfig("must be > 0", field="gap_epsilon")
+    if not isinstance(max_steps, int) or isinstance(max_steps, bool):
+        raise InvalidConfig("must be an integer", field="max_steps")
+    if max_steps < 1:
+        raise InvalidConfig("must be >= 1", field="max_steps")
+
+
+@dataclass(frozen=True)
+class SideSpec:
+    """One negotiator: opening offer, reserve price, optional perceptions.
+
+    With a view attached the reserve is a base price that gets the full
+    imbalance adjustment before the run; without one it is used as the
+    already-adjusted reserve.
+    """
+
+    open: float
+    reserve: float
+    view: PerceptionView | None = None
+
+    def __post_init__(self):
+        require_reserve(self.reserve)
+
+    def reserve_adj(self) -> float:
+        return adjust_reserve_full(self.reserve, self.view) if self.view else self.reserve
+
+
+@dataclass(frozen=True)
+class NegotiationScenario:
+    """A negotiation as a scenario states it: each side's perceptions rather
+    than already-adjusted reserves.  ``to_config`` resolves it."""
+
+    buyer: SideSpec
+    seller: SideSpec
+    rates: ConcessionRates
+    max_steps: int
+    gap_epsilon: float = 0.05
+    scale_rates_by_imbalance: bool = False
+
+    def to_config(self) -> NegotiationConfig:
+        """Resolve perceptions into a runnable NegotiationConfig."""
+        rates = self.rates
+        if self.scale_rates_by_imbalance:
+            rho_buyer = imbalance_ratio(self.buyer.view) if self.buyer.view else 1.0
+            rho_seller = imbalance_ratio(self.seller.view) if self.seller.view else 1.0
+            rates = concession_rates_from_imbalance(rates, rho_buyer, rho_seller)
+        return NegotiationConfig(
+            buyer_open=self.buyer.open,
+            seller_open=self.seller.open,
+            buyer_reserve_adj=self.buyer.reserve_adj(),
+            seller_reserve_adj=self.seller.reserve_adj(),
+            rates=rates,
+            gap_epsilon=self.gap_epsilon,
+            max_steps=self.max_steps,
+        )
 
 
 @dataclass(frozen=True)
@@ -139,7 +190,7 @@ def concession_rates_from_imbalance(base: ConcessionRates, rho_buyer: float,
     """
     for name, rho in (("rho_buyer", rho_buyer), ("rho_seller", rho_seller)):
         if not math.isfinite(rho) or rho <= 0.0:
-            raise DegenerateRatio(f"{name} must be a finite positive number, got {rho!r}")
+            raise DegenerateRatio("must be a finite positive number", field=name)
 
     def scale_pair(r: float, r_prime: float, factor: float) -> tuple[float, float]:
         if factor == 1.0:
@@ -213,22 +264,3 @@ def fixed_point(cfg: NegotiationConfig) -> tuple[float, float]:
     x_b = (a11 * b2 - a21 * b1) / det
     return x_a, x_b
 
-
-def iteration_matrix(r_a: float, r_a_prime: float, r_b: float, r_b_prime: float) -> np.ndarray:
-    """Linear part of the offer update, as a 2x2 array."""
-    return np.array([[1.0 - r_a - r_a_prime, r_a_prime],
-                     [r_b_prime, 1.0 - r_b - r_b_prime]])
-
-
-def spectral_radius(r_a: float, r_a_prime: float, r_b: float, r_b_prime: float) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(
-        iteration_matrix(r_a, r_a_prime, r_b, r_b_prime)))))
-
-
-def is_stable(rates: ConcessionRates) -> bool:
-    """True iff both eigenvalue moduli of the iteration matrix are < 1.
-
-    A modulus of exactly 1 (e.g. the identity matrix at all-zero rates)
-    counts as unstable: the simulation relies on strict contraction.
-    """
-    return spectral_radius(rates.r_a, rates.r_a_prime, rates.r_b, rates.r_b_prime) < 1.0

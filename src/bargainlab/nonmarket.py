@@ -1,4 +1,4 @@
-"""Money-free exchanges: welfare bookkeeping, threats, and equity mapping.
+"""Money-free exchanges: welfare bookkeeping, threats, and shields.
 
 With no price to haggle over, each side simply balances what it would lose
 by providing its good or service against what it would gain from the
@@ -11,20 +11,18 @@ threat away.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .core import equity_index
-from .errors import DegenerateRatio, EmptyInput, InvalidInput
+from .core import equity_index, require_finite
+from .errors import DegenerateRatio, InvalidInput
 
 
-def _finite(name: str, value: float) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
-        raise InvalidInput(f"{name} must be a finite number, got {value!r}")
-    return float(value)
+def _require_probability(name: str, value: float) -> float:
+    value = require_finite(name, value)
+    if not 0.0 <= value <= 1.0:
+        raise InvalidInput("must lie in [0, 1]", field=name)
+    return value
 
 
 @dataclass(frozen=True)
@@ -42,9 +40,10 @@ class ExchangeProposal:
 
     def __post_init__(self):
         for name in ("give_cost_a", "gain_for_b", "give_cost_b", "gain_for_a"):
-            object.__setattr__(self, name, _finite(name, getattr(self, name)))
-        if self.give_cost_a < 0.0 or self.give_cost_b < 0.0:
-            raise InvalidInput("give costs are magnitudes and must be >= 0")
+            object.__setattr__(self, name, require_finite(name, getattr(self, name)))
+        for name in ("give_cost_a", "give_cost_b"):  # magnitudes of welfare given up
+            if getattr(self, name) < 0.0:
+                raise InvalidInput("must be >= 0", field=name)
 
 
 @dataclass(frozen=True)
@@ -60,15 +59,28 @@ class ExternalInfluence:
     shield: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "threat_on_refusal", _finite("threat_on_refusal", self.threat_on_refusal))
-        object.__setattr__(self, "shield", _finite("shield", self.shield))
+        object.__setattr__(self, "threat_on_refusal",
+                           require_finite("threat_on_refusal", self.threat_on_refusal))
         if self.threat_on_refusal < 0.0:
-            raise InvalidInput("threat_on_refusal must be >= 0")
-        if not 0.0 <= self.shield <= 1.0:
-            raise InvalidInput("shield must lie in [0, 1]")
+            raise InvalidInput("must be >= 0", field="threat_on_refusal")
+        object.__setattr__(self, "shield", _require_probability("shield", self.shield))
 
 
 NO_INFLUENCE = ExternalInfluence()
+
+
+@dataclass(frozen=True)
+class NonmarketScenario:
+    """One proposed exchange with its context: threats, shields, and how
+    likely A is to keep a promised good."""
+
+    proposal: ExchangeProposal
+    influence_a: ExternalInfluence = NO_INFLUENCE
+    influence_b: ExternalInfluence = NO_INFLUENCE
+    promise_keep_prob: float = 1.0
+
+    def __post_init__(self):
+        _require_probability("promise_keep_prob", self.promise_keep_prob)
 
 
 class Verdict(Enum):
@@ -121,9 +133,7 @@ def welfare_balance(proposal: ExchangeProposal,
     Equity uses the raw motivations -- threats live outside the exchange --
     and is None whenever any magnitude entering the index is non-positive.
     """
-    promise_keep_prob = _finite("promise_keep_prob", promise_keep_prob)
-    if not 0.0 <= promise_keep_prob <= 1.0:
-        raise InvalidInput("promise_keep_prob must lie in [0, 1]")
+    promise_keep_prob = _require_probability("promise_keep_prob", promise_keep_prob)
     gain_for_b = proposal.gain_for_b * promise_keep_prob
     m_a = proposal.gain_for_a - proposal.give_cost_a
     m_b_raw = gain_for_b - proposal.give_cost_b
@@ -146,63 +156,3 @@ def welfare_balance(proposal: ExchangeProposal,
         verdict=_verdict(m_a_effective, m_b_effective),
     )
 
-
-def accept_decision(sheet: BalanceSheet) -> Verdict:
-    """Verdict from effective motivations alone: accept iff strictly positive."""
-    return _verdict(sheet.m_a_effective, sheet.m_b_effective)
-
-
-@dataclass(frozen=True)
-class ExchangeRecord:
-    """One sampled exchange: which stratum it came from and its equity."""
-
-    stratum: str
-    equity: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "equity", _finite("equity", self.equity))
-        if self.equity <= 0.0:
-            raise InvalidInput("equity must be > 0")
-
-
-@dataclass(frozen=True)
-class StratumSummary:
-    stratum: str
-    count: int
-    mean: float
-    median: float
-    deciles: tuple[float, ...]  # 10th..90th percentiles
-
-
-@dataclass(frozen=True)
-class EquityMap:
-    strata: tuple[StratumSummary, ...]  # sorted by stratum label
-    pooled: StratumSummary
-
-
-def _summarize(label: str, values: list[float]) -> StratumSummary:
-    arr = np.sort(np.asarray(values, dtype=float))
-    deciles = np.percentile(arr, np.arange(10, 100, 10))
-    return StratumSummary(
-        stratum=label,
-        count=int(arr.size),
-        mean=float(arr.mean()),
-        median=float(np.median(arr)),
-        deciles=tuple(float(d) for d in deciles),
-    )
-
-
-def equity_map(records: list[ExchangeRecord]) -> EquityMap:
-    """Per-stratum equity summaries plus a pooled one.
-
-    Order-independent: records are grouped and sorted internally, so any
-    permutation of the input yields an identical map.
-    """
-    if not records:
-        raise EmptyInput("equity_map needs at least one record")
-    groups: dict[str, list[float]] = {}
-    for record in records:
-        groups.setdefault(record.stratum, []).append(record.equity)
-    strata = tuple(_summarize(label, groups[label]) for label in sorted(groups))
-    pooled = _summarize("__pooled__", [r.equity for r in records])
-    return EquityMap(strata=strata, pooled=pooled)

@@ -30,9 +30,9 @@ class TrustEdge:
 
     def __post_init__(self):
         if self.requester == self.helper:
-            raise InvalidConfig("trust edges may not be self-loops")
+            raise InvalidConfig("self-loops are not allowed")
         if not math.isfinite(self.willingness) or not 0.0 < self.willingness <= 1.0:
-            raise InvalidConfig(f"willingness must lie in (0, 1], got {self.willingness!r}")
+            raise InvalidConfig("must lie in (0, 1]", field="willingness")
 
 
 @dataclass(frozen=True)
@@ -48,12 +48,15 @@ class TrustGraph:
     _adjacency: dict[str, list[TrustEdge]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.strengths:
+            raise InvalidConfig("must have at least one node", field="strengths")
         object.__setattr__(self, "edges", tuple(self.edges))
         adjacency: dict[str, list[TrustEdge]] = {}
-        for edge in self.edges:
+        for index, edge in enumerate(self.edges):
             for endpoint in (edge.requester, edge.helper):
                 if endpoint not in self.strengths:
-                    raise InvalidConfig(f"edge endpoint {endpoint!r} is not a node")
+                    raise InvalidConfig(f"endpoint {endpoint!r} is not a node",
+                                        field=f"edges[{index}]")
             adjacency.setdefault(edge.requester, []).append(edge)
         for label, per_adversary in self.strengths.items():
             for adversary, strength in per_adversary.items():
@@ -73,6 +76,20 @@ class TrustGraph:
 
     def edges_from(self, node: str) -> list[TrustEdge]:
         return self._adjacency.get(node, [])
+
+
+@dataclass(frozen=True)
+class PowerChainScenario:
+    """A weak subject looking for help against an adversary in a trust graph."""
+
+    graph: TrustGraph
+    weak: str
+    adversary: str
+    threshold: float
+
+    def __post_init__(self):
+        if self.weak not in self.graph.strengths:
+            raise InvalidConfig("must be a node", field="weak")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,7 @@
-"""Scenario execution, run reports, and CSV/JSON serialization.
+"""Run reports: executing a parsed scenario and its JSON form.
 
-CSV output is locale-independent and byte-deterministic: prices are
-rendered with up to 6 significant digits (a ``.0`` is appended to bare
-integers so every price cell stays visibly a decimal).
+The CSV rendering of each kind lives with the kind's registry entry in
+``scenario``; ``write_trace_csv`` is re-exported here.
 """
 
 from __future__ import annotations
@@ -10,88 +9,12 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any
 
 from . import __version__
-from .chain import SqueezeReport, StageResult, propagate, squeeze_report
-from .errors import NoChain
-from .negotiation import Agreement, NegotiationTrace, run
-from .nonmarket import BalanceSheet, welfare_balance
-from .powerchain import PowerChain, find_power_chain
-from .scenario import (ChainScenario, NegotiationScenario, NonmarketScenario,
-                       PowerChainScenario, Scenario, scenario_document)
-from .society import SocietyConfig, WealthTrace, run_society
+from .scenario import KINDS, Scenario, scenario_document, write_trace_csv
 
+__all__ = ["RunReport", "report_to_json", "run_scenario", "write_trace_csv"]
 
-def _fmt(x: float) -> str:
-    """Float cell: up to 6 significant digits, never locale-dependent."""
-    s = format(float(x), ".6g")
-    if "." not in s and "e" not in s and "E" not in s:
-        s += ".0"
-    return s
-
-
-# ---------------------------------------------------------------------------
-# CSV writers
-
-def write_trace_csv(trace: NegotiationTrace) -> str:
-    """Offer trace as CSV: step,offer_buyer,offer_seller,gap + outcome row."""
-    lines = ["step,offer_buyer,offer_seller,gap"]
-    for s in trace.steps:
-        lines.append(f"{s.step},{_fmt(s.offer_buyer)},{_fmt(s.offer_seller)},{_fmt(s.gap)}")
-    if isinstance(trace.outcome, Agreement):
-        lines.append(f"# outcome,agreement,{trace.outcome.step},{_fmt(trace.outcome.price)}")
-    else:
-        lines.append(f"# outcome,breakdown,{trace.outcome.at_step}")
-    return "\n".join(lines) + "\n"
-
-
-def write_chain_csv(results: list[StageResult], report: SqueezeReport) -> str:
-    lines = ["stage,name,buyer_reserve_effective,settlement,margin,margin_share"]
-    for index, (result, (_, share)) in enumerate(zip(results, report.margin_shares)):
-        cells = [str(index), result.name]
-        for value in (result.buyer_reserve_effective, result.settlement, result.margin):
-            cells.append("" if value is None else _fmt(value))
-        cells.append(_fmt(share) if result.settled else "")
-        lines.append(",".join(cells))
-    if report.complete:
-        lines.append(f"# outcome,complete,{_fmt(report.final_settlement_share)}")
-    else:
-        first_broken = next(i for i, r in enumerate(results) if not r.settled)
-        lines.append(f"# outcome,breakdown,{first_broken}")
-    return "\n".join(lines) + "\n"
-
-
-def write_nonmarket_csv(sheet: BalanceSheet) -> str:
-    header = "m_a,m_a_effective,m_b_raw,m_b_effective,k_a,k_b,equity,verdict"
-    cells = [_fmt(sheet.m_a), _fmt(sheet.m_a_effective), _fmt(sheet.m_b_raw),
-             _fmt(sheet.m_b_effective), _fmt(sheet.k_a), _fmt(sheet.k_b),
-             "" if sheet.equity is None else _fmt(sheet.equity),
-             sheet.verdict.value]
-    return header + "\n" + ",".join(cells) + "\n"
-
-
-def write_power_chain_csv(chain: PowerChain | None, strengths: list[float] | None = None) -> str:
-    lines = ["position,subject,strength_vs_adversary"]
-    if chain is None:
-        lines.append("# outcome,no_chain")
-    else:
-        for position, (subject, strength) in enumerate(zip(chain.path, strengths or [])):
-            lines.append(f"{position},{subject},{_fmt(strength)}")
-        lines.append(f"# outcome,chain,{len(chain.path) - 1},{_fmt(chain.terminal_strength)}")
-    return "\n".join(lines) + "\n"
-
-
-def write_society_csv(trace: WealthTrace) -> str:
-    lines = ["epoch,gini"]
-    for epoch, value in enumerate(trace.gini_series):
-        lines.append(f"{epoch},{_fmt(value)}")
-    lines.append(f"# outcome,final_gini,{_fmt(trace.final_gini)}")
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# execution
 
 @dataclass
 class RunReport:
@@ -109,123 +32,16 @@ class RunReport:
     csv_text: str | None = field(default=None, compare=False, repr=False)
 
 
-def _run_negotiation(body: NegotiationScenario) -> tuple[dict, str]:
-    cfg = body.to_config()
-    trace = run(cfg)
-    if isinstance(trace.outcome, Agreement):
-        outcome_doc: dict[str, Any] = {"kind": "agreement",
-                                       "step": trace.outcome.step,
-                                       "price": trace.outcome.price}
-    else:
-        outcome_doc = {"kind": "breakdown", "at_step": trace.outcome.at_step}
-    payload = {
-        "kind": "negotiation",
-        "buyer_reserve_adj": cfg.buyer_reserve_adj,
-        "seller_reserve_adj": cfg.seller_reserve_adj,
-        "rates": {"r_a": cfg.rates.r_a, "r_a_prime": cfg.rates.r_a_prime,
-                  "r_b": cfg.rates.r_b, "r_b_prime": cfg.rates.r_b_prime},
-        "steps": [[s.step, s.offer_buyer, s.offer_seller, s.gap] for s in trace.steps],
-        "outcome": outcome_doc,
-    }
-    return payload, write_trace_csv(trace)
-
-
-def _run_chain(body: ChainScenario) -> tuple[dict, str]:
-    results = propagate(body.spec, gap_epsilon=body.gap_epsilon, max_steps=body.max_steps)
-    report = squeeze_report(results)
-    payload = {
-        "kind": "chain",
-        "stages": [
-            {"name": r.name, "buyer_reserve_effective": r.buyer_reserve_effective,
-             "settlement": r.settlement, "margin": r.margin}
-            for r in results
-        ],
-        "squeeze": {
-            "anchor_price": report.anchor_price,
-            "margin_shares": [[name, share] for name, share in report.margin_shares],
-            "final_settlement_share": report.final_settlement_share,
-            "complete": report.complete,
-        },
-    }
-    return payload, write_chain_csv(results, report)
-
-
-def _run_nonmarket(body: NonmarketScenario) -> tuple[dict, str]:
-    sheet = welfare_balance(body.proposal, body.influence_a, body.influence_b,
-                            body.promise_keep_prob)
-    payload = {
-        "kind": "nonmarket",
-        "m_a": sheet.m_a,
-        "m_a_effective": sheet.m_a_effective,
-        "m_b_raw": sheet.m_b_raw,
-        "m_b_effective": sheet.m_b_effective,
-        "k_a": sheet.k_a,
-        "k_b": sheet.k_b,
-        "equity": sheet.equity,
-        "verdict": sheet.verdict.value,
-    }
-    return payload, write_nonmarket_csv(sheet)
-
-
-def _run_power_chain(body: PowerChainScenario) -> tuple[dict, str]:
-    try:
-        chain = find_power_chain(body.graph, body.weak, body.adversary, body.threshold)
-    except NoChain as exc:
-        # like a negotiation breakdown, "no chain" is a result, not a failure
-        return ({"kind": "power_chain", "found": False, "reason": str(exc)},
-                write_power_chain_csv(None))
-    strengths = [body.graph.strength_vs(node, body.adversary) for node in chain.path]
-    payload = {
-        "kind": "power_chain",
-        "found": True,
-        "path": list(chain.path),
-        "strengths": strengths,
-        "terminal_strength": chain.terminal_strength,
-        "hops": len(chain.path) - 1,
-    }
-    return payload, write_power_chain_csv(chain, strengths)
-
-
-def _run_society(body: SocietyConfig) -> tuple[dict, str]:
-    trace = run_society(body)
-    wealth = trace.final_wealth
-    payload = {
-        "kind": "society",
-        "final_gini": trace.final_gini,
-        "gini_series": [float(g) for g in trace.gini_series],
-        "total_initial": float(trace.totals[0]),
-        "total_final": float(trace.totals[-1]),
-        "injected_per_epoch": trace.injected_per_epoch,
-        "wealth_mean": float(wealth.mean()),
-        "wealth_min": float(wealth.min()),
-        "wealth_max": float(wealth.max()),
-    }
-    return payload, write_society_csv(trace)
-
-
 def run_scenario(scenario: Scenario, seed_override: int | None = None) -> RunReport:
     """Execute a parsed scenario and wrap the result in a RunReport.
 
     ``seed_override`` replaces the seed of a society scenario (other kinds
     are deterministic and ignore it).
     """
-    body = scenario.body
-    if seed_override is not None and isinstance(body, SocietyConfig):
-        body = replace(body, seed=seed_override)
-        scenario = replace(scenario, body=body)
+    if seed_override is not None and scenario.kind == "society":
+        scenario = replace(scenario, body=replace(scenario.body, seed=seed_override))
     start = time.perf_counter()
-    if isinstance(body, NegotiationScenario):
-        payload, csv_text = _run_negotiation(body)
-    elif isinstance(body, ChainScenario):
-        payload, csv_text = _run_chain(body)
-    elif isinstance(body, NonmarketScenario):
-        payload, csv_text = _run_nonmarket(body)
-    elif isinstance(body, PowerChainScenario):
-        payload, csv_text = _run_power_chain(body)
-    elif isinstance(body, SocietyConfig):
-        payload, csv_text = _run_society(body)
-    else:
-        raise TypeError(f"unknown scenario body {type(body).__name__}")
+    payload, csv_text = KINDS[scenario.kind].run(scenario.body)
     duration = time.perf_counter() - start
     return RunReport(scenario=scenario, outcome=payload,
                      engine_version=__version__, duration_s=duration,
@@ -240,13 +56,3 @@ def report_to_json(report: RunReport) -> str:
         "duration_s": report.duration_s,
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def report_from_json(text: str) -> RunReport:
-    from .scenario import parse_scenario  # local import to keep module load light
-
-    doc = json.loads(text)
-    scenario = parse_scenario(json.dumps(doc["scenario"]))
-    return RunReport(scenario=scenario, outcome=doc["outcome"],
-                     engine_version=doc["engine_version"],
-                     duration_s=doc["duration_s"])

@@ -1,128 +1,87 @@
-"""Scenario files: strict JSON parsing, serialization, and bundled presets.
+"""Scenario files: strict JSON documents, the registry of scenario kinds,
+and each kind's run with its CSV rendering.
 
 A scenario document is::
 
     {"version": 1, "kind": "<kind>", "metadata": {...}, "body": {...}}
 
-where kind is one of negotiation, chain, nonmarket, power_chain, society
-and the body holds that kind's config.  Parsing is strict: unknown fields
-are rejected and every numeric invariant is checked with a field-path
-error message (paths for body fields are body-relative, e.g. "rates.r_a").
+where kind is one of negotiation, chain, nonmarket, power_chain, society.
+Each kind has one registry entry naming its body dataclass, which lives in
+the kind's engine module; that module is imported only when a document of
+the kind is read, so only society documents load numpy.
+
+A body is read by walking the annotated fields of its dataclass.  Reading
+checks shape and types; value invariants belong to the engine dataclasses,
+and any they raise is reported at the offending field's path (body-relative,
+e.g. "rates.r_a").  Reading also enforces the work budget below.
+
+CSV output is locale-independent and byte-deterministic: prices are
+rendered with up to 6 significant digits (a ``.0`` is appended to bare
+integers so every price cell stays visibly a decimal).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
+import math
+import types
+import typing
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from importlib import resources
+from importlib import import_module
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
-from .chain import ChainSpec, ChainStage
-from .core import PerceptionView, Role, adjust_reserve_full, imbalance_ratio
-from .errors import InvariantError, ParseError, SchemaError
-from .negotiation import ConcessionRates, NegotiationConfig, concession_rates_from_imbalance
-from .nonmarket import NO_INFLUENCE, ExchangeProposal, ExternalInfluence
-from .powerchain import TrustEdge, TrustGraph
-from .society import (Authoritarian, Constant, Institutional, Lognormal,
-                      SocietyConfig, Uniform)
+from .errors import (DegenerateRatio, InvalidConfig, InvalidInput, InvariantError,
+                     NoChain, ParseError, SchemaError)
 
 SUPPORTED_VERSIONS = (1,)
-KINDS = ("negotiation", "chain", "nonmarket", "power_chain", "society")
+PRESETS = Path(__file__).with_name("presets")
 
-
-# ---------------------------------------------------------------------------
-# typed scenario bodies
-
-@dataclass(frozen=True)
-class SideSpec:
-    """One negotiator: opening offer, reserve price, optional perceptions.
-
-    With a view attached the reserve is a base price that gets the full
-    imbalance adjustment before the run; without one it is used as the
-    already-adjusted reserve.
-    """
-
-    open: float
-    reserve: float
-    view: PerceptionView | None = None
-
-
-@dataclass(frozen=True)
-class NegotiationScenario:
-    buyer: SideSpec
-    seller: SideSpec
-    rates: ConcessionRates
-    gap_epsilon: float = 0.05
-    max_steps: int = 1000
-    scale_rates_by_imbalance: bool = False
-
-    def to_config(self) -> NegotiationConfig:
-        """Resolve perceptions into a runnable NegotiationConfig."""
-        buyer_reserve = (adjust_reserve_full(self.buyer.reserve, self.buyer.view)
-                         if self.buyer.view else self.buyer.reserve)
-        seller_reserve = (adjust_reserve_full(self.seller.reserve, self.seller.view)
-                          if self.seller.view else self.seller.reserve)
-        rates = self.rates
-        if self.scale_rates_by_imbalance:
-            rho_buyer = imbalance_ratio(self.buyer.view) if self.buyer.view else 1.0
-            rho_seller = imbalance_ratio(self.seller.view) if self.seller.view else 1.0
-            rates = concession_rates_from_imbalance(rates, rho_buyer, rho_seller)
-        return NegotiationConfig(
-            buyer_open=self.buyer.open,
-            seller_open=self.seller.open,
-            buyer_reserve_adj=buyer_reserve,
-            seller_reserve_adj=seller_reserve,
-            rates=rates,
-            gap_epsilon=self.gap_epsilon,
-            max_steps=self.max_steps,
-        )
-
-
-@dataclass(frozen=True)
-class ChainScenario:
-    spec: ChainSpec
-    gap_epsilon: float | None = None  # None: propagate's anchor-scaled default
-    max_steps: int = 5000
-
-
-@dataclass(frozen=True)
-class NonmarketScenario:
-    proposal: ExchangeProposal
-    influence_a: ExternalInfluence = NO_INFLUENCE
-    influence_b: ExternalInfluence = NO_INFLUENCE
-    promise_keep_prob: float = 1.0
-
-
-@dataclass(frozen=True)
-class PowerChainScenario:
-    graph: TrustGraph
-    weak: str
-    adversary: str
-    threshold: float
-
-
-Body = (NegotiationScenario | ChainScenario | NonmarketScenario
-        | PowerChainScenario | SocietyConfig)
+#: Work budget, checked at parse time: a negotiation or chain may run at
+#: most MAX_STEPS steps per link, a society may hold at most MAX_AGENTS
+#: agents and make at most MAX_EXCHANGES pair exchanges in all.
+MAX_STEPS = 100_000
+MAX_AGENTS = 1_000_000
+MAX_EXCHANGES = 10 ** 7
 
 
 @dataclass(frozen=True)
 class Scenario:
     version: int
     kind: str
-    body: Body
+    body: Any
     metadata: Mapping[str, str] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
-# strict-parsing helpers
+# reading: shape and type checks, engine invariants reported at their path
 
-def _obj(value: Any, path: str, allowed: set[str], required: set[str]) -> dict:
+def _join(path: str, name: str | None) -> str:
+    return f"{path}.{name}" if path and name else path or name or ""
+
+
+@contextmanager
+def _at(path: str, paths: Mapping[str, str] = {}):
+    """Report an engine invariant raised in the block at the field's path.
+
+    ``paths`` maps field names of an object the document does not hold as
+    such (a resolved config) to the document fields they come from.
+    """
+    try:
+        yield
+    except (InvalidConfig, InvalidInput, DegenerateRatio) as exc:
+        raise InvariantError(_join(path, paths.get(exc.field, exc.field)), exc.rule) from None
+
+
+def _obj(value: Any, path: str, allowed: set[str], required: tuple[str, ...]) -> dict:
     if not isinstance(value, dict):
         raise SchemaError(path, f"expected an object, got {type(value).__name__}")
     for key in value:
         if key not in allowed:
-            raise SchemaError(f"{path}.{key}" if path else key, "unknown field")
+            raise SchemaError(_join(path, key), "unknown field")
     for key in required:
         if key not in value:
             raise SchemaError(path, f"missing required field {key!r}")
@@ -132,406 +91,392 @@ def _obj(value: Any, path: str, allowed: set[str], required: set[str]) -> dict:
 def _num(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, f"expected a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise InvariantError(path, "must be a finite number")
+    return number
 
 
-def _check(condition: bool, path: str, rule: str) -> None:
-    if not condition:
-        raise InvariantError(path, rule)
+_NAMES = {int: "an integer", str: "a string", bool: "a boolean"}
 
 
-def _int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(path, f"expected an integer, got {type(value).__name__}")
+def _scalar(kind: type, value: Any, path: str) -> Any:
+    if kind is float:
+        return _num(value, path)
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise SchemaError(path, f"expected {_NAMES[kind]}, got {type(value).__name__}")
     return value
 
 
-def _str(value: Any, path: str) -> str:
-    if not isinstance(value, str):
-        raise SchemaError(path, f"expected a string, got {type(value).__name__}")
-    return value
+# Document fields a dataclass's own defaults would make optional.
+_REQUIRED = {("ChainStage", "rates")}
 
 
-def _bool(value: Any, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise SchemaError(path, f"expected a boolean, got {type(value).__name__}")
-    return value
+@functools.cache
+def _fields(cls: type) -> dict[str, tuple[Any, bool]]:
+    """Each init field of a dataclass: name -> (annotation, required in documents)."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], (cls.__name__, f.name) in _REQUIRED
+                     or f.default is f.default_factory is dataclasses.MISSING)
+            for f in dataclasses.fields(cls) if f.init}
 
 
-def _parse_view(value: Any, path: str, role: Role) -> PerceptionView:
-    fields = ("own_motivation", "other_motivation_perceived", "own_power",
-              "other_power_perceived")
-    obj = _obj(value, path, set(fields), set(fields))
-    magnitudes = {}
-    for name in fields:
-        magnitude = _num(obj[name], f"{path}.{name}")
-        _check(magnitude > 0.0, f"{path}.{name}", "must be > 0")
-        magnitudes[name] = magnitude
-    return PerceptionView(role=role, **magnitudes)
+def _options(annotation: Any) -> tuple | None:
+    """The non-None members of a union annotation, or None for any other."""
+    if typing.get_origin(annotation) not in (typing.Union, types.UnionType):
+        return None
+    return tuple(a for a in typing.get_args(annotation) if a is not type(None))
 
 
-def _parse_rates(value: Any, path: str) -> ConcessionRates:
-    fields = ("r_a", "r_a_prime", "r_b", "r_b_prime")
-    obj = _obj(value, path, set(fields), set(fields))
-    parsed = {}
-    for name in fields:
-        rate = _num(obj[name], f"{path}.{name}")
-        if name in ("r_a", "r_b"):
-            _check(0.0 < rate < 1.0, f"{path}.{name}", "must lie in (0, 1)")
-        else:
-            _check(0.0 <= rate < 1.0, f"{path}.{name}", "must lie in [0, 1)")
-        parsed[name] = rate
-    _check(parsed["r_a"] + parsed["r_a_prime"] < 1.0, path, "r_a + r_a_prime must be < 1")
-    _check(parsed["r_b"] + parsed["r_b_prime"] < 1.0, path, "r_b + r_b_prime must be < 1")
-    return ConcessionRates(**parsed)
+def _read(annotation: Any, value: Any, path: str) -> Any:
+    if annotation in (float, int, str, bool):
+        return _scalar(annotation, value, path)
+    if typing.get_origin(annotation) is tuple:  # tuple[X, ...] is a JSON array
+        if not isinstance(value, list):
+            raise SchemaError(path, "expected an array")
+        item = typing.get_args(annotation)[0]
+        return tuple(_read(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+    options = _options(annotation)
+    if options is None:
+        return _READERS.get(annotation.__name__, _read_fields)(annotation, value, path)
+    if len(options) == 1:
+        return _read(options[0], value, path)
+    # a union of dataclasses is stored with a "kind" tag: the lowercased class name
+    tags = {cls.__name__.lower(): cls for cls in options}
+    obj = _obj(value, path, {"kind"}.union(*map(_fields, options)), ("kind",))
+    tag = _scalar(str, obj["kind"], f"{path}.kind")
+    if tag not in tags:
+        raise SchemaError(f"{path}.kind", f"must be one of {', '.join(tags)}")
+    return _read_fields(tags[tag], {k: v for k, v in obj.items() if k != "kind"}, path)
 
 
-def _parse_side(value: Any, path: str, role: Role) -> SideSpec:
-    obj = _obj(value, path, {"open", "reserve", "view"}, {"open", "reserve"})
-    open_ = _num(obj["open"], f"{path}.open")
-    reserve = _num(obj["reserve"], f"{path}.reserve")
-    _check(reserve >= 0.0, f"{path}.reserve", "must be >= 0")
-    view = _parse_view(obj["view"], f"{path}.view", role) if "view" in obj else None
-    return SideSpec(open=open_, reserve=reserve, view=view)
+def _read_fields(cls: type, value: Any, path: str, **given: Any) -> Any:
+    fields = {name: spec for name, spec in _fields(cls).items() if name not in given}
+    obj = _obj(value, path, set(fields), tuple(name for name, (_, req) in fields.items() if req))
+    kwargs = {name: _read(fields[name][0], v, _join(path, name)) for name, v in obj.items()}
+    with _at(path):
+        return cls(**kwargs, **given)
 
 
-def _parse_negotiation(body: dict) -> NegotiationScenario:
-    obj = _obj(body, "", {"buyer", "seller", "rates", "gap_epsilon", "max_steps",
-                          "scale_rates_by_imbalance"},
-               {"buyer", "seller", "rates", "max_steps"})
-    buyer = _parse_side(obj["buyer"], "buyer", Role.BUYER)
-    seller = _parse_side(obj["seller"], "seller", Role.SELLER)
-    _check(seller.open >= buyer.open, "seller.open", "must be >= buyer.open")
-    rates = _parse_rates(obj["rates"], "rates")
-    gap_epsilon = _num(obj.get("gap_epsilon", 0.05), "gap_epsilon")
-    _check(gap_epsilon > 0.0, "gap_epsilon", "must be > 0")
-    max_steps = _int(obj["max_steps"], "max_steps")
-    _check(max_steps >= 1, "max_steps", "must be >= 1")
-    scale = _bool(obj.get("scale_rates_by_imbalance", False), "scale_rates_by_imbalance")
-    return NegotiationScenario(buyer=buyer, seller=seller, rates=rates,
-                               gap_epsilon=gap_epsilon, max_steps=max_steps,
-                               scale_rates_by_imbalance=scale)
+def _read_view(cls: type, value: Any, path: str) -> Any:
+    from .core import Role, imbalance_ratio
+
+    # the role is implied by where the view sits: buyer.view or stages[i].buyer_view
+    role = Role.BUYER if path.endswith(("buyer.view", "buyer_view")) else Role.SELLER
+    view = _read_fields(cls, value, path, role=role)
+    with _at(path):
+        imbalance_ratio(view)  # every view is a divisor in a run: check it against the floor
+    return view
 
 
-def _parse_chain(body: dict) -> ChainScenario:
-    obj = _obj(body, "", {"anchor_price", "stages", "gap_epsilon", "max_steps"},
-               {"anchor_price", "stages"})
-    anchor = _num(obj["anchor_price"], "anchor_price")
-    _check(anchor > 0.0, "anchor_price", "must be > 0")
-    raw_stages = obj["stages"]
-    if not isinstance(raw_stages, list):
-        raise SchemaError("stages", "expected an array")
-    _check(len(raw_stages) >= 1, "stages", "must have at least one stage")
-    stages = []
-    for index, raw in enumerate(raw_stages):
-        path = f"stages[{index}]"
-        stage = _obj(raw, path, {"name", "base_seller_reserve", "margin_floor",
-                                 "buyer_view", "seller_view", "rates"},
-                     {"name", "base_seller_reserve", "buyer_view", "seller_view", "rates"})
-        base = _num(stage["base_seller_reserve"], f"{path}.base_seller_reserve")
-        _check(base >= 0.0, f"{path}.base_seller_reserve", "must be >= 0")
-        floor = _num(stage.get("margin_floor", 0.0), f"{path}.margin_floor")
-        _check(floor >= 0.0, f"{path}.margin_floor", "must be >= 0")
-        stages.append(ChainStage(
-            name=_str(stage["name"], f"{path}.name"),
-            buyer_view=_parse_view(stage["buyer_view"], f"{path}.buyer_view", Role.BUYER),
-            seller_view=_parse_view(stage["seller_view"], f"{path}.seller_view", Role.SELLER),
-            base_seller_reserve=base,
-            margin_floor=floor,
-            rates=_parse_rates(stage["rates"], f"{path}.rates"),
-        ))
-    gap_epsilon = None
-    if "gap_epsilon" in obj:
-        gap_epsilon = _num(obj["gap_epsilon"], "gap_epsilon")
-        _check(gap_epsilon > 0.0, "gap_epsilon", "must be > 0")
-    max_steps = _int(obj.get("max_steps", 5000), "max_steps")
-    _check(max_steps >= 1, "max_steps", "must be >= 1")
-    return ChainScenario(spec=ChainSpec(stages=tuple(stages), anchor_price=anchor),
-                         gap_epsilon=gap_epsilon, max_steps=max_steps)
+def _read_chain(cls: type, value: dict, path: str) -> Any:
+    # the spec's fields (anchor_price, stages) sit in the body itself
+    spec_type = _fields(cls)["spec"][0]
+    inline = {k: v for k, v in value.items() if k in _fields(spec_type)}
+    spec = _read_fields(spec_type, inline, path)
+    rest = {k: v for k, v in value.items() if k not in inline}
+    return _read_fields(cls, rest, path, spec=spec)
 
 
-def _parse_influence(value: Any, path: str) -> ExternalInfluence:
-    obj = _obj(value, path, {"threat_on_refusal", "shield"}, set())
-    threat = _num(obj.get("threat_on_refusal", 0.0), f"{path}.threat_on_refusal")
-    _check(threat >= 0.0, f"{path}.threat_on_refusal", "must be >= 0")
-    shield = _num(obj.get("shield", 0.0), f"{path}.shield")
-    _check(0.0 <= shield <= 1.0, f"{path}.shield", "must lie in [0, 1]")
-    return ExternalInfluence(threat_on_refusal=threat, shield=shield)
-
-
-def _parse_nonmarket(body: dict) -> NonmarketScenario:
-    obj = _obj(body, "", {"proposal", "influence_a", "influence_b", "promise_keep_prob"},
-               {"proposal"})
-    fields = ("give_cost_a", "gain_for_b", "give_cost_b", "gain_for_a")
-    raw = _obj(obj["proposal"], "proposal", set(fields), set(fields))
-    values = {}
-    for name in fields:
-        values[name] = _num(raw[name], f"proposal.{name}")
-        if name.startswith("give_cost"):
-            _check(values[name] >= 0.0, f"proposal.{name}", "must be >= 0")
-    influence_a = (_parse_influence(obj["influence_a"], "influence_a")
-                   if "influence_a" in obj else NO_INFLUENCE)
-    influence_b = (_parse_influence(obj["influence_b"], "influence_b")
-                   if "influence_b" in obj else NO_INFLUENCE)
-    keep = _num(obj.get("promise_keep_prob", 1.0), "promise_keep_prob")
-    _check(0.0 <= keep <= 1.0, "promise_keep_prob", "must lie in [0, 1]")
-    return NonmarketScenario(proposal=ExchangeProposal(**values),
-                             influence_a=influence_a, influence_b=influence_b,
-                             promise_keep_prob=keep)
-
-
-def _parse_power_chain(body: dict) -> PowerChainScenario:
-    obj = _obj(body, "", {"nodes", "edges", "weak", "adversary", "threshold"},
-               {"nodes", "edges", "weak", "adversary", "threshold"})
-    raw_nodes = obj["nodes"]
-    if not isinstance(raw_nodes, dict):
+def _read_power_chain(cls: type, value: dict, path: str) -> Any:
+    # the graph sits in the body as nodes {label: {"strength_vs": {adversary: x}}} and edges
+    graph_type = _fields(cls)["graph"][0]
+    obj = _obj(value, path, {"nodes", "edges", *_fields(cls)} - {"graph"}, ("nodes", "edges"))
+    nodes = obj["nodes"]
+    if not isinstance(nodes, dict):
         raise SchemaError("nodes", "expected an object mapping node labels")
-    _check(len(raw_nodes) >= 1, "nodes", "must have at least one node")
-    strengths: dict[str, dict[str, float]] = {}
-    for label, raw in raw_nodes.items():
-        path = f"nodes.{label}"
-        node = _obj(raw, path, {"strength_vs"}, {"strength_vs"})
-        raw_strengths = node["strength_vs"]
-        if not isinstance(raw_strengths, dict):
-            raise SchemaError(f"{path}.strength_vs", "expected an object")
-        strengths[label] = {
-            adversary: _num(strength, f"{path}.strength_vs.{adversary}")
-            for adversary, strength in raw_strengths.items()
-        }
-    raw_edges = obj["edges"]
-    if not isinstance(raw_edges, list):
-        raise SchemaError("edges", "expected an array")
-    edges = []
-    for index, raw in enumerate(raw_edges):
-        path = f"edges[{index}]"
-        edge = _obj(raw, path, {"requester", "helper", "willingness"},
-                    {"requester", "helper", "willingness"})
-        requester = _str(edge["requester"], f"{path}.requester")
-        helper = _str(edge["helper"], f"{path}.helper")
-        _check(requester != helper, path, "self-loops are not allowed")
-        for endpoint in (requester, helper):
-            _check(endpoint in strengths, path, f"endpoint {endpoint!r} is not a node")
-        willingness = _num(edge["willingness"], f"{path}.willingness")
-        _check(0.0 < willingness <= 1.0, f"{path}.willingness", "must lie in (0, 1]")
-        edges.append(TrustEdge(requester, helper, willingness))
-    weak = _str(obj["weak"], "weak")
-    _check(weak in strengths, "weak", "must be a node")
-    return PowerChainScenario(
-        graph=TrustGraph(strengths=strengths, edges=tuple(edges)),
-        weak=weak,
-        adversary=_str(obj["adversary"], "adversary"),
-        threshold=_num(obj["threshold"], "threshold"),
-    )
+    strengths = {}
+    for label, node in nodes.items():
+        against = _obj(node, f"nodes.{label}", {"strength_vs"}, ("strength_vs",))["strength_vs"]
+        if not isinstance(against, dict):
+            raise SchemaError(f"nodes.{label}.strength_vs", "expected an object")
+        strengths[label] = {adversary: _num(x, f"nodes.{label}.strength_vs.{adversary}")
+                            for adversary, x in against.items()}
+    edges = _read(_fields(graph_type)["edges"][0], obj["edges"], "edges")
+    with _at(path, {"strengths": "nodes"}):
+        graph = graph_type(strengths=strengths, edges=edges)
+    rest = {k: v for k, v in obj.items() if k not in ("nodes", "edges")}
+    return _read_fields(cls, rest, path, graph=graph)
 
 
-def _parse_society(body: dict) -> SocietyConfig:
-    obj = _obj(body, "", {"n_agents", "initial_wealth", "regime", "epochs",
-                          "pairings_per_epoch", "seed", "unit_surplus"},
-               {"n_agents", "initial_wealth", "regime", "epochs",
-                "pairings_per_epoch", "seed"})
-    n_agents = _int(obj["n_agents"], "n_agents")
-    _check(n_agents >= 2, "n_agents", "must be >= 2")
-
-    raw_dist = _obj(obj["initial_wealth"], "initial_wealth",
-                    {"kind", "value", "lo", "hi", "mu", "sigma"}, {"kind"})
-    dist_kind = _str(raw_dist["kind"], "initial_wealth.kind")
-    if dist_kind == "constant":
-        _obj(raw_dist, "initial_wealth", {"kind", "value"}, {"kind", "value"})
-        value = _num(raw_dist["value"], "initial_wealth.value")
-        _check(value > 0.0, "initial_wealth.value", "must be > 0")
-        dist: Any = Constant(value)
-    elif dist_kind == "uniform":
-        _obj(raw_dist, "initial_wealth", {"kind", "lo", "hi"}, {"kind", "lo", "hi"})
-        lo = _num(raw_dist["lo"], "initial_wealth.lo")
-        hi = _num(raw_dist["hi"], "initial_wealth.hi")
-        _check(lo > 0.0, "initial_wealth.lo", "must be > 0")
-        _check(hi > lo, "initial_wealth.hi", "must be > lo")
-        dist = Uniform(lo, hi)
-    elif dist_kind == "lognormal":
-        _obj(raw_dist, "initial_wealth", {"kind", "mu", "sigma"}, {"kind", "mu", "sigma"})
-        sigma = _num(raw_dist["sigma"], "initial_wealth.sigma")
-        _check(sigma >= 0.0, "initial_wealth.sigma", "must be >= 0")
-        dist = Lognormal(_num(raw_dist["mu"], "initial_wealth.mu"), sigma)
-    else:
-        raise SchemaError("initial_wealth.kind",
-                          "must be one of constant, uniform, lognormal")
-
-    raw_regime = _obj(obj["regime"], "regime", {"kind", "power_exponent", "cap"}, {"kind"})
-    regime_kind = _str(raw_regime["kind"], "regime.kind")
-    if regime_kind == "authoritarian":
-        _obj(raw_regime, "regime", {"kind", "power_exponent"}, {"kind", "power_exponent"})
-        exponent = _num(raw_regime["power_exponent"], "regime.power_exponent")
-        _check(exponent >= 0.0, "regime.power_exponent", "must be >= 0")
-        regime: Any = Authoritarian(exponent)
-    elif regime_kind == "institutional":
-        _obj(raw_regime, "regime", {"kind", "cap"}, {"kind", "cap"})
-        cap = _num(raw_regime["cap"], "regime.cap")
-        _check(cap >= 1.0, "regime.cap", "must be >= 1")
-        regime = Institutional(cap)
-    else:
-        raise SchemaError("regime.kind", "must be one of authoritarian, institutional")
-
-    epochs = _int(obj["epochs"], "epochs")
-    _check(epochs >= 1, "epochs", "must be >= 1")
-    pairings = _int(obj["pairings_per_epoch"], "pairings_per_epoch")
-    _check(pairings >= 1, "pairings_per_epoch", "must be >= 1")
-    seed = _int(obj["seed"], "seed")
-    _check(0 <= seed < 2 ** 64, "seed", "must be a 64-bit unsigned integer")
-    surplus = _num(obj.get("unit_surplus", 1.0), "unit_surplus")
-    _check(surplus > 0.0, "unit_surplus", "must be > 0")
-    return SocietyConfig(n_agents=n_agents, initial_wealth=dist, regime=regime,
-                         epochs=epochs, pairings_per_epoch=pairings, seed=seed,
-                         unit_surplus=surplus)
-
-
-_BODY_PARSERS = {
-    "negotiation": _parse_negotiation,
-    "chain": _parse_chain,
-    "nonmarket": _parse_nonmarket,
-    "power_chain": _parse_power_chain,
-    "society": _parse_society,
+# Dataclasses whose document shape differs from their fields.
+_READERS: dict[str, Callable[[type, Any, str], Any]] = {
+    "PerceptionView": _read_view,
+    "ChainScenario": _read_chain,
+    "PowerChainScenario": _read_power_chain,
 }
 
 
-def _reject_constant(token: str):
-    raise ParseError(f"non-finite JSON number {token!r} is not allowed")
+# ---------------------------------------------------------------------------
+# writing: the inverse of reading
 
+def _write(annotation: Any, value: Any) -> Any:
+    if typing.get_origin(annotation) is tuple:
+        item = typing.get_args(annotation)[0]
+        return [_write(item, v) for v in value]
+    options = _options(annotation)
+    if options is not None:
+        doc = _write(type(value), value)
+        return {"kind": type(value).__name__.lower(), **doc} if len(options) > 1 else doc
+    if not dataclasses.is_dataclass(annotation):
+        return value
+    doc = {name: _write(spec[0], getattr(value, name)) for name, spec in _fields(annotation).items()
+           if getattr(value, name) is not None}
+    name = annotation.__name__
+    if name == "PerceptionView":
+        del doc["role"]
+    elif name == "ChainScenario":
+        doc.update(doc.pop("spec"))
+    elif name == "PowerChainScenario":
+        graph = doc.pop("graph")
+        doc["nodes"] = {label: {"strength_vs": dict(against)}
+                        for label, against in graph["strengths"].items()}
+        doc["edges"] = graph["edges"]
+    return doc
+
+
+# ---------------------------------------------------------------------------
+# the kinds: running a body, rendering its CSV, and parse-time checks
+
+def _fmt(x: float) -> str:
+    """Float cell: up to 6 significant digits, never locale-dependent."""
+    s = format(float(x), ".6g")
+    if "." not in s and "e" not in s and "E" not in s:
+        s += ".0"
+    return s
+
+
+def write_trace_csv(trace) -> str:
+    """Offer trace as CSV: step,offer_buyer,offer_seller,gap + outcome row."""
+    lines = ["step,offer_buyer,offer_seller,gap"]
+    for s in trace.steps:
+        lines.append(f"{s.step},{_fmt(s.offer_buyer)},{_fmt(s.offer_seller)},{_fmt(s.gap)}")
+    if trace.agreed:
+        lines.append(f"# outcome,agreement,{trace.outcome.step},{_fmt(trace.outcome.price)}")
+    else:
+        lines.append(f"# outcome,breakdown,{trace.outcome.at_step}")
+    return "\n".join(lines) + "\n"
+
+
+def _run_negotiation(body) -> tuple[dict, str]:
+    from .negotiation import run
+
+    cfg = body.to_config()
+    trace = run(cfg)
+    if trace.agreed:
+        outcome_doc: dict[str, Any] = {"kind": "agreement",
+                                       "step": trace.outcome.step,
+                                       "price": trace.outcome.price}
+    else:
+        outcome_doc = {"kind": "breakdown", "at_step": trace.outcome.at_step}
+    payload = {
+        "kind": "negotiation",
+        "buyer_reserve_adj": cfg.buyer_reserve_adj,
+        "seller_reserve_adj": cfg.seller_reserve_adj,
+        "rates": {"r_a": cfg.rates.r_a, "r_a_prime": cfg.rates.r_a_prime,
+                  "r_b": cfg.rates.r_b, "r_b_prime": cfg.rates.r_b_prime},
+        "steps": [[s.step, s.offer_buyer, s.offer_seller, s.gap] for s in trace.steps],
+        "outcome": outcome_doc,
+    }
+    return payload, write_trace_csv(trace)
+
+
+def _run_chain(body) -> tuple[dict, str]:
+    from .chain import propagate, squeeze_report
+
+    results = propagate(body.spec, gap_epsilon=body.gap_epsilon, max_steps=body.max_steps)
+    report = squeeze_report(results)
+    payload = {
+        "kind": "chain",
+        "stages": [
+            {"name": r.name, "buyer_reserve_effective": r.buyer_reserve_effective,
+             "settlement": r.settlement, "margin": r.margin}
+            for r in results
+        ],
+        "squeeze": {
+            "anchor_price": report.anchor_price,
+            "margin_shares": [[name, share] for name, share in report.margin_shares],
+            "final_settlement_share": report.final_settlement_share,
+            "complete": report.complete,
+        },
+    }
+    lines = ["stage,name,buyer_reserve_effective,settlement,margin,margin_share"]
+    for index, (result, (_, share)) in enumerate(zip(results, report.margin_shares)):
+        cells = [str(index), result.name]
+        for value in (result.buyer_reserve_effective, result.settlement, result.margin):
+            cells.append("" if value is None else _fmt(value))
+        cells.append(_fmt(share) if result.settled else "")
+        lines.append(",".join(cells))
+    if report.complete:
+        lines.append(f"# outcome,complete,{_fmt(report.final_settlement_share)}")
+    else:
+        first_broken = next(i for i, r in enumerate(results) if not r.settled)
+        lines.append(f"# outcome,breakdown,{first_broken}")
+    return payload, "\n".join(lines) + "\n"
+
+
+def _run_nonmarket(body) -> tuple[dict, str]:
+    from .nonmarket import welfare_balance
+
+    sheet = welfare_balance(body.proposal, body.influence_a, body.influence_b,
+                            body.promise_keep_prob)
+    payload = {
+        "kind": "nonmarket",
+        "m_a": sheet.m_a,
+        "m_a_effective": sheet.m_a_effective,
+        "m_b_raw": sheet.m_b_raw,
+        "m_b_effective": sheet.m_b_effective,
+        "k_a": sheet.k_a,
+        "k_b": sheet.k_b,
+        "equity": sheet.equity,
+        "verdict": sheet.verdict.value,
+    }
+    cells = [_fmt(sheet.m_a), _fmt(sheet.m_a_effective), _fmt(sheet.m_b_raw),
+             _fmt(sheet.m_b_effective), _fmt(sheet.k_a), _fmt(sheet.k_b),
+             "" if sheet.equity is None else _fmt(sheet.equity),
+             sheet.verdict.value]
+    return payload, ("m_a,m_a_effective,m_b_raw,m_b_effective,k_a,k_b,equity,verdict\n"
+                     + ",".join(cells) + "\n")
+
+
+def _run_power_chain(body) -> tuple[dict, str]:
+    from .powerchain import find_power_chain
+
+    lines = ["position,subject,strength_vs_adversary"]
+    try:
+        chain = find_power_chain(body.graph, body.weak, body.adversary, body.threshold)
+    except NoChain as exc:
+        # like a negotiation breakdown, "no chain" is a result, not a failure
+        lines.append("# outcome,no_chain")
+        return ({"kind": "power_chain", "found": False, "reason": str(exc)},
+                "\n".join(lines) + "\n")
+    strengths = [body.graph.strength_vs(node, body.adversary) for node in chain.path]
+    payload = {
+        "kind": "power_chain",
+        "found": True,
+        "path": list(chain.path),
+        "strengths": strengths,
+        "terminal_strength": chain.terminal_strength,
+        "hops": len(chain.path) - 1,
+    }
+    for position, (subject, strength) in enumerate(zip(chain.path, strengths)):
+        lines.append(f"{position},{subject},{_fmt(strength)}")
+    lines.append(f"# outcome,chain,{len(chain.path) - 1},{_fmt(chain.terminal_strength)}")
+    return payload, "\n".join(lines) + "\n"
+
+
+def _run_society(body) -> tuple[dict, str]:
+    from .society import run_society
+
+    trace = run_society(body)
+    wealth = trace.final_wealth
+    payload = {
+        "kind": "society",
+        "final_gini": trace.final_gini,
+        "gini_series": [float(g) for g in trace.gini_series],
+        "total_initial": float(trace.totals[0]),
+        "total_final": float(trace.totals[-1]),
+        "injected_per_epoch": trace.injected_per_epoch,
+        "wealth_mean": float(wealth.mean()),
+        "wealth_min": float(wealth.min()),
+        "wealth_max": float(wealth.max()),
+    }
+    lines = ["epoch,gini"]
+    for epoch, value in enumerate(trace.gini_series):
+        lines.append(f"{epoch},{_fmt(value)}")
+    lines.append(f"# outcome,final_gini,{_fmt(trace.final_gini)}")
+    return payload, "\n".join(lines) + "\n"
+
+
+def _within_budget(ok: bool, path: str, rule: str) -> None:
+    if not ok:
+        raise InvariantError(path, rule)
+
+
+def _check_steps(body) -> None:
+    _within_budget(body.max_steps <= MAX_STEPS, "max_steps", f"must be <= {MAX_STEPS}")
+
+
+# NegotiationConfig fields that to_config() derives from other document fields.
+_CONFIG_PATHS = {"buyer_open": "buyer.open", "seller_open": "seller.open",
+                 "buyer_reserve_adj": "buyer.reserve", "seller_reserve_adj": "seller.reserve",
+                 "rho_buyer": "buyer.view", "rho_seller": "seller.view"}
+
+
+def _check_negotiation(body) -> None:
+    _check_steps(body)
+    with _at("", _CONFIG_PATHS):
+        body.to_config()
+
+
+def _check_society(body) -> None:
+    _within_budget(body.n_agents <= MAX_AGENTS, "n_agents", f"must be <= {MAX_AGENTS}")
+    exchanges = (body.n_agents // 2) * body.epochs * body.pairings_per_epoch
+    _within_budget(exchanges <= MAX_EXCHANGES, "epochs",
+                   f"(n_agents // 2) * epochs * pairings_per_epoch must be <= {MAX_EXCHANGES}")
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One scenario kind: its body dataclass in its engine module, how a
+    body runs into (outcome payload, CSV text), and the parse-time checks
+    beyond the body's own invariants."""
+
+    module: str
+    body: str
+    run: Callable[[Any], tuple[dict, str]]
+    check: Callable[[Any], None] = lambda body: None
+
+    def body_type(self) -> type:
+        return getattr(import_module(f"{__package__}.{self.module}"), self.body)
+
+
+KINDS = {
+    "negotiation": Kind("negotiation", "NegotiationScenario", _run_negotiation, _check_negotiation),
+    "chain": Kind("chain", "ChainScenario", _run_chain, _check_steps),
+    "nonmarket": Kind("nonmarket", "NonmarketScenario", _run_nonmarket),
+    "power_chain": Kind("powerchain", "PowerChainScenario", _run_power_chain),
+    "society": Kind("society", "SocietyConfig", _run_society, _check_society),
+}
+
+
+# ---------------------------------------------------------------------------
+# documents
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and fully validate a scenario document."""
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
                          exc.lineno, exc.colno) from exc
-    top = _obj(doc, "", {"version", "kind", "metadata", "body"},
-               {"version", "kind", "body"})
-    version = _int(top["version"], "version")
-    _check(version in SUPPORTED_VERSIONS, "version",
-           f"unsupported version (supported: {', '.join(map(str, SUPPORTED_VERSIONS))})")
-    kind = _str(top["kind"], "kind")
+    top = _obj(doc, "", {"version", "kind", "metadata", "body"}, ("version", "kind", "body"))
+    version = _scalar(int, top["version"], "version")
+    if version not in SUPPORTED_VERSIONS:
+        raise InvariantError("version", "unsupported version (supported: "
+                             f"{', '.join(map(str, SUPPORTED_VERSIONS))})")
+    kind = _scalar(str, top["kind"], "kind")
     if kind not in KINDS:
         raise SchemaError("kind", f"must be one of {', '.join(KINDS)}")
-    metadata: dict[str, str] = {}
-    if "metadata" in top:
-        raw_meta = top["metadata"]
-        if not isinstance(raw_meta, dict):
-            raise SchemaError("metadata", "expected an object of string labels")
-        for key, value in raw_meta.items():
-            metadata[key] = _str(value, f"metadata.{key}")
-    body_raw = top["body"]
-    if not isinstance(body_raw, dict):
+    metadata = top.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise SchemaError("metadata", "expected an object of string labels")
+    for key, value in metadata.items():
+        _scalar(str, value, f"metadata.{key}")
+    if not isinstance(top["body"], dict):
         raise SchemaError("body", "expected an object")
-    body = _BODY_PARSERS[kind](body_raw)
+    body = _read(KINDS[kind].body_type(), top["body"], "")
+    KINDS[kind].check(body)
     return Scenario(version=version, kind=kind, body=body, metadata=metadata)
-
-
-# ---------------------------------------------------------------------------
-# serialization (inverse of parsing; round-trips exactly)
-
-def _view_doc(view: PerceptionView) -> dict:
-    return {
-        "own_motivation": view.own_motivation,
-        "other_motivation_perceived": view.other_motivation_perceived,
-        "own_power": view.own_power,
-        "other_power_perceived": view.other_power_perceived,
-    }
-
-
-def _rates_doc(rates: ConcessionRates) -> dict:
-    return {"r_a": rates.r_a, "r_a_prime": rates.r_a_prime,
-            "r_b": rates.r_b, "r_b_prime": rates.r_b_prime}
-
-
-def _side_doc(side: SideSpec) -> dict:
-    doc: dict[str, Any] = {"open": side.open, "reserve": side.reserve}
-    if side.view is not None:
-        doc["view"] = _view_doc(side.view)
-    return doc
-
-
-def _body_doc(body: Body) -> dict:
-    if isinstance(body, NegotiationScenario):
-        return {
-            "buyer": _side_doc(body.buyer),
-            "seller": _side_doc(body.seller),
-            "rates": _rates_doc(body.rates),
-            "gap_epsilon": body.gap_epsilon,
-            "max_steps": body.max_steps,
-            "scale_rates_by_imbalance": body.scale_rates_by_imbalance,
-        }
-    if isinstance(body, ChainScenario):
-        doc: dict[str, Any] = {
-            "anchor_price": body.spec.anchor_price,
-            "stages": [
-                {
-                    "name": stage.name,
-                    "base_seller_reserve": stage.base_seller_reserve,
-                    "margin_floor": stage.margin_floor,
-                    "buyer_view": _view_doc(stage.buyer_view),
-                    "seller_view": _view_doc(stage.seller_view),
-                    "rates": _rates_doc(stage.rates),
-                }
-                for stage in body.spec.stages
-            ],
-            "max_steps": body.max_steps,
-        }
-        if body.gap_epsilon is not None:
-            doc["gap_epsilon"] = body.gap_epsilon
-        return doc
-    if isinstance(body, NonmarketScenario):
-        return {
-            "proposal": {
-                "give_cost_a": body.proposal.give_cost_a,
-                "gain_for_b": body.proposal.gain_for_b,
-                "give_cost_b": body.proposal.give_cost_b,
-                "gain_for_a": body.proposal.gain_for_a,
-            },
-            "influence_a": {"threat_on_refusal": body.influence_a.threat_on_refusal,
-                            "shield": body.influence_a.shield},
-            "influence_b": {"threat_on_refusal": body.influence_b.threat_on_refusal,
-                            "shield": body.influence_b.shield},
-            "promise_keep_prob": body.promise_keep_prob,
-        }
-    if isinstance(body, PowerChainScenario):
-        return {
-            "nodes": {label: {"strength_vs": dict(per_adversary)}
-                      for label, per_adversary in body.graph.strengths.items()},
-            "edges": [{"requester": e.requester, "helper": e.helper,
-                       "willingness": e.willingness} for e in body.graph.edges],
-            "weak": body.weak,
-            "adversary": body.adversary,
-            "threshold": body.threshold,
-        }
-    if isinstance(body, SocietyConfig):
-        dist = body.initial_wealth
-        if isinstance(dist, Constant):
-            dist_doc: dict[str, Any] = {"kind": "constant", "value": dist.value}
-        elif isinstance(dist, Uniform):
-            dist_doc = {"kind": "uniform", "lo": dist.lo, "hi": dist.hi}
-        else:
-            dist_doc = {"kind": "lognormal", "mu": dist.mu, "sigma": dist.sigma}
-        if isinstance(body.regime, Authoritarian):
-            regime_doc: dict[str, Any] = {"kind": "authoritarian",
-                                          "power_exponent": body.regime.power_exponent}
-        else:
-            regime_doc = {"kind": "institutional", "cap": body.regime.cap}
-        return {
-            "n_agents": body.n_agents,
-            "initial_wealth": dist_doc,
-            "regime": regime_doc,
-            "epochs": body.epochs,
-            "pairings_per_epoch": body.pairings_per_epoch,
-            "seed": body.seed,
-            "unit_surplus": body.unit_surplus,
-        }
-    raise TypeError(f"unknown body type {type(body).__name__}")
 
 
 def scenario_document(scenario: Scenario) -> dict:
     """Scenario as a plain JSON-ready dict."""
     doc: dict[str, Any] = {"version": scenario.version, "kind": scenario.kind,
-                           "body": _body_doc(scenario.body)}
+                           "body": _write(type(scenario.body), scenario.body)}
     if scenario.metadata:
         doc["metadata"] = dict(scenario.metadata)
     return doc
@@ -543,23 +488,16 @@ def serialize_scenario(scenario: Scenario) -> str:
 
 
 # ---------------------------------------------------------------------------
-# file and preset access
-
-def load_scenario(path: str | Path) -> Scenario:
-    return parse_scenario(Path(path).read_text(encoding="utf-8"))
-
+# bundled presets
 
 def preset_names() -> list[str]:
-    root = resources.files("bargainlab") / "presets"
-    return sorted(p.name.removesuffix(".json") for p in root.iterdir()
-                  if p.name.endswith(".json"))
+    return sorted(p.stem for p in PRESETS.glob("*.json"))
 
 
 def preset_text(name: str) -> str:
-    name = name.removesuffix(".json")
-    candidate = resources.files("bargainlab") / "presets" / f"{name}.json"
+    candidate = PRESETS / f"{name.removesuffix('.json')}.json"
     if not candidate.is_file():
-        raise FileNotFoundError(f"no bundled preset named {name!r}")
+        raise FileNotFoundError(f"no bundled preset named {name.removesuffix('.json')!r}")
     return candidate.read_text(encoding="utf-8")
 
 

@@ -32,7 +32,7 @@ class Constant:
 
     def __post_init__(self):
         if not math.isfinite(self.value) or self.value <= 0.0:
-            raise InvalidConfig(f"constant wealth must be > 0, got {self.value!r}")
+            raise InvalidConfig("must be > 0", field="value")
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,10 @@ class Uniform:
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise InvalidConfig("uniform bounds must be finite")
-        if self.lo <= 0.0 or self.hi <= self.lo:
-            raise InvalidConfig("uniform wealth needs 0 < lo < hi")
+        if self.lo <= 0.0:
+            raise InvalidConfig("must be > 0", field="lo")
+        if self.hi <= self.lo:
+            raise InvalidConfig("must be > lo", field="hi")
 
 
 @dataclass(frozen=True)
@@ -53,8 +55,10 @@ class Lognormal:
     sigma: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)) or self.sigma < 0.0:
-            raise InvalidConfig("lognormal needs finite mu and sigma >= 0")
+        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
+            raise InvalidConfig("lognormal needs finite mu and sigma")
+        if self.sigma < 0.0:
+            raise InvalidConfig("must be >= 0", field="sigma")
 
 
 WealthDistribution = Constant | Uniform | Lognormal
@@ -66,7 +70,7 @@ class Authoritarian:
 
     def __post_init__(self):
         if not math.isfinite(self.power_exponent) or self.power_exponent < 0.0:
-            raise InvalidConfig("power_exponent must be finite and >= 0")
+            raise InvalidConfig("must be >= 0", field="power_exponent")
 
 
 @dataclass(frozen=True)
@@ -75,7 +79,7 @@ class Institutional:
 
     def __post_init__(self):
         if not math.isfinite(self.cap) or self.cap < 1.0:
-            raise InvalidConfig("cap must be finite and >= 1")
+            raise InvalidConfig("must be >= 1", field="cap")
 
 
 RegimeRule = Authoritarian | Institutional
@@ -92,16 +96,16 @@ class SocietyConfig:
     unit_surplus: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.n_agents, int) or self.n_agents < 2:
-            raise InvalidConfig("n_agents must be an integer >= 2")
-        if not isinstance(self.epochs, int) or self.epochs < 1:
-            raise InvalidConfig("epochs must be a positive integer")
-        if not isinstance(self.pairings_per_epoch, int) or self.pairings_per_epoch < 1:
-            raise InvalidConfig("pairings_per_epoch must be a positive integer")
+        for name, least in (("n_agents", 2), ("epochs", 1), ("pairings_per_epoch", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, int):
+                raise InvalidConfig("must be an integer", field=name)
+            if value < least:
+                raise InvalidConfig(f"must be >= {least}", field=name)
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
-            raise InvalidConfig("seed must be a 64-bit unsigned integer")
+            raise InvalidConfig("must be a 64-bit unsigned integer", field="seed")
         if not math.isfinite(self.unit_surplus) or self.unit_surplus <= 0.0:
-            raise InvalidConfig("unit_surplus must be > 0")
+            raise InvalidConfig("must be > 0", field="unit_surplus")
         if not isinstance(self.initial_wealth, (Constant, Uniform, Lognormal)):
             raise InvalidConfig("initial_wealth must be a distribution spec")
         if not isinstance(self.regime, (Authoritarian, Institutional)):
@@ -162,7 +166,10 @@ def _sample_initial(dist: WealthDistribution, n: int, rng: np.random.Generator) 
 
 def _power_ratio(wealth_ratio: float, regime: RegimeRule) -> float:
     if isinstance(regime, Authoritarian):
-        return wealth_ratio ** regime.power_exponent
+        try:
+            return wealth_ratio ** regime.power_exponent
+        except OverflowError:  # float ** raises where the rich side's power is unbounded
+            return math.inf
     return min(wealth_ratio, regime.cap)
 
 

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bargainlab.cli import main
-from bargainlab.scenario import preset_text
+from bargainlab.scenario import MAX_EXCHANGES, MAX_STEPS, preset_names, preset_text
 
 
 @pytest.fixture
@@ -127,3 +133,139 @@ def test_arbitrary_text_never_crashes_the_cli(garbage, tmp_path_factory):
     path.write_text(garbage, encoding="utf-8")
     code = main(["run", "--scenario", str(path), "--quiet"])
     assert code in (0, 1)
+
+
+def test_sub_epsilon_perception_is_a_scenario_error(tmp_path, capsys):
+    """A view magnitude a run would divide by is checked at parse time."""
+    fig3 = json.loads(preset_text("fig3"))
+    fig3["body"]["buyer"]["view"] = {"own_motivation": 1.0, "other_motivation_perceived": 1e-12,
+                                     "own_power": 1.0, "other_power_perceived": 1.0}
+    kilns = json.loads(preset_text("kilns"))
+    kilns["body"]["stages"][0]["buyer_view"]["own_power"] = 1e-12
+    for doc, path in ((fig3, "buyer.view.other_motivation_perceived"),
+                      (kilns, "stages[0].buyer_view.own_power")):
+        target = tmp_path / "tiny.json"
+        target.write_text(json.dumps(doc))
+        assert main(["run", "--scenario", str(target)]) == 1
+        assert capsys.readouterr().err.startswith(f"bargainlab: scenario error: {path}: ")
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _python(*args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+@pytest.mark.parametrize("module", ["bargainlab", "bargainlab.cli"])
+def test_python_m_runs_the_cli(module):
+    proc = _python("-m", module, "run", "--scenario", "fig3", "--format", "csv")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[1] == "0,2.5,4.5,2.0"
+    assert proc.stdout.splitlines()[-1].startswith("# outcome,agreement,2,")
+
+
+def test_only_society_runs_load_numpy():
+    proc = _python("-c", """if True:
+        import contextlib, io, json, sys
+        from bargainlab import cli
+        from bargainlab.scenario import preset_names, preset_text
+        for name in preset_names():
+            if json.loads(preset_text(name))["kind"] != "society":
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main(["run", "--scenario", name]) == 0, name
+        print("numpy" in sys.modules)
+        """)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "False\n")
+
+
+# ---------------------------------------------------------------------------
+# malformed documents: one field of a preset changed
+
+PRESETS = {name: json.loads(preset_text(name)) for name in preset_names()}
+BUDGET = {"max_steps": MAX_STEPS, "n_agents": 1_000_000, "epochs": MAX_EXCHANGES,
+          "pairings_per_epoch": MAX_EXCHANGES}
+
+
+def _field_path(keys):
+    path = ""
+    for key in keys:
+        path += f"[{key}]" if isinstance(key, int) else (f".{key}" if path else key)
+    return path
+
+
+def _leaves(value, keys=()):
+    """(keys, value) for every object and scalar in a document body."""
+    yield keys, value
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _leaves(child, keys + (key,))
+
+
+def _is_map(keys):
+    # node labels and adversaries are data, not field names
+    return keys[-1:] == ("nodes",) or keys[-1:] == ("strength_vs",)
+
+
+@st.composite
+def mutations(draw):
+    name = draw(st.sampled_from(sorted(PRESETS)))
+    doc = json.loads(json.dumps(PRESETS[name]))
+    leaves = [(k, v) for k, v in _leaves(doc["body"]) if k]
+    scalars = [(k, v) for k, v in leaves if not isinstance(v, (dict, list))]
+    numbers = [(k, v) for k, v in scalars if not isinstance(v, (bool, str))]
+    mutation = draw(st.sampled_from(["non_finite", "wrong_type", "unknown_field",
+                                     "negative"] + ["over_budget"] * any(
+                                         k[-1] in BUDGET for k, _ in numbers)))
+    if mutation == "unknown_field":
+        keys = draw(st.sampled_from([()] + [k for k, v in leaves if isinstance(v, dict)
+                                            and not _is_map(k)])) + ("zz_unknown",)
+        value, expect = 1, "unknown field"
+    elif mutation == "wrong_type":
+        keys, old = draw(st.sampled_from(scalars))
+        value = draw(st.sampled_from([v for v in ("x", [1.0], True)
+                                      if type(v) is not type(old)]))
+        expect = "expected a"
+    elif mutation == "over_budget":
+        keys = draw(st.sampled_from([k for k, _ in numbers if k[-1] in BUDGET]))
+        value = BUDGET[keys[-1]] + draw(st.integers(min_value=1, max_value=10 ** 30))
+        expect = "must be <="
+        if keys[-1] in ("epochs", "pairings_per_epoch"):
+            expect = "(n_agents // 2) * epochs * pairings_per_epoch must be <="
+    else:
+        keys, _ = draw(st.sampled_from(numbers))
+        literals = ["NaN", "Infinity", "-Infinity", "1e400"]
+        value = draw(st.sampled_from(literals if mutation == "non_finite" else [-1, -1.0, -1e6]))
+        expect = None
+    target = doc["body"]
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = "__value__"
+    text = json.dumps(doc).replace('"__value__"', value if isinstance(value, str)
+                                   and mutation == "non_finite" else json.dumps(value))
+    path = "epochs" if mutation == "over_budget" and keys[-1] == "pairings_per_epoch" \
+        else _field_path(keys)
+    return mutation, text, path, expect
+
+
+@given(case=mutations())
+@settings(max_examples=100, deadline=None)
+def test_malformed_documents_name_the_field(case, tmp_path_factory):
+    mutation, text, path, expect = case
+    target = tmp_path_factory.mktemp("mutated") / "doc.json"
+    target.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["run", "--scenario", str(target), "--format", "csv"])
+    if mutation == "negative":
+        assert code in (0, 1), err.getvalue()
+        return
+    lines = err.getvalue().splitlines()
+    assert code == 1 and len(lines) == 1, (code, lines)
+    assert lines[0].startswith(f"bargainlab: scenario error: {path}: "), lines
+    if expect:
+        assert lines[0].removeprefix(f"bargainlab: scenario error: {path}: ").startswith(expect)

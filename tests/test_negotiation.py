@@ -9,8 +9,7 @@ from bargainlab.errors import DegenerateRatio, InvalidConfig, SingularSystem
 from bargainlab.negotiation import (RATE_MAX, Agreement, Breakdown,
                                     ConcessionRates, NegotiationConfig,
                                     concession_rates_from_imbalance,
-                                    fixed_point, is_stable, iteration_matrix,
-                                    run, spectral_radius, step)
+                                    fixed_point, run, step)
 
 FIG3_RATES = ConcessionRates(0.05, 0.02, 0.3, 0.2)
 
@@ -248,26 +247,39 @@ class TestFixedPoint:
         assert step(x_a, x_b, cfg) == pytest.approx((x_a, x_b), abs=1e-12)
 
 
+def step_matrix(rates):
+    """Linear part of `step`, read off from unit offers with zero reserves."""
+    cfg = NegotiationConfig(0.0, 0.0, 0.0, 0.0, rates)
+    return np.array([step(1.0, 0.0, cfg), step(0.0, 1.0, cfg)]).T
+
+
+def spectral_radius(matrix):
+    return float(np.max(np.abs(np.linalg.eigvals(matrix))))
+
+
 class TestStability:
     def test_reference_eigenvalues(self):
         # independent route: quadratic formula on the characteristic polynomial
-        m = iteration_matrix(0.05, 0.02, 0.3, 0.2)
+        m = step_matrix(FIG3_RATES)
         tr = m[0, 0] + m[1, 1]
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
         disc = math.sqrt(tr * tr - 4.0 * det)
         lams = sorted(((tr + disc) / 2.0, (tr - disc) / 2.0))
         assert lams == pytest.approx([0.491, 0.939], abs=1e-3)
-        assert spectral_radius(0.05, 0.02, 0.3, 0.2) == pytest.approx(max(lams), rel=1e-12)
-        assert is_stable(FIG3_RATES)
+        assert spectral_radius(m) == pytest.approx(max(lams), rel=1e-12)
+        assert spectral_radius(m) < 1.0
 
     def test_unit_modulus_is_unstable(self):
-        # all-zero rates give the identity matrix: stationary, not contracting
-        assert spectral_radius(0.0, 0.0, 0.0, 0.0) == 1.0
+        # all-zero rates would make the step the identity: stationary, not
+        # contracting, so they are not valid rates
+        assert spectral_radius(np.eye(2)) == 1.0
+        with pytest.raises(InvalidConfig):
+            ConcessionRates(0.0, 0.0, 0.0, 0.0)
 
     @given(rates=rates_strategy())
     def test_valid_rates_are_always_stable(self, rates):
-        # row sums of the iteration matrix are 1 - r_a and 1 - r_b, both < 1
-        assert is_stable(rates)
+        # row sums of the step's linear part are 1 - r_a and 1 - r_b, both < 1
+        assert spectral_radius(step_matrix(rates)) < 1.0
 
 
 @given(cfg=config_strategy)

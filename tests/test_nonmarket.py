@@ -1,23 +1,21 @@
 import math
-import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bargainlab.errors import EmptyInput, InvalidInput
-from bargainlab.nonmarket import (ExchangeProposal, ExchangeRecord,
-                                  ExternalInfluence, BalanceSheet, Verdict,
-                                  accept_decision, equity_map, welfare_balance)
+from bargainlab.errors import InvalidInput
+from bargainlab.nonmarket import (ExchangeProposal, ExternalInfluence, Verdict,
+                                  welfare_balance)
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False)
 costs = st.floats(min_value=0.0, max_value=50.0, allow_nan=False, allow_infinity=False)
 
 
-def sheet(m_a_eff, m_b_eff):
-    return BalanceSheet(m_a=0.0, m_a_effective=m_a_eff, m_b_raw=0.0,
-                        m_b_effective=m_b_eff, k_a=1.0, k_b=1.0,
-                        equity=None, verdict=Verdict.BOTH_REFUSE)
+def verdict(m_a_eff, m_b_eff):
+    """Verdict of an exchange, free of threats, with these effective motivations."""
+    return welfare_balance(ExchangeProposal(give_cost_a=0.0, gain_for_b=m_b_eff,
+                                            give_cost_b=0.0, gain_for_a=m_a_eff)).verdict
 
 
 class TestValidation:
@@ -76,12 +74,12 @@ class TestVerdictRule:
         (0.0, 0.0, Verdict.BOTH_REFUSE),
     ])
     def test_strict_positivity(self, m_a, m_b, expected):
-        assert accept_decision(sheet(m_a, m_b)) is expected
+        assert verdict(m_a, m_b) is expected
 
     @given(m_a=finite, m_b=finite,
            scale=st.floats(min_value=0.01, max_value=100.0))
     def test_depends_only_on_signs(self, m_a, m_b, scale):
-        assert accept_decision(sheet(m_a, m_b)) is accept_decision(sheet(m_a * scale, m_b * scale))
+        assert verdict(m_a, m_b) is verdict(m_a * scale, m_b * scale)
 
 
 class TestThreats:
@@ -149,46 +147,3 @@ class TestEquity:
             assert previous < result.equity < 1.0
             previous = result.equity
 
-
-class TestEquityMap:
-    def test_uniform_records(self):
-        records = [ExchangeRecord("north", 1.0), ExchangeRecord("south", 1.0),
-                   ExchangeRecord("north", 1.0)]
-        result = equity_map(records)
-        for summary in result.strata + (result.pooled,):
-            assert summary.mean == 1.0
-            assert summary.median == 1.0
-            assert all(d == 1.0 for d in summary.deciles)
-
-    def test_two_point_symmetry(self):
-        result = equity_map([ExchangeRecord("s", 0.5), ExchangeRecord("s", 1.5)])
-        assert result.strata[0].mean == pytest.approx(1.0)
-        assert result.strata[0].median == pytest.approx(1.0)
-
-    def test_stratum_ordering_preserved(self):
-        records = [ExchangeRecord("weak", 0.1), ExchangeRecord("weak", 0.2),
-                   ExchangeRecord("strong", 5.0), ExchangeRecord("strong", 6.0)]
-        result = equity_map(records)
-        by_name = {s.stratum: s for s in result.strata}
-        assert by_name["weak"].mean == pytest.approx(0.15)
-        assert by_name["strong"].mean == pytest.approx(5.5)
-        assert by_name["weak"].mean < by_name["strong"].mean
-
-    def test_pooled_mean_is_weighted_stratum_mean(self):
-        records = [ExchangeRecord("a", 1.0), ExchangeRecord("a", 3.0),
-                   ExchangeRecord("b", 10.0)]
-        result = equity_map(records)
-        weighted = sum(s.mean * s.count for s in result.strata) / len(records)
-        assert result.pooled.mean == pytest.approx(weighted)
-
-    @given(values=st.lists(st.floats(min_value=0.01, max_value=100.0), min_size=1, max_size=30),
-           seed=st.integers(min_value=0, max_value=2**31))
-    def test_permutation_invariant(self, values, seed):
-        records = [ExchangeRecord(f"s{i % 3}", v) for i, v in enumerate(values)]
-        shuffled = records[:]
-        random.Random(seed).shuffle(shuffled)
-        assert equity_map(records) == equity_map(shuffled)
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
-            equity_map([])

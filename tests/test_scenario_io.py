@@ -5,18 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bargainlab.core import PerceptionView, Role
-from bargainlab.chain import ChainSpec, ChainStage
+from bargainlab.chain import ChainScenario, ChainSpec, ChainStage
 from bargainlab.errors import InvariantError, ParseError, SchemaError
 from bargainlab.negotiation import (Agreement, Breakdown, ConcessionRates,
-                                    NegotiationTrace, TraceStep, run)
-from bargainlab.nonmarket import ExchangeProposal, ExternalInfluence
-from bargainlab.powerchain import TrustEdge, TrustGraph
-from bargainlab.report import (report_from_json, report_to_json, run_scenario,
-                               write_trace_csv)
-from bargainlab.scenario import (ChainScenario, NegotiationScenario,
-                                 NonmarketScenario, PowerChainScenario,
-                                 Scenario, SideSpec, load_preset, parse_scenario,
-                                 preset_names, preset_text, serialize_scenario)
+                                    NegotiationScenario, NegotiationTrace,
+                                    SideSpec, TraceStep, run)
+from bargainlab.nonmarket import ExchangeProposal, ExternalInfluence, NonmarketScenario
+from bargainlab.powerchain import PowerChainScenario, TrustEdge, TrustGraph
+from bargainlab.report import report_to_json, run_scenario, write_trace_csv
+from bargainlab.scenario import (MAX_EXCHANGES, MAX_STEPS, Scenario, load_preset,
+                                 parse_scenario, preset_names, preset_text,
+                                 serialize_scenario)
 from bargainlab.society import (Authoritarian, Constant, Institutional,
                                 SocietyConfig, Uniform)
 
@@ -24,6 +23,23 @@ ALL_PRESETS = ["baterias", "casting-selection", "corruption", "fig3", "gang-mast
                "kilns", "over50-hiring", "protection-money", "purloined-letter",
                "society-authoritarian", "society-institutional", "soft-landing",
                "tomato-south", "tourist-bazaar"]
+
+
+def field_path(keys):
+    path = ""
+    for key in keys:
+        path += f"[{key}]" if isinstance(key, int) else (f".{key}" if path else key)
+    return path
+
+
+def with_literal(preset, keys, literal):
+    """Preset document text with one body field set to the JSON text ``literal``."""
+    doc = json.loads(preset_text(preset))
+    target = doc["body"]
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = "__literal__"
+    return json.dumps(doc).replace('"__literal__"', literal)
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +169,44 @@ class TestParsing:
         assert excinfo.value.line == 2
         assert excinfo.value.col is not None
 
-    def test_non_finite_numbers_rejected(self):
-        with pytest.raises(ParseError):
-            parse_scenario('{"version": 1, "kind": "nonmarket", "body": {"x": NaN}}')
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("preset,keys", [
+        ("fig3", ("buyer", "open")),
+        ("fig3", ("buyer", "reserve")),
+        ("tomato-south", ("anchor_price",)),
+        ("tomato-south", ("stages", 1, "buyer_view", "own_power")),
+        ("purloined-letter", ("threshold",)),
+        ("purloined-letter", ("nodes", "dupin", "strength_vs", "minister")),
+        ("casting-selection", ("promise_keep_prob",)),
+        ("society-authoritarian", ("regime", "power_exponent")),
+    ])
+    def test_non_finite_numbers_rejected(self, preset, keys, literal):
+        with pytest.raises(InvariantError) as excinfo:
+            parse_scenario(with_literal(preset, keys, literal))
+        assert excinfo.value.path == field_path(keys)
+        assert excinfo.value.rule == "must be a finite number"
+
+    @pytest.mark.parametrize("preset,keys,value,rule", [
+        ("fig3", ("max_steps",), MAX_STEPS + 1, f"must be <= {MAX_STEPS}"),
+        ("kilns", ("max_steps",), 10 ** 30, f"must be <= {MAX_STEPS}"),
+        ("society-institutional", ("n_agents",), 2_000_000, "must be <= 1000000"),
+        ("society-institutional", ("epochs",), 10 ** 6,
+         f"(n_agents // 2) * epochs * pairings_per_epoch must be <= {MAX_EXCHANGES}"),
+        ("society-authoritarian", ("pairings_per_epoch",), 10 ** 6,
+         f"(n_agents // 2) * epochs * pairings_per_epoch must be <= {MAX_EXCHANGES}"),
+    ])
+    def test_work_budget(self, preset, keys, value, rule):
+        with pytest.raises(InvariantError) as excinfo:
+            parse_scenario(with_literal(preset, keys, json.dumps(value)))
+        path = "epochs" if keys == ("pairings_per_epoch",) else field_path(keys)
+        assert (excinfo.value.path, excinfo.value.rule) == (path, rule)
+
+    def test_budget_admits_its_limits(self):
+        parse_scenario(with_literal("fig3", ("max_steps",), json.dumps(MAX_STEPS)))
+        # 100 agents: 50 pairs per round
+        doc = json.loads(preset_text("society-institutional"))
+        doc["body"].update(n_agents=100, epochs=MAX_EXCHANGES // 50, pairings_per_epoch=1)
+        parse_scenario(json.dumps(doc))
 
     def test_out_of_range_rate_names_the_field(self):
         doc = json.loads(preset_text("fig3"))
@@ -267,7 +318,10 @@ class TestTraceCsv:
 class TestRunReport:
     def test_json_roundtrip(self):
         report = run_scenario(load_preset("fig3"))
-        assert report_from_json(report_to_json(report)) == report
+        doc = json.loads(report_to_json(report))
+        assert parse_scenario(json.dumps(doc["scenario"])) == report.scenario
+        assert (doc["outcome"], doc["engine_version"], doc["duration_s"]) == (
+            report.outcome, report.engine_version, report.duration_s)
 
     def test_report_carries_engine_version_and_duration(self):
         report = run_scenario(load_preset("protection-money"))

@@ -125,6 +125,15 @@ class TestRunSociety:
         rel_err = np.abs(increments - trace.injected_per_epoch) / trace.injected_per_epoch
         assert np.max(rel_err) <= 1e-6
 
+    def test_overflowing_power_ratio_gives_the_rich_side_everything(self):
+        # a wealth ratio ** 400 beyond the float range means unbounded power
+        cfg = SocietyConfig(n_agents=20, initial_wealth=Lognormal(0.0, 3.0),
+                            regime=Authoritarian(400.0), epochs=1, pairings_per_epoch=1, seed=7)
+        trace = run_society(cfg)
+        assert np.all(np.isfinite(trace.gini_series))
+        grown = trace.totals[-1] - trace.totals[0]
+        assert grown == pytest.approx(trace.injected_per_epoch, rel=1e-9)
+
     def test_gamma_dominance_for_fixed_seed(self):
         finals = [run_society(config(regime=Authoritarian(g), epochs=100,
                                      n_agents=100, seed=777)).final_gini
