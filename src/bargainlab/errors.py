@@ -1,7 +1,5 @@
 """Exception types shared across the simulation engine."""
 
-from __future__ import annotations
-
 
 class BargainError(Exception):
     """Base class for all engine errors.
@@ -12,7 +10,7 @@ class BargainError(Exception):
     """
 
     def __init__(self, rule: str, field: str | None = None):
-        super().__init__(f"{field} {rule}" if field else rule)
+        super().__init__(f"{field}: {rule}" if field else rule)
         self.rule = rule
         self.field = field
 
@@ -54,14 +52,22 @@ class ConfigMismatch(BargainError):
 
 
 class ScenarioError(BargainError):
-    """Base class for scenario-file errors (parse, schema, invariant)."""
+    """Base class for scenario-file errors (parse, schema, invariant).
+
+    ``path`` locates the offending field in the document, "" when the
+    error concerns the document as a whole.
+    """
+
+    def __init__(self, path: str, rule: str):
+        super().__init__(rule, field=path or None)
+        self.path = path
 
 
 class ParseError(ScenarioError):
     """Scenario text is not valid JSON."""
 
     def __init__(self, message: str, line: int | None = None, col: int | None = None):
-        super().__init__(message)
+        super().__init__("", message)
         self.line = line
         self.col = col
 
@@ -69,15 +75,6 @@ class ParseError(ScenarioError):
 class SchemaError(ScenarioError):
     """Scenario document has a missing, unknown, or mistyped field."""
 
-    def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}" if path else message)
-        self.path = path
-
 
 class InvariantError(ScenarioError):
     """Scenario field has the right type but violates a value invariant."""
-
-    def __init__(self, path: str, rule: str):
-        super().__init__(f"{path}: {rule}" if path else rule)
-        self.path = path
-        self.rule = rule

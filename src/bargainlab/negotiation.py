@@ -263,4 +263,3 @@ def fixed_point(cfg: NegotiationConfig) -> tuple[float, float]:
     x_a = (b1 * a22 - a12 * b2) / det
     x_b = (a11 * b2 - a21 * b1) / det
     return x_a, x_b
-

@@ -155,4 +155,3 @@ def welfare_balance(proposal: ExchangeProposal,
         equity=equity,
         verdict=_verdict(m_a_effective, m_b_effective),
     )
-

@@ -29,13 +29,16 @@ import math
 import types
 import typing
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import import_module
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from .errors import (DegenerateRatio, InvalidConfig, InvalidInput, InvariantError,
                      NoChain, ParseError, SchemaError)
+
+if typing.TYPE_CHECKING:
+    from .negotiation import NegotiationTrace
 
 SUPPORTED_VERSIONS = (1,)
 PRESETS = Path(__file__).with_name("presets")
@@ -103,15 +106,17 @@ def _num(value: Any, path: str) -> float:
 _NAMES = {int: "an integer", str: "a string", bool: "a boolean"}
 
 
-def _scalar(kind: type, value: Any, path: str) -> Any:
-    if kind is float:
+def _scalar(expected: type, value: Any, path: str) -> Any:
+    if expected is float:
         return _num(value, path)
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise SchemaError(path, f"expected {_NAMES[kind]}, got {type(value).__name__}")
+    if not isinstance(value, expected) or (expected is int and isinstance(value, bool)):
+        raise SchemaError(path, f"expected {_NAMES[expected]}, got {type(value).__name__}")
     return value
 
 
-# Document fields a dataclass's own defaults would make optional.
+# Document fields a dataclass's own defaults would make optional.  Tables
+# here name classes rather than hold them, so no engine module is imported
+# before a document needs it.
 _REQUIRED = {("ChainStage", "rates")}
 
 
@@ -141,7 +146,8 @@ def _read(annotation: Any, value: Any, path: str) -> Any:
         return tuple(_read(item, v, f"{path}[{i}]") for i, v in enumerate(value))
     options = _options(annotation)
     if options is None:
-        return _READERS.get(annotation.__name__, _read_fields)(annotation, value, path)
+        read = _SHAPES.get(annotation.__name__, (_read_fields,))[0]
+        return read(annotation, value, path)
     if len(options) == 1:
         return _read(options[0], value, path)
     # a union of dataclasses is stored with a "kind" tag: the lowercased class name
@@ -185,28 +191,35 @@ def _read_power_chain(cls: type, value: dict, path: str) -> Any:
     # the graph sits in the body as nodes {label: {"strength_vs": {adversary: x}}} and edges
     graph_type = _fields(cls)["graph"][0]
     obj = _obj(value, path, {"nodes", "edges", *_fields(cls)} - {"graph"}, ("nodes", "edges"))
-    nodes = obj["nodes"]
+    nodes, at = obj["nodes"], _join(path, "nodes")
     if not isinstance(nodes, dict):
-        raise SchemaError("nodes", "expected an object mapping node labels")
+        raise SchemaError(at, "expected an object mapping node labels")
     strengths = {}
     for label, node in nodes.items():
-        against = _obj(node, f"nodes.{label}", {"strength_vs"}, ("strength_vs",))["strength_vs"]
+        against = _obj(node, f"{at}.{label}", {"strength_vs"}, ("strength_vs",))["strength_vs"]
         if not isinstance(against, dict):
-            raise SchemaError(f"nodes.{label}.strength_vs", "expected an object")
-        strengths[label] = {adversary: _num(x, f"nodes.{label}.strength_vs.{adversary}")
+            raise SchemaError(f"{at}.{label}.strength_vs", "expected an object")
+        strengths[label] = {adversary: _num(x, f"{at}.{label}.strength_vs.{adversary}")
                             for adversary, x in against.items()}
-    edges = _read(_fields(graph_type)["edges"][0], obj["edges"], "edges")
+    edges = _read(_fields(graph_type)["edges"][0], obj["edges"], _join(path, "edges"))
     with _at(path, {"strengths": "nodes"}):
         graph = graph_type(strengths=strengths, edges=edges)
     rest = {k: v for k, v in obj.items() if k not in ("nodes", "edges")}
     return _read_fields(cls, rest, path, graph=graph)
 
 
-# Dataclasses whose document shape differs from their fields.
-_READERS: dict[str, Callable[[type, Any, str], Any]] = {
-    "PerceptionView": _read_view,
-    "ChainScenario": _read_chain,
-    "PowerChainScenario": _read_power_chain,
+def _write_power_chain(doc: dict) -> dict:
+    graph = doc.pop("graph")
+    nodes = {label: {"strength_vs": dict(against)} for label, against in graph["strengths"].items()}
+    return {**doc, "nodes": nodes, "edges": graph["edges"]}
+
+
+# Dataclasses whose document shape differs from their fields: class name ->
+# (read the document, reshape the field-by-field dict into the document).
+_SHAPES: dict[str, tuple[Callable[[type, Any, str], Any], Callable[[dict], dict]]] = {
+    "PerceptionView": (_read_view, lambda doc: {k: v for k, v in doc.items() if k != "role"}),
+    "ChainScenario": (_read_chain, lambda doc: {**doc.pop("spec"), **doc}),
+    "PowerChainScenario": (_read_power_chain, _write_power_chain),
 }
 
 
@@ -225,17 +238,8 @@ def _write(annotation: Any, value: Any) -> Any:
         return value
     doc = {name: _write(spec[0], getattr(value, name)) for name, spec in _fields(annotation).items()
            if getattr(value, name) is not None}
-    name = annotation.__name__
-    if name == "PerceptionView":
-        del doc["role"]
-    elif name == "ChainScenario":
-        doc.update(doc.pop("spec"))
-    elif name == "PowerChainScenario":
-        graph = doc.pop("graph")
-        doc["nodes"] = {label: {"strength_vs": dict(against)}
-                        for label, against in graph["strengths"].items()}
-        doc["edges"] = graph["edges"]
-    return doc
+    shape = _SHAPES.get(annotation.__name__)
+    return shape[1](doc) if shape else doc
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +253,11 @@ def _fmt(x: float) -> str:
     return s
 
 
-def write_trace_csv(trace) -> str:
+def _csv(lines: list[str]) -> str:
+    return "\n".join(lines) + "\n"
+
+
+def write_trace_csv(trace: NegotiationTrace) -> str:
     """Offer trace as CSV: step,offer_buyer,offer_seller,gap + outcome row."""
     lines = ["step,offer_buyer,offer_seller,gap"]
     for s in trace.steps:
@@ -258,7 +266,7 @@ def write_trace_csv(trace) -> str:
         lines.append(f"# outcome,agreement,{trace.outcome.step},{_fmt(trace.outcome.price)}")
     else:
         lines.append(f"# outcome,breakdown,{trace.outcome.at_step}")
-    return "\n".join(lines) + "\n"
+    return _csv(lines)
 
 
 def _run_negotiation(body) -> tuple[dict, str]:
@@ -266,20 +274,13 @@ def _run_negotiation(body) -> tuple[dict, str]:
 
     cfg = body.to_config()
     trace = run(cfg)
-    if trace.agreed:
-        outcome_doc: dict[str, Any] = {"kind": "agreement",
-                                       "step": trace.outcome.step,
-                                       "price": trace.outcome.price}
-    else:
-        outcome_doc = {"kind": "breakdown", "at_step": trace.outcome.at_step}
     payload = {
         "kind": "negotiation",
         "buyer_reserve_adj": cfg.buyer_reserve_adj,
         "seller_reserve_adj": cfg.seller_reserve_adj,
-        "rates": {"r_a": cfg.rates.r_a, "r_a_prime": cfg.rates.r_a_prime,
-                  "r_b": cfg.rates.r_b, "r_b_prime": cfg.rates.r_b_prime},
+        "rates": asdict(cfg.rates),
         "steps": [[s.step, s.offer_buyer, s.offer_seller, s.gap] for s in trace.steps],
-        "outcome": outcome_doc,
+        "outcome": {"kind": type(trace.outcome).__name__.lower(), **asdict(trace.outcome)},
     }
     return payload, write_trace_csv(trace)
 
@@ -291,17 +292,8 @@ def _run_chain(body) -> tuple[dict, str]:
     report = squeeze_report(results)
     payload = {
         "kind": "chain",
-        "stages": [
-            {"name": r.name, "buyer_reserve_effective": r.buyer_reserve_effective,
-             "settlement": r.settlement, "margin": r.margin}
-            for r in results
-        ],
-        "squeeze": {
-            "anchor_price": report.anchor_price,
-            "margin_shares": [[name, share] for name, share in report.margin_shares],
-            "final_settlement_share": report.final_settlement_share,
-            "complete": report.complete,
-        },
+        "stages": [asdict(r) for r in results],
+        "squeeze": {**asdict(report), "margin_shares": [list(m) for m in report.margin_shares]},
     }
     lines = ["stage,name,buyer_reserve_effective,settlement,margin,margin_share"]
     for index, (result, (_, share)) in enumerate(zip(results, report.margin_shares)):
@@ -315,7 +307,7 @@ def _run_chain(body) -> tuple[dict, str]:
     else:
         first_broken = next(i for i, r in enumerate(results) if not r.settled)
         lines.append(f"# outcome,breakdown,{first_broken}")
-    return payload, "\n".join(lines) + "\n"
+    return payload, _csv(lines)
 
 
 def _run_nonmarket(body) -> tuple[dict, str]:
@@ -323,23 +315,10 @@ def _run_nonmarket(body) -> tuple[dict, str]:
 
     sheet = welfare_balance(body.proposal, body.influence_a, body.influence_b,
                             body.promise_keep_prob)
-    payload = {
-        "kind": "nonmarket",
-        "m_a": sheet.m_a,
-        "m_a_effective": sheet.m_a_effective,
-        "m_b_raw": sheet.m_b_raw,
-        "m_b_effective": sheet.m_b_effective,
-        "k_a": sheet.k_a,
-        "k_b": sheet.k_b,
-        "equity": sheet.equity,
-        "verdict": sheet.verdict.value,
-    }
-    cells = [_fmt(sheet.m_a), _fmt(sheet.m_a_effective), _fmt(sheet.m_b_raw),
-             _fmt(sheet.m_b_effective), _fmt(sheet.k_a), _fmt(sheet.k_b),
-             "" if sheet.equity is None else _fmt(sheet.equity),
-             sheet.verdict.value]
-    return payload, ("m_a,m_a_effective,m_b_raw,m_b_effective,k_a,k_b,equity,verdict\n"
-                     + ",".join(cells) + "\n")
+    # the payload and the one CSV row are the balance sheet's fields, in order
+    record = {**asdict(sheet), "verdict": sheet.verdict.value}
+    cells = ["" if v is None else v if isinstance(v, str) else _fmt(v) for v in record.values()]
+    return {"kind": "nonmarket", **record}, ",".join(record) + "\n" + ",".join(cells) + "\n"
 
 
 def _run_power_chain(body) -> tuple[dict, str]:
@@ -351,8 +330,7 @@ def _run_power_chain(body) -> tuple[dict, str]:
     except NoChain as exc:
         # like a negotiation breakdown, "no chain" is a result, not a failure
         lines.append("# outcome,no_chain")
-        return ({"kind": "power_chain", "found": False, "reason": str(exc)},
-                "\n".join(lines) + "\n")
+        return {"kind": "power_chain", "found": False, "reason": str(exc)}, _csv(lines)
     strengths = [body.graph.strength_vs(node, body.adversary) for node in chain.path]
     payload = {
         "kind": "power_chain",
@@ -365,7 +343,7 @@ def _run_power_chain(body) -> tuple[dict, str]:
     for position, (subject, strength) in enumerate(zip(chain.path, strengths)):
         lines.append(f"{position},{subject},{_fmt(strength)}")
     lines.append(f"# outcome,chain,{len(chain.path) - 1},{_fmt(chain.terminal_strength)}")
-    return payload, "\n".join(lines) + "\n"
+    return payload, _csv(lines)
 
 
 def _run_society(body) -> tuple[dict, str]:
@@ -388,16 +366,12 @@ def _run_society(body) -> tuple[dict, str]:
     for epoch, value in enumerate(trace.gini_series):
         lines.append(f"{epoch},{_fmt(value)}")
     lines.append(f"# outcome,final_gini,{_fmt(trace.final_gini)}")
-    return payload, "\n".join(lines) + "\n"
-
-
-def _within_budget(ok: bool, path: str, rule: str) -> None:
-    if not ok:
-        raise InvariantError(path, rule)
+    return payload, _csv(lines)
 
 
 def _check_steps(body) -> None:
-    _within_budget(body.max_steps <= MAX_STEPS, "max_steps", f"must be <= {MAX_STEPS}")
+    if body.max_steps > MAX_STEPS:
+        raise InvariantError("max_steps", f"must be <= {MAX_STEPS}")
 
 
 # NegotiationConfig fields that to_config() derives from other document fields.
@@ -413,10 +387,11 @@ def _check_negotiation(body) -> None:
 
 
 def _check_society(body) -> None:
-    _within_budget(body.n_agents <= MAX_AGENTS, "n_agents", f"must be <= {MAX_AGENTS}")
-    exchanges = (body.n_agents // 2) * body.epochs * body.pairings_per_epoch
-    _within_budget(exchanges <= MAX_EXCHANGES, "epochs",
-                   f"(n_agents // 2) * epochs * pairings_per_epoch must be <= {MAX_EXCHANGES}")
+    if body.n_agents > MAX_AGENTS:
+        raise InvariantError("n_agents", f"must be <= {MAX_AGENTS}")
+    if (body.n_agents // 2) * body.epochs * body.pairings_per_epoch > MAX_EXCHANGES:
+        raise InvariantError("epochs", "(n_agents // 2) * epochs * pairings_per_epoch "
+                             f"must be <= {MAX_EXCHANGES}")
 
 
 @dataclass(frozen=True)
@@ -426,12 +401,12 @@ class Kind:
     beyond the body's own invariants."""
 
     module: str
-    body: str
+    body_name: str
     run: Callable[[Any], tuple[dict, str]]
     check: Callable[[Any], None] = lambda body: None
 
     def body_type(self) -> type:
-        return getattr(import_module(f"{__package__}.{self.module}"), self.body)
+        return getattr(import_module(f"{__package__}.{self.module}"), self.body_name)
 
 
 KINDS = {
@@ -453,6 +428,8 @@ def parse_scenario(text: str) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
                          exc.lineno, exc.colno) from exc
+    except (ValueError, RecursionError) as exc:  # past the decoder's digit or nesting limit
+        raise ParseError(f"invalid JSON: {exc}") from None
     top = _obj(doc, "", {"version", "kind", "metadata", "body"}, ("version", "kind", "body"))
     version = _scalar(int, top["version"], "version")
     if version not in SUPPORTED_VERSIONS:

@@ -146,4 +146,3 @@ class TestEquity:
             assert result.equity is not None
             assert previous < result.equity < 1.0
             previous = result.equity
-

@@ -169,6 +169,14 @@ class TestParsing:
         assert excinfo.value.line == 2
         assert excinfo.value.col is not None
 
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000 + "]" * 100_000,
+        with_literal("fig3", ("max_steps",), "9" * 5000),
+    ])
+    def test_json_past_the_decoder_limits(self, text):
+        with pytest.raises(ParseError):
+            parse_scenario(text)
+
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
     @pytest.mark.parametrize("preset,keys", [
         ("fig3", ("buyer", "open")),
@@ -179,7 +187,7 @@ class TestParsing:
         ("purloined-letter", ("nodes", "dupin", "strength_vs", "minister")),
         ("casting-selection", ("promise_keep_prob",)),
         ("society-authoritarian", ("regime", "power_exponent")),
-    ])
+    ], ids=lambda value: field_path(value) if isinstance(value, tuple) else value)
     def test_non_finite_numbers_rejected(self, preset, keys, literal):
         with pytest.raises(InvariantError) as excinfo:
             parse_scenario(with_literal(preset, keys, literal))
