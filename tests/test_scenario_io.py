@@ -169,6 +169,35 @@ class TestParsing:
         assert excinfo.value.line == 2
         assert excinfo.value.col is not None
 
+    @pytest.mark.parametrize("preset,keys,literal,path,rule", [
+        ("fig3", ("seller", "reserve"), "-1", "seller.reserve", "must be >= 0"),
+        ("kilns", ("stages", 0, "buyer_view", "own_power"), "0", "stages[0].buyer_view.own_power",
+         "must be > 0"),
+        ("kilns", ("stages", 2, "margin_floor"), "-1", "stages[2].margin_floor", "must be >= 0"),
+        ("kilns", ("gap_epsilon",), "0", "gap_epsilon", "must be > 0"),
+        ("kilns", ("stages",), "[]", "stages", "must have at least one stage"),
+        ("casting-selection", ("influence_b",), '{"shield": 2}', "influence_b.shield",
+         "must lie in [0, 1]"),
+        ("casting-selection", ("promise_keep_prob",), "1.5", "promise_keep_prob",
+         "must lie in [0, 1]"),
+        ("purloined-letter", ("edges", 0, "willingness"), "0", "edges[0].willingness",
+         "must lie in (0, 1]"),
+        ("purloined-letter", ("edges", 1, "helper"), '"ghost"', "edges[1]",
+         "endpoint 'ghost' is not a node"),
+        ("purloined-letter", ("nodes",), "{}", "nodes", "must have at least one node"),
+        ("purloined-letter", ("weak",), '"ghost"', "weak", "must be a node"),
+        ("society-institutional", ("initial_wealth",), '{"kind": "uniform", "lo": 2, "hi": 1}',
+         "initial_wealth.hi", "must be > lo"),
+        ("society-authoritarian", ("regime",), '{"kind": "institutional", "cap": 0.5}',
+         "regime.cap", "must be >= 1"),
+        ("society-authoritarian", ("seed",), str(2 ** 64), "seed",
+         "must be a 64-bit unsigned integer"),
+    ])
+    def test_engine_invariants_are_reported_at_their_path(self, preset, keys, literal, path, rule):
+        with pytest.raises(InvariantError) as excinfo:
+            parse_scenario(with_literal(preset, keys, literal))
+        assert (excinfo.value.path, excinfo.value.rule) == (path, rule)
+
     @pytest.mark.parametrize("text", [
         "[" * 100_000 + "]" * 100_000,
         with_literal("fig3", ("max_steps",), "9" * 5000),
