@@ -32,8 +32,8 @@ class ChainStage:
     seller_view: PerceptionView
     buyer_view: PerceptionView
     base_seller_reserve: float
+    rates: ConcessionRates
     margin_floor: float = 0.0
-    rates: ConcessionRates = ConcessionRates(0.1, 0.05, 0.1, 0.05)
 
     def __post_init__(self):
         if self.buyer_view.role is not Role.BUYER:

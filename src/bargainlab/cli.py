@@ -8,8 +8,9 @@
 
 Exit codes: 0 success (a negotiation breakdown or missing power chain is a
 recorded outcome, not an error), 1 scenario errors (missing file, parse,
-schema, invariant or work-budget failures, each naming the field's path),
-2 runtime errors.
+schema, invariant or work-budget failures, and engine errors during a run
+that name the field at fault, each naming the field's path), 2 runtime
+errors.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import ScenarioError
+from .errors import BargainError, ScenarioError
 from .report import report_to_json, run_scenario
 from .scenario import parse_scenario, preset_names, preset_text
 
@@ -80,8 +81,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         report = run_scenario(scenario, seed_override=args.seed)
         output = report.csv_text if args.format == "csv" else report_to_json(report)
-    except Exception as exc:  # anything past validation is a runtime failure
-        diag(f"runtime error: {exc}")
+    except Exception as exc:
+        if isinstance(exc, BargainError) and exc.field:
+            diag(f"scenario error: {exc}")  # the run traced the failure to a field
+            return 1
+        diag(f"runtime error: {exc}")  # anything else past validation
         return 2
 
     if args.out:

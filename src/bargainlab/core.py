@@ -40,9 +40,10 @@ def require_finite(name: str, value: float, error: type[BargainError] = InvalidI
     return float(value)
 
 
-def _require_divisor(name: str, value: float, eps: float) -> float:
-    if value < eps:
-        raise DegenerateRatio(f"must be >= the epsilon floor {eps!r}, got {value!r}", field=name)
+def _require_divisor(name: str, value: float) -> float:
+    if value < DEFAULT_EPSILON:
+        raise DegenerateRatio(f"must be >= the epsilon floor {DEFAULT_EPSILON!r}, got {value!r}",
+                              field=name)
     return value
 
 
@@ -89,7 +90,7 @@ def power(effect_on_other: float, own_cost: float) -> float:
     return require_finite("effect_on_other", effect_on_other) - require_finite("own_cost", own_cost)
 
 
-def imbalance_ratio(view: PerceptionView, eps: float = DEFAULT_EPSILON) -> float:
+def imbalance_ratio(view: PerceptionView) -> float:
     """Scalar imbalance one side perceives between the parties.
 
     Buyer:  (own motivation / seller's perceived motivation)
@@ -101,12 +102,12 @@ def imbalance_ratio(view: PerceptionView, eps: float = DEFAULT_EPSILON) -> float
     reserve price in its own favor); above 1 means it is the weak side.
     """
     if view.role is Role.BUYER:
-        _require_divisor("other_motivation_perceived", view.other_motivation_perceived, eps)
-        _require_divisor("own_power", view.own_power, eps)
+        _require_divisor("other_motivation_perceived", view.other_motivation_perceived)
+        _require_divisor("own_power", view.own_power)
         return (view.own_motivation / view.other_motivation_perceived) * (
             view.other_power_perceived / view.own_power)
-    _require_divisor("own_motivation", view.own_motivation, eps)
-    _require_divisor("other_power_perceived", view.other_power_perceived, eps)
+    _require_divisor("own_motivation", view.own_motivation)
+    _require_divisor("other_power_perceived", view.other_power_perceived)
     return (view.other_motivation_perceived / view.own_motivation) * (
         view.own_power / view.other_power_perceived)
 
@@ -119,8 +120,7 @@ def require_reserve(base: float) -> float:
     return value
 
 
-def adjust_reserve_motivation(base: float, view: PerceptionView,
-                              eps: float = DEFAULT_EPSILON) -> float:
+def adjust_reserve_motivation(base: float, view: PerceptionView) -> float:
     """Reserve price adjusted by the motivation ratio alone.
 
     Buyer multiplies by own/other motivation, seller by other/own; the
@@ -128,16 +128,15 @@ def adjust_reserve_motivation(base: float, view: PerceptionView,
     """
     base = require_reserve(base)
     if view.role is Role.BUYER:
-        _require_divisor("other_motivation_perceived", view.other_motivation_perceived, eps)
+        _require_divisor("other_motivation_perceived", view.other_motivation_perceived)
         ratio = view.own_motivation / view.other_motivation_perceived
     else:
-        _require_divisor("own_motivation", view.own_motivation, eps)
+        _require_divisor("own_motivation", view.own_motivation)
         ratio = view.other_motivation_perceived / view.own_motivation
     return max(0.0, base * ratio)
 
 
-def adjust_reserve_full(base: float, view: PerceptionView,
-                        eps: float = DEFAULT_EPSILON) -> float:
+def adjust_reserve_full(base: float, view: PerceptionView) -> float:
     """Reserve price adjusted by the full motivation-and-power imbalance.
 
     Equals ``base * imbalance_ratio(view)`` clamped at zero.  With extreme
@@ -146,11 +145,10 @@ def adjust_reserve_full(base: float, view: PerceptionView,
     built to expose.
     """
     base = require_reserve(base)
-    return max(0.0, base * imbalance_ratio(view, eps))
+    return max(0.0, base * imbalance_ratio(view))
 
 
-def equity_index(m_a: float, k_a: float, m_b: float, k_b: float,
-                 eps: float = DEFAULT_EPSILON) -> float:
+def equity_index(m_a: float, k_a: float, m_b: float, k_b: float) -> float:
     """Cross-ratio fairness indicator (m_a * k_b) / (m_b * k_a).
 
     Equals 1 when motivations and powers are balanced; falls below 1 as
@@ -160,5 +158,5 @@ def equity_index(m_a: float, k_a: float, m_b: float, k_b: float,
     """
     for name, value in (("m_a", m_a), ("k_a", k_a), ("m_b", m_b), ("k_b", k_b)):
         require_finite(name, value)
-        _require_divisor(name, value, eps)
+        _require_divisor(name, value)
     return (m_a * k_b) / (m_b * k_a)

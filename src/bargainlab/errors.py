@@ -35,10 +35,6 @@ class NoChain(BargainError):
     """No qualifying power chain connects the requester to a helper."""
 
 
-class TooLarge(BargainError):
-    """Input exceeds the size bound of an exhaustive-enumeration oracle."""
-
-
 class EmptyInput(BargainError):
     """An aggregate operation received no data."""
 

@@ -27,9 +27,6 @@ from .errors import DegenerateRatio, InvalidConfig, SingularSystem
 RATE_MIN = 1e-9
 RATE_MAX = 1.0 - 1e-9
 
-#: Determinant magnitude below which fixed_point refuses to solve.
-SINGULAR_DET = 1e-12
-
 
 @dataclass(frozen=True)
 class ConcessionRates:
@@ -144,14 +141,6 @@ class NegotiationScenario:
 
 
 @dataclass(frozen=True)
-class TraceStep:
-    step: int
-    offer_buyer: float
-    offer_seller: float
-    gap: float
-
-
-@dataclass(frozen=True)
 class Agreement:
     price: float
     step: int
@@ -167,7 +156,13 @@ Outcome = Agreement | Breakdown
 
 @dataclass(frozen=True)
 class NegotiationTrace:
-    steps: tuple[TraceStep, ...]
+    """A run's offers and outcome.
+
+    ``steps`` holds one ``(offer_buyer, offer_seller, gap)`` row per step;
+    a row's index is its step number.
+    """
+
+    steps: tuple[tuple[float, float, float], ...]
     outcome: Outcome
 
     @property
@@ -176,9 +171,7 @@ class NegotiationTrace:
 
 
 def concession_rates_from_imbalance(base: ConcessionRates, rho_buyer: float,
-                                    rho_seller: float,
-                                    r_min: float = RATE_MIN,
-                                    r_max: float = RATE_MAX) -> ConcessionRates:
+                                    rho_seller: float) -> ConcessionRates:
     """Scale base rates by each side's perceived imbalance.
 
     A disadvantaged buyer (rho_buyer > 1) concedes faster, so its rates are
@@ -195,11 +188,11 @@ def concession_rates_from_imbalance(base: ConcessionRates, rho_buyer: float,
     def scale_pair(r: float, r_prime: float, factor: float) -> tuple[float, float]:
         if factor == 1.0:
             return r, r_prime
-        r = min(max(r * factor, r_min), r_max)
-        r_prime = min(r_prime * factor, r_max)
+        r = min(max(r * factor, RATE_MIN), RATE_MAX)
+        r_prime = min(r_prime * factor, RATE_MAX)
         total = r + r_prime
-        if total > r_max:
-            shrink = r_max / total
+        if total > RATE_MAX:
+            shrink = RATE_MAX / total
             r *= shrink
             r_prime *= shrink
         return r, r_prime
@@ -226,10 +219,10 @@ def run(cfg: NegotiationConfig) -> NegotiationTrace:
     still open after max_steps updates the negotiation breaks down.
     """
     x_a, x_b = cfg.buyer_open, cfg.seller_open
-    steps: list[TraceStep] = []
+    steps: list[tuple[float, float, float]] = []
     for n in range(cfg.max_steps + 1):
         gap = x_b - x_a
-        steps.append(TraceStep(n, x_a, x_b, gap))
+        steps.append((x_a, x_b, gap))
         if gap <= cfg.gap_epsilon:
             return NegotiationTrace(tuple(steps), Agreement(price=(x_a + x_b) / 2.0, step=n))
         if n == cfg.max_steps:
@@ -246,20 +239,20 @@ def fixed_point(cfg: NegotiationConfig) -> tuple[float, float]:
         (r_a + r_a') x_a - r_a' x_b        = r_a * buyer_reserve
         -r_b' x_a + (r_b + r_b') x_b       = r_b * seller_reserve
 
+    by Cramer's rule, with the determinant and both numerators expanded
+    so that no term is subtracted.  The determinant is then a sum of
+    non-negative rate products that cannot cancel, so the system is
+    singular only when it underflows to zero.
+
     With nonzero cross-rates this rest point differs from the pair of
     reserves: each side is pulled off its reserve by its eagerness to
     close the gap.
     """
     r = cfg.rates
-    a11 = r.r_a + r.r_a_prime
-    a12 = -r.r_a_prime
-    a21 = -r.r_b_prime
-    a22 = r.r_b + r.r_b_prime
-    b1 = r.r_a * cfg.buyer_reserve_adj
-    b2 = r.r_b * cfg.seller_reserve_adj
-    det = a11 * a22 - a12 * a21
-    if abs(det) < SINGULAR_DET:
-        raise SingularSystem(f"fixed-point system determinant {det!r} below {SINGULAR_DET!r}")
-    x_a = (b1 * a22 - a12 * b2) / det
-    x_b = (a11 * b2 - a21 * b1) / det
+    buyer, seller = cfg.buyer_reserve_adj, cfg.seller_reserve_adj
+    det = r.r_a * r.r_b + r.r_a * r.r_b_prime + r.r_a_prime * r.r_b
+    if det == 0.0:
+        raise SingularSystem("fixed-point system determinant underflows to 0")
+    x_a = (r.r_a * buyer * (r.r_b + r.r_b_prime) + r.r_a_prime * r.r_b * seller) / det
+    x_b = (r.r_b * seller * (r.r_a + r.r_a_prime) + r.r_b_prime * r.r_a * buyer) / det
     return x_a, x_b

@@ -12,12 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Mapping
 
-from .errors import InvalidConfig, InvalidInput, NoChain, TooLarge
-
-#: Node bound for the exhaustive enumeration oracle.
-BRUTE_FORCE_MAX_NODES = 12
+from .errors import InvalidConfig, InvalidInput, NoChain
 
 
 @dataclass(frozen=True)
@@ -64,10 +61,6 @@ class TrustGraph:
                     raise InvalidConfig(
                         f"strength of {label!r} vs {adversary!r} must be finite")
         object.__setattr__(self, "_adjacency", adjacency)
-
-    @property
-    def nodes(self) -> set[str]:
-        return set(self.strengths)
 
     def strength_vs(self, node: str, adversary: str) -> float:
         if node not in self.strengths:
@@ -124,7 +117,7 @@ def find_power_chain(graph: TrustGraph, weak: str, adversary: str,
 
     # frontier entries: (minimum edge willingness so far, path)
     frontier: list[tuple[float, tuple[str, ...]]] = [(math.inf, (weak,))]
-    for _ in range(max(0, len(graph.nodes) - 1)):
+    for _ in range(max(0, len(graph.strengths) - 1)):
         extended: list[tuple[float, tuple[str, ...]]] = []
         for min_will, path in frontier:
             endpoint_strength = graph.strength_vs(path[-1], adversary)
@@ -143,41 +136,3 @@ def find_power_chain(graph: TrustGraph, weak: str, adversary: str,
     raise NoChain(
         f"no trust path from {weak!r} reaches strength >= {threshold!r} vs {adversary!r}")
 
-
-def _simple_paths(graph: TrustGraph, start: str) -> Iterator[tuple[str, ...]]:
-    """Every simple path from start, including the single-node path."""
-    path = [start]
-    on_path = {start}
-
-    def walk() -> Iterator[tuple[str, ...]]:
-        yield tuple(path)
-        for edge in graph.edges_from(path[-1]):
-            if edge.helper in on_path:
-                continue
-            path.append(edge.helper)
-            on_path.add(edge.helper)
-            yield from walk()
-            on_path.discard(edge.helper)
-            path.pop()
-
-    yield from walk()
-
-
-def chain_exists_bruteforce(graph: TrustGraph, weak: str, adversary: str,
-                            threshold: float) -> bool:
-    """Oracle: enumerate all simple paths and test each against the rule.
-
-    Deliberately naive (no pruning) so it stays independent of
-    find_power_chain; bounded to small graphs.
-    """
-    if len(graph.nodes) > BRUTE_FORCE_MAX_NODES:
-        raise TooLarge(f"brute-force oracle is bounded to {BRUTE_FORCE_MAX_NODES} nodes")
-    if weak not in graph.nodes:
-        raise InvalidInput(f"unknown node {weak!r}")
-    for path in _simple_paths(graph, weak):
-        strengths = [graph.strength_vs(node, adversary) for node in path]
-        if any(b <= a for a, b in zip(strengths, strengths[1:])):
-            continue
-        if strengths[-1] >= threshold:
-            return True
-    return False

@@ -114,18 +114,11 @@ def _scalar(expected: type, value: Any, path: str) -> Any:
     return value
 
 
-# Document fields a dataclass's own defaults would make optional.  Tables
-# here name classes rather than hold them, so no engine module is imported
-# before a document needs it.
-_REQUIRED = {("ChainStage", "rates")}
-
-
 @functools.cache
 def _fields(cls: type) -> dict[str, tuple[Any, bool]]:
     """Each init field of a dataclass: name -> (annotation, required in documents)."""
     hints = typing.get_type_hints(cls)
-    return {f.name: (hints[f.name], (cls.__name__, f.name) in _REQUIRED
-                     or f.default is f.default_factory is dataclasses.MISSING)
+    return {f.name: (hints[f.name], f.default is f.default_factory is dataclasses.MISSING)
             for f in dataclasses.fields(cls) if f.init}
 
 
@@ -260,8 +253,8 @@ def _csv(lines: list[str]) -> str:
 def write_trace_csv(trace: NegotiationTrace) -> str:
     """Offer trace as CSV: step,offer_buyer,offer_seller,gap + outcome row."""
     lines = ["step,offer_buyer,offer_seller,gap"]
-    for s in trace.steps:
-        lines.append(f"{s.step},{_fmt(s.offer_buyer)},{_fmt(s.offer_seller)},{_fmt(s.gap)}")
+    for n, (buyer, seller, gap) in enumerate(trace.steps):
+        lines.append(f"{n},{_fmt(buyer)},{_fmt(seller)},{_fmt(gap)}")
     if trace.agreed:
         lines.append(f"# outcome,agreement,{trace.outcome.step},{_fmt(trace.outcome.price)}")
     else:
@@ -279,7 +272,7 @@ def _run_negotiation(body) -> tuple[dict, str]:
         "buyer_reserve_adj": cfg.buyer_reserve_adj,
         "seller_reserve_adj": cfg.seller_reserve_adj,
         "rates": asdict(cfg.rates),
-        "steps": [[s.step, s.offer_buyer, s.offer_seller, s.gap] for s in trace.steps],
+        "steps": [[n, *row] for n, row in enumerate(trace.steps)],
         "outcome": {"kind": type(trace.outcome).__name__.lower(), **asdict(trace.outcome)},
     }
     return payload, write_trace_csv(trace)

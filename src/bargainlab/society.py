@@ -147,10 +147,14 @@ def gini(wealths) -> float:
         raise InvalidInput("gini values must be finite")
     if np.any(arr < 0.0):
         raise InvalidInput("gini values must be non-negative")
-    total = float(arr.sum())
+    n = arr.size
+    with np.errstate(over="ignore"):  # an overflowing sum is rejected below
+        total = float(arr.sum())
+    # the rank-weighted sum below is at most n * total: 2n * total bounds every step
+    if not math.isfinite(2.0 * n * total):
+        raise InvalidInput("gini values are too large: 2n times their sum overflows")
     if total == 0.0:
         raise AllZero("gini is undefined when every value is zero")
-    n = arr.size
     ranked = np.sort(arr)
     weighted = float(np.dot(np.arange(1, n + 1), ranked))
     return 2.0 * weighted / (n * total) - (n + 1) / n
@@ -188,11 +192,22 @@ def run_society(cfg: SocietyConfig) -> WealthTrace:
     n = cfg.n_agents
     wealth_arr = _sample_initial(cfg.initial_wealth, n, rng)
     wealth = [float(w) for w in wealth_arr]  # plain floats: the hot loop is sequential
+    if min(wealth) == 0.0:  # an exchange divides by the poorer side's wealth
+        raise InvalidConfig("sampled wealth underflows to 0", field="initial_wealth")
 
     gini_series = np.empty(cfg.epochs + 1)
     totals = np.empty(cfg.epochs + 1)
-    gini_series[0] = gini(wealth)
-    totals[0] = sum(wealth)
+
+    def record(epoch: int, field: str) -> None:
+        # gini rejects positive wealth only when it leaves the float range;
+        # report that at the config field that drove it there
+        try:
+            gini_series[epoch] = gini(wealth)
+        except InvalidInput:
+            raise InvalidConfig("total wealth overflows the float range", field=field) from None
+        totals[epoch] = sum(wealth)
+
+    record(0, "initial_wealth")
 
     surplus = cfg.unit_surplus
     regime = cfg.regime
@@ -211,8 +226,7 @@ def run_society(cfg: SocietyConfig) -> WealthTrace:
                 share_rich = 1.0 if math.isinf(rho) else rho / (1.0 + rho)
                 wealth[rich] = wealth[rich] + surplus * share_rich
                 wealth[poor] = wealth[poor] + surplus * (1.0 - share_rich)
-        gini_series[epoch + 1] = gini(wealth)
-        totals[epoch + 1] = sum(wealth)
+        record(epoch + 1, "unit_surplus")
 
     return WealthTrace(
         gini_series=gini_series,

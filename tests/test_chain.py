@@ -18,7 +18,7 @@ def neutral(role):
 
 
 def stage(name="link", seller=None, buyer=None, base=40.0, floor=0.0, rates=SYM):
-    return ChainStage(name, seller or neutral(S), buyer or neutral(B), base, floor, rates)
+    return ChainStage(name, seller or neutral(S), buyer or neutral(B), base, rates, floor)
 
 
 def raise_buyer_power(spec, index, factor):
@@ -33,7 +33,7 @@ def raise_buyer_power(spec, index, factor):
 
 def test_validation():
     with pytest.raises(InvalidConfig):
-        ChainStage("x", neutral(B), neutral(B), 1.0)  # roles swapped
+        ChainStage("x", neutral(B), neutral(B), 1.0, SYM)  # roles swapped
     with pytest.raises(InvalidConfig):
         stage(floor=-1.0)
     with pytest.raises(InvalidConfig):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -149,6 +150,29 @@ def test_sub_epsilon_perception_is_a_scenario_error(tmp_path, capsys):
         target.write_text(json.dumps(doc))
         assert main(["run", "--scenario", str(target)]) == 1
         assert capsys.readouterr().err.startswith(f"bargainlab: scenario error: {path}: ")
+
+
+@pytest.mark.parametrize("edit, path", [
+    ({"initial_wealth": {"kind": "lognormal", "mu": 800.0, "sigma": 1.0}}, "initial_wealth"),
+    ({"unit_surplus": 1.7e308}, "unit_surplus"),
+    ({"initial_wealth": {"kind": "constant", "value": 1e307}}, "initial_wealth"),
+    # draws that underflow to 0 would divide by zero in an exchange
+    ({"initial_wealth": {"kind": "lognormal", "mu": -745.0, "sigma": 3.0}}, "initial_wealth"),
+])
+def test_society_overflow_is_a_scenario_error(edit, path, tmp_path, capsys):
+    """Finite inputs whose wealth leaves the float range during a run are
+    reported at the field that drove it there, not as NaN in a report."""
+    doc = json.loads(preset_text("society-authoritarian"))
+    doc["body"].update(edit, epochs=2)
+    target = tmp_path / "society.json"
+    target.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning would fail the run
+        assert main(["run", "--scenario", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"bargainlab: scenario error: {path}: ")
+    assert len(captured.err.splitlines()) == 1
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -95,8 +95,6 @@ class TestImbalanceRatio:
         view = buyer_view(1.0, 1e-12, 1.0, 1.0)  # passes construction, fails as divisor
         with pytest.raises(DegenerateRatio):
             imbalance_ratio(view)
-        # a looser floor admits it
-        assert imbalance_ratio(view, eps=1e-15) == pytest.approx(1e12)
 
     @given(view=views, scale=st.floats(min_value=0.01, max_value=100.0))
     def test_scale_invariance(self, view, scale):

@@ -9,7 +9,7 @@ from bargainlab.chain import ChainScenario, ChainSpec, ChainStage
 from bargainlab.errors import InvariantError, ParseError, SchemaError
 from bargainlab.negotiation import (Agreement, Breakdown, ConcessionRates,
                                     NegotiationScenario, NegotiationTrace,
-                                    SideSpec, TraceStep, run)
+                                    SideSpec, run)
 from bargainlab.nonmarket import ExchangeProposal, ExternalInfluence, NonmarketScenario
 from bargainlab.powerchain import PowerChainScenario, TrustEdge, TrustGraph
 from bargainlab.report import report_to_json, run_scenario, write_trace_csv
@@ -79,8 +79,8 @@ chain_bodies = st.builds(
     st.floats(min_value=0.1, max_value=1e4),
     st.lists(st.builds(ChainStage, label, view_strategy(Role.SELLER),
                        view_strategy(Role.BUYER),
-                       st.floats(min_value=0.0, max_value=1e3),
-                       st.floats(min_value=0.0, max_value=10.0), rates_strategy),
+                       st.floats(min_value=0.0, max_value=1e3), rates_strategy,
+                       st.floats(min_value=0.0, max_value=10.0)),
              min_size=1, max_size=4),
     st.integers(min_value=1, max_value=2000))
 
@@ -327,7 +327,7 @@ class TestTraceCsv:
         assert lines[-1].startswith("# outcome,agreement,2,")
 
     def test_zero_step_agreement(self):
-        trace = NegotiationTrace(steps=(TraceStep(0, 3.0, 3.0, 0.0),),
+        trace = NegotiationTrace(steps=((3.0, 3.0, 0.0),),
                                  outcome=Agreement(price=3.0, step=0))
         lines = write_trace_csv(trace).splitlines()
         assert len(lines) == 3
@@ -335,7 +335,7 @@ class TestTraceCsv:
         assert lines[2] == "# outcome,agreement,0,3.0"
 
     def test_breakdown_line(self):
-        trace = NegotiationTrace(steps=(TraceStep(0, 1.0, 9.0, 8.0),),
+        trace = NegotiationTrace(steps=((1.0, 9.0, 8.0),),
                                  outcome=Breakdown(at_step=7))
         assert write_trace_csv(trace).splitlines()[-1] == "# outcome,breakdown,7"
 

@@ -46,6 +46,10 @@ class TestGini:
             gini([1.0, -1.0])
         with pytest.raises(InvalidInput):
             gini([1.0, float("nan")])
+        with pytest.raises(InvalidInput):
+            gini([1e308, 1e308])  # the sum overflows
+        with pytest.raises(InvalidInput):
+            gini([1e306] * 100)  # the sum is finite, the rank-weighted sum is not
 
     @given(values=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=60))
     def test_matches_pairwise_oracle(self, values):
