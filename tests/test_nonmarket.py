@@ -79,7 +79,11 @@ class TestVerdictRule:
     @given(m_a=finite, m_b=finite,
            scale=st.floats(min_value=0.01, max_value=100.0))
     def test_depends_only_on_signs(self, m_a, m_b, scale):
-        assert verdict(m_a, m_b) is verdict(m_a * scale, m_b * scale)
+        # Scale the signs, not the values: m * scale can underflow a
+        # subnormal to 0.0 and so change its sign.
+        def sign(m):
+            return (m > 0) - (m < 0)
+        assert verdict(m_a, m_b) is verdict(sign(m_a) * scale, sign(m_b) * scale)
 
 
 class TestThreats:
