@@ -37,7 +37,8 @@ class TrustGraph:
     """Subjects with per-adversary strengths, wired by trust edges.
 
     ``strengths`` maps node -> adversary -> strength; a missing entry
-    counts as strength 0 against that adversary.
+    counts as strength 0 against that adversary.  Each ordered pair of
+    nodes carries at most one edge.
     """
 
     strengths: Mapping[str, Mapping[str, float]]
@@ -49,11 +50,17 @@ class TrustGraph:
             raise InvalidConfig("must have at least one node", field="strengths")
         object.__setattr__(self, "edges", tuple(self.edges))
         adjacency: dict[str, list[TrustEdge]] = {}
+        pairs: set[tuple[str, str]] = set()
         for index, edge in enumerate(self.edges):
             for endpoint in (edge.requester, edge.helper):
                 if endpoint not in self.strengths:
                     raise InvalidConfig(f"endpoint {endpoint!r} is not a node",
                                         field=f"edges[{index}]")
+            if (edge.requester, edge.helper) in pairs:
+                raise InvalidConfig(
+                    f"duplicate edge {edge.requester!r} -> {edge.helper!r}",
+                    field=f"edges[{index}]")
+            pairs.add((edge.requester, edge.helper))
             adjacency.setdefault(edge.requester, []).append(edge)
         for label, per_adversary in self.strengths.items():
             for adversary, strength in per_adversary.items():
@@ -104,35 +111,65 @@ def find_power_chain(graph: TrustGraph, weak: str, adversary: str,
     lexicographically smallest label sequence.  Raises NoChain when no
     path qualifies.
 
-    Breadth-first over full paths: the strictly-increasing constraint
-    forces each path to visit its node set in strength order, which keeps
-    the frontier small for the graph sizes this models (it is exponential
-    only in pathological dense graphs).
+    Three passes over nodes, in O(nodes + edges):
+
+    (a) a breadth-first search over strength-raising edges gives each node
+        its least hop count and stops at the first layer, H hops out, that
+        holds a node meeting the threshold (a goal);
+    (b) the same sweep keeps each node's best bottleneck willingness over
+        its fewest-hop paths, which is exact because every node of a
+        fewest-hop chain sits at its own least hop count; the best over the
+        goals is the chain's bottleneck B;
+    (c) over layer-to-layer edges of willingness >= B, a backward pass
+        marks the nodes that reach a goal, and a forward walk from ``weak``
+        takes the smallest marked label at each hop.
+
+    Keeping one best path prefix per node instead would be wrong: two
+    prefixes with different bottlenecks can tie after a weaker edge, and
+    the label tie-break may then want the one that was dropped.
     """
     if not math.isfinite(threshold):
         raise InvalidInput("threshold must be finite")
-    start_strength = graph.strength_vs(weak, adversary)
-    if start_strength >= threshold:
-        return PowerChain((weak,), start_strength)
+    strength = {weak: graph.strength_vs(weak, adversary)}
+    if strength[weak] >= threshold:
+        return PowerChain((weak,), strength[weak])
 
-    # frontier entries: (minimum edge willingness so far, path)
-    frontier: list[tuple[float, tuple[str, ...]]] = [(math.inf, (weak,))]
-    for _ in range(max(0, len(graph.strengths) - 1)):
-        extended: list[tuple[float, tuple[str, ...]]] = []
-        for min_will, path in frontier:
-            endpoint_strength = graph.strength_vs(path[-1], adversary)
-            for edge in graph.edges_from(path[-1]):
-                if graph.strength_vs(edge.helper, adversary) <= endpoint_strength:
+    depth = {weak: 0}
+    best = {weak: math.inf}
+    layers = [[weak]]
+    goals: list[str] = []
+    while not goals:
+        hop, layer = len(layers), []
+        for node in layers[-1]:
+            for edge in graph.edges_from(node):
+                helper = edge.helper
+                if helper not in strength:
+                    strength[helper] = graph.strength_vs(helper, adversary)
+                if strength[helper] <= strength[node]:
                     continue
-                extended.append((min(min_will, edge.willingness), path + (edge.helper,)))
-        if not extended:
-            break
-        qualifying = [(m, p) for m, p in extended
-                      if graph.strength_vs(p[-1], adversary) >= threshold]
-        if qualifying:
-            min_will, path = min(qualifying, key=lambda item: (-item[0], item[1]))
-            return PowerChain(path, graph.strength_vs(path[-1], adversary))
-        frontier = extended
-    raise NoChain(
-        f"no trust path from {weak!r} reaches strength >= {threshold!r} vs {adversary!r}")
+                if helper not in depth:
+                    depth[helper], best[helper] = hop, 0.0
+                    layer.append(helper)
+                elif depth[helper] != hop:
+                    continue
+                best[helper] = max(best[helper], min(best[node], edge.willingness))
+        if not layer:
+            raise NoChain(f"no trust path from {weak!r} reaches strength >= "
+                          f"{threshold!r} vs {adversary!r}")
+        layers.append(layer)
+        goals = [node for node in layer if strength[node] >= threshold]
+    bottleneck = max(best[node] for node in goals)
 
+    def next_hops(node: str) -> list[str]:
+        hop = depth[node] + 1
+        return [edge.helper for edge in graph.edges_from(node)
+                if edge.willingness >= bottleneck and depth.get(edge.helper) == hop
+                and strength[edge.helper] > strength[node]]
+
+    marked = set(goals)
+    for layer in reversed(layers[:-1]):
+        marked.update(node for node in layer if not marked.isdisjoint(next_hops(node)))
+    path = [weak]
+    for _ in range(len(layers) - 1):
+        path.append(min(h for h in next_hops(path[-1]) if h in marked))
+    return PowerChain(tuple(path), strength[path[-1]])

@@ -79,6 +79,31 @@ def random_case(rng, tie_heavy=False):
     return TrustGraph(strengths=strengths, edges=tuple(edges)), threshold
 
 
+def layered_case(rng):
+    """A random layered graph and a threshold for n0 vs "adv".
+
+    n0 sits alone at strength 0, then come 3-4 layers of 2-3 nodes each,
+    layer k at strength k, with the other labels shuffled across layers.
+    Each pair of nodes in consecutive layers is an edge with probability
+    0.7 and willingness from TIED_WILLINGNESS, edges are listed in random
+    order, and the threshold is the top layer's strength.  Paths that tie
+    on hops merge and fork again, so a prefix that loses on bottleneck at
+    one node can still be the best chain after a weaker edge.
+    """
+    sizes = [int(rng.integers(2, 4)) for _ in range(int(rng.integers(3, 5)))]
+    labels = [f"n{i}" for i in rng.permutation(sum(sizes)) + 1]
+    layers = [["n0"]]
+    for size in sizes:
+        layers.append(labels[:size])
+        labels = labels[size:]
+    strengths = {lab: {"adv": float(k)} for k, layer in enumerate(layers) for lab in layer}
+    edges = [TrustEdge(a, b, float(rng.choice(TIED_WILLINGNESS)))
+             for lower, upper in zip(layers, layers[1:]) for a in lower for b in upper
+             if rng.random() < 0.7]
+    edges = [edges[i] for i in rng.permutation(len(edges))]
+    return TrustGraph(strengths=strengths, edges=tuple(edges)), float(len(sizes))
+
+
 def assert_search_matches(g, weak, adversary, threshold):
     """Assert that the search returns exactly the spec-optimal path with its
     terminal strength, or raises NoChain exactly when none qualifies.

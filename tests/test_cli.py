@@ -101,6 +101,36 @@ def test_no_chain_is_success(tmp_path, capsys):
     assert "# outcome,no_chain" in capsys.readouterr().out
 
 
+def test_dense_power_chain_document_finishes(tmp_path, capsys):
+    """A complete strength-ordered graph has 2^39 - 1 strength-raising paths from
+    its weakest node; with the threshold out of reach, a search over paths
+    would enumerate them all."""
+    labels = [f"s{i:02d}" for i in range(40)]
+    doc = {
+        "version": 1, "kind": "power_chain",
+        "body": {"nodes": {lab: {"strength_vs": {"adv": float(i)}}
+                           for i, lab in enumerate(labels)},
+                 "edges": [{"requester": a, "helper": b, "willingness": 0.5}
+                           for i, a in enumerate(labels) for b in labels[i + 1:]],
+                 "weak": "s00", "adversary": "adv", "threshold": 100.0},
+    }
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(path), "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "# outcome,no_chain"
+
+
+def test_duplicate_trust_edge_is_a_scenario_error(tmp_path, capsys):
+    doc = json.loads(preset_text("purloined-letter"))
+    doc["body"]["edges"].append({"requester": "victim", "helper": "prefect",
+                                 "willingness": 0.2})
+    path = tmp_path / "duplicate.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "bargainlab: scenario error: edges[2]: duplicate edge 'victim' -> 'prefect'\n")
+
+
 def test_seed_flag_matches_edited_file(tmp_path, capsys):
     doc = json.loads(preset_text("society-authoritarian"))
     doc["body"]["epochs"] = 20

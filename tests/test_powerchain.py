@@ -3,7 +3,8 @@ import pytest
 
 from bargainlab.errors import InvalidConfig, InvalidInput, NoChain
 from bargainlab.powerchain import PowerChain, TrustEdge, TrustGraph, find_power_chain
-from powerchain_reference import all_qualifying_paths, assert_search_matches, random_case
+from powerchain_reference import (all_qualifying_paths, assert_search_matches, layered_case,
+                                  random_case)
 
 
 def graph(strengths, edges):
@@ -39,6 +40,13 @@ class TestValidation:
     def test_edge_endpoints_must_be_nodes(self):
         with pytest.raises(InvalidConfig):
             TrustGraph(strengths={"a": {}}, edges=(TrustEdge("a", "ghost", 0.5),))
+
+    def test_duplicate_edges_rejected(self):
+        # with two a->b edges the bottleneck of the path (a, b) would be undefined
+        with pytest.raises(InvalidConfig) as excinfo:
+            graph({"a": 0.0, "b": 5.0, "c": 5.0},
+                  [("a", "b", 0.9), ("a", "c", 0.5), ("a", "b", 0.2)])
+        assert excinfo.value.field == "edges[2]"
 
     def test_unknown_node_query(self):
         with pytest.raises(InvalidInput):
@@ -91,17 +99,40 @@ class TestFindPowerChain:
                    ("w", "y", 0.5), ("y", "sy", 0.5)])
         assert find_power_chain(g, "w", "adv", 5.0).path == ("w", "x", "sx")
 
+    def test_keeps_every_prefix_that_can_still_win(self):
+        # (w, z, v) beats (w, a, v) on bottleneck, but the weaker v->g edge
+        # ties them, and then the labels want the prefix through a
+        g = graph({"w": 0.0, "a": 1.0, "z": 1.0, "v": 2.0, "g": 3.0},
+                  [("w", "a", 0.5), ("w", "z", 1.0), ("a", "v", 1.0), ("z", "v", 1.0),
+                   ("v", "g", 0.5)])
+        assert find_power_chain(g, "w", "adv", 3.0).path == ("w", "a", "v", "g")
+
+    def test_large_graph_path_known_by_construction(self):
+        # node i has strength i and trusts i+1..i+3, all equally willing: the
+        # fewest hops from 0 to 199 is 67, which reach up to 201, and the
+        # smallest labels spend the two spare units on the first hop
+        labels = [f"n{i:03d}" for i in range(200)]
+        g = graph(dict(zip(labels, map(float, range(200)))),
+                  [(labels[i], labels[j], 0.5)
+                   for i in range(200) for j in range(i + 1, min(i + 4, 200))])
+        chain = find_power_chain(g, "n000", "adv", 199.0)
+        assert chain.path == tuple(labels[i] for i in [0, 1, *range(4, 200, 3)])
+        assert chain.terminal_strength == 199.0
+
 
 def test_search_matches_exhaustive_enumeration():
     rng = np.random.default_rng(1234)
-    for tie_heavy, n_graphs in ((False, 120), (True, 200)):
+    # generator, graphs, least count of each outcome, least count of tied cases
+    families = ((lambda: random_case(rng), 120, 40, 0),
+                (lambda: random_case(rng, tie_heavy=True), 200, 40, 40),
+                (lambda: layered_case(rng), 300, 30, 200))
+    for make, n_graphs, least_outcome, least_tied in families:
         outcomes = {True: 0, False: 0}
         tied = 0  # cases where more than one path has the fewest hops
         for _ in range(n_graphs):
-            g, threshold = random_case(rng, tie_heavy)
+            g, threshold = make()
             outcomes[assert_search_matches(g, "n0", "adv", threshold)] += 1
             hops = [len(p) for p in all_qualifying_paths(g, "n0", "adv", threshold)]
             tied += hops.count(min(hops, default=0)) > 1
-        assert min(outcomes.values()) >= 40
-        if tie_heavy:
-            assert tied >= 40
+        assert min(outcomes.values()) >= least_outcome
+        assert tied >= least_tied
