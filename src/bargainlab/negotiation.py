@@ -18,6 +18,7 @@ contraction, so the coupled system has a unique rest point.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .core import PerceptionView, adjust_reserve_full, imbalance_ratio, require_finite, require_reserve
@@ -242,17 +243,26 @@ def fixed_point(cfg: NegotiationConfig) -> tuple[float, float]:
     by Cramer's rule, with the determinant and both numerators expanded
     so that no term is subtracted.  The determinant is then a sum of
     non-negative rate products that cannot cancel, so the system is
-    singular only when it underflows to zero.
+    singular only when it underflows to zero.  A subnormal determinant
+    has lost precision, so the rates are first scaled by a power of two,
+    which is exact and leaves the rest point unchanged.
 
     With nonzero cross-rates this rest point differs from the pair of
     reserves: each side is pulled off its reserve by its eagerness to
     close the gap.
     """
-    r = cfg.rates
+    r_a, r_a_prime, r_b, r_b_prime = (cfg.rates.r_a, cfg.rates.r_a_prime,
+                                      cfg.rates.r_b, cfg.rates.r_b_prime)
     buyer, seller = cfg.buyer_reserve_adj, cfg.seller_reserve_adj
-    det = r.r_a * r.r_b + r.r_a * r.r_b_prime + r.r_a_prime * r.r_b
+    det = r_a * r_b + r_a * r_b_prime + r_a_prime * r_b
     if det == 0.0:
         raise SingularSystem("fixed-point system determinant underflows to 0")
-    x_a = (r.r_a * buyer * (r.r_b + r.r_b_prime) + r.r_a_prime * r.r_b * seller) / det
-    x_b = (r.r_b * seller * (r.r_a + r.r_a_prime) + r.r_b_prime * r.r_a * buyer) / det
+    if det < sys.float_info.min:
+        # bring the largest rate into [0.5, 1): the others cannot overflow
+        exponent = -math.frexp(max(r_a, r_a_prime, r_b, r_b_prime))[1]
+        r_a, r_a_prime, r_b, r_b_prime = (math.ldexp(x, exponent)
+                                          for x in (r_a, r_a_prime, r_b, r_b_prime))
+        det = r_a * r_b + r_a * r_b_prime + r_a_prime * r_b
+    x_a = (r_a * buyer * (r_b + r_b_prime) + r_a_prime * r_b * seller) / det
+    x_b = (r_b * seller * (r_a + r_a_prime) + r_b_prime * r_a * buyer) / det
     return x_a, x_b

@@ -14,12 +14,17 @@ The stronger side takes share rho / (1 + rho) of the surplus.  Surplus is
 injected (both sides gain), so the books must balance as
 new total = old total + rounds * (n // 2) * unit_surplus each epoch;
 inequality is tracked with the Gini coefficient.
+
+A round's pairs are disjoint, so the kernel applies a whole round as one
+array update, which gives the same floats as taking its pairs one at a
+time.  ``compare_regimes`` runs its seeds as the rows of one wealth array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -168,13 +173,24 @@ def _sample_initial(dist: WealthDistribution, n: int, rng: np.random.Generator) 
     return rng.lognormal(dist.mu, dist.sigma, size=n)
 
 
-def _power_ratio(wealth_ratio: float, regime: RegimeRule) -> float:
-    if isinstance(regime, Authoritarian):
-        try:
-            return wealth_ratio ** regime.power_exponent
-        except OverflowError:  # float ** raises where the rich side's power is unbounded
-            return math.inf
-    return min(wealth_ratio, regime.cap)
+def _pow(base: float, exponent: float) -> float:
+    try:
+        return base ** exponent
+    except OverflowError:  # float ** raises where the rich side's power is unbounded
+        return math.inf
+
+
+def _power_ratio(ratio: np.ndarray, regime: RegimeRule) -> np.ndarray:
+    if isinstance(regime, Institutional):
+        return np.minimum(ratio, regime.cap)
+    # Python's float pow, one libm call per ratio: numpy's vectorised power
+    # rounds some results differently, which would change the bytes of a run
+    ratios = ratio.tolist()
+    exponent = regime.power_exponent
+    try:
+        return np.fromiter(map(pow, ratios, repeat(exponent)), float, len(ratios))
+    except OverflowError:
+        return np.fromiter(map(_pow, ratios, repeat(exponent)), float, len(ratios))
 
 
 def run_society(cfg: SocietyConfig) -> WealthTrace:
@@ -182,59 +198,88 @@ def run_society(cfg: SocietyConfig) -> WealthTrace:
 
     Each epoch draws ``pairings_per_epoch`` uniform pairings (perfect
     matchings via a shuffle; with an odd population one agent sits a round
-    out) and processes them sequentially: a round's exchanges see the
-    wealth left by earlier rounds.  The richer side of a pair gets surplus
-    share rho / (1 + rho) with rho from the regime rule.  Because every
-    agent trades exactly once per round, exact power parity preserves a
-    flat wealth distribution exactly.
+    out).  A round's exchanges see the wealth left by earlier rounds; within
+    a round every agent trades at most once, so its pairs are disjoint and
+    the round is one array update.  The richer side of a pair (the first of
+    the pair on a tie) gets surplus share rho / (1 + rho) with rho from the
+    regime rule.  Because every agent trades exactly once per round, exact
+    power parity preserves a flat wealth distribution exactly.
     """
-    rng = np.random.default_rng(cfg.seed)
-    n = cfg.n_agents
-    wealth_arr = _sample_initial(cfg.initial_wealth, n, rng)
-    wealth = [float(w) for w in wealth_arr]  # plain floats: the hot loop is sequential
-    if min(wealth) == 0.0:  # an exchange divides by the poorer side's wealth
+    return _run_batch([cfg])[0]
+
+
+#: Permutation indices drawn at a time across a batch; rounds are drawn in
+#: chunks of this size, so memory does not grow with the number of rounds.
+_PERM_INDICES = 1 << 16
+
+
+def _run_batch(cfgs: list[SocietyConfig]) -> list[WealthTrace]:
+    """Run configs that differ only in their seed as the rows of one
+    (seeds, n) wealth array, one update per round over every row's pairs.
+
+    Each row draws from its own generator in the order a lone run does,
+    so row s is bitwise the run of ``cfgs[s]`` by itself.
+    """
+    cfg = cfgs[0]
+    n, n_pairs, pairings = cfg.n_agents, cfg.n_agents // 2, cfg.pairings_per_epoch
+    rngs = [np.random.default_rng(c.seed) for c in cfgs]
+    wealth = np.stack([_sample_initial(cfg.initial_wealth, n, rng) for rng in rngs])
+    if np.any(wealth == 0.0):  # an exchange divides by the poorer side's wealth
         raise InvalidConfig("sampled wealth underflows to 0", field="initial_wealth")
 
-    gini_series = np.empty(cfg.epochs + 1)
-    totals = np.empty(cfg.epochs + 1)
+    gini_series = np.empty((len(cfgs), cfg.epochs + 1))
+    totals = np.empty((len(cfgs), cfg.epochs + 1))
 
     def record(epoch: int, field: str) -> None:
-        # gini rejects positive wealth only when it leaves the float range;
-        # report that at the config field that drove it there
-        try:
-            gini_series[epoch] = gini(wealth)
-        except InvalidInput:
-            raise InvalidConfig("total wealth overflows the float range", field=field) from None
-        totals[epoch] = sum(wealth)
+        for s, row in enumerate(wealth):
+            # gini rejects positive wealth only when it leaves the float range;
+            # report that at the config field that drove it there
+            try:
+                gini_series[s, epoch] = gini(row)
+            except InvalidInput:
+                raise InvalidConfig("total wealth overflows the float range",
+                                    field=field) from None
+        # a running sum adds left to right like Python's sum(), where numpy's
+        # sum() adds pairwise and rounds differently
+        totals[:, epoch] = np.add.accumulate(wealth, axis=1)[:, -1]
 
     record(0, "initial_wealth")
 
-    surplus = cfg.unit_surplus
-    regime = cfg.regime
-    n_pairs = n // 2
-    for epoch in range(cfg.epochs):
-        for _ in range(cfg.pairings_per_epoch):
-            order = rng.permutation(n).tolist()
-            for k in range(n_pairs):
-                i, j = order[2 * k], order[2 * k + 1]
-                wi, wj = wealth[i], wealth[j]
-                if wi >= wj:
-                    rich, poor, ratio = i, j, wi / wj
-                else:
-                    rich, poor, ratio = j, i, wj / wi
-                rho = _power_ratio(ratio, regime)
-                share_rich = 1.0 if math.isinf(rho) else rho / (1.0 + rho)
-                wealth[rich] = wealth[rich] + surplus * share_rich
-                wealth[poor] = wealth[poor] + surplus * (1.0 - share_rich)
-        record(epoch + 1, "unit_surplus")
+    surplus, regime = cfg.unit_surplus, cfg.regime
+    flat = wealth.reshape(-1)  # a view: pairs index agents across all rows
+    rounds = cfg.epochs * pairings
+    chunk = min(rounds, max(1, _PERM_INDICES // (len(cfgs) * n)))
+    orders = np.empty((len(cfgs), chunk, n), dtype=np.intp)
+    row_offsets = (np.arange(len(cfgs)) * n)[:, None, None]
+    # inf and nan wealth are reported by record(); numpy need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(rounds):
+            k = t % chunk
+            if k == 0:
+                block = orders[:, :min(chunk, rounds - t)]
+                block[...] = np.arange(n)
+                for rng, rows in zip(rngs, block):  # the stream of per-round rng.permutation(n)
+                    rng.permuted(rows, axis=1, out=rows)
+                block += row_offsets
+            pairs = block[:, k, :2 * n_pairs]
+            first, second = pairs[:, 0::2].ravel(), pairs[:, 1::2].ravel()
+            w_first, w_second = flat[first], flat[second]
+            first_rich = w_first >= w_second
+            rich, poor = np.where(first_rich, first, second), np.where(first_rich, second, first)
+            w_rich = np.where(first_rich, w_first, w_second)
+            w_poor = np.where(first_rich, w_second, w_first)
+            rho = _power_ratio(w_rich / w_poor, regime)
+            share_rich = rho / (1.0 + rho)
+            share_rich[np.isinf(rho)] = 1.0
+            flat[rich] = w_rich + surplus * share_rich
+            flat[poor] = w_poor + surplus * (1.0 - share_rich)
+            if (t + 1) % pairings == 0:
+                record((t + 1) // pairings, "unit_surplus")
 
-    return WealthTrace(
-        gini_series=gini_series,
-        totals=totals,
-        injected_per_epoch=cfg.pairings_per_epoch * n_pairs * surplus,
-        final_wealth=np.asarray(wealth),
-        config=cfg,
-    )
+    injected = pairings * n_pairs * surplus
+    return [WealthTrace(gini_series=gini_series[s], totals=totals[s],
+                        injected_per_epoch=injected, final_wealth=wealth[s], config=c)
+            for s, c in enumerate(cfgs)]
 
 
 @dataclass(frozen=True)
@@ -267,8 +312,11 @@ def compare_regimes(cfg_a: SocietyConfig, cfg_b: SocietyConfig,
     if replace(cfg_a, regime=cfg_b.regime) != cfg_b:
         raise ConfigMismatch("configs may differ only in their regime rule")
     seeds = tuple(cfg_a.seed + i for i in range(n_seeds))
-    final_a = tuple(run_society(replace(cfg_a, seed=s)).final_gini for s in seeds)
-    final_b = tuple(run_society(replace(cfg_b, seed=s)).final_gini for s in seeds)
+
+    def final_ginis(cfg: SocietyConfig) -> tuple[float, ...]:
+        return tuple(t.final_gini for t in _run_batch([replace(cfg, seed=s) for s in seeds]))
+
+    final_a, final_b = final_ginis(cfg_a), final_ginis(cfg_b)
     mean_a = sum(final_a) / n_seeds
     mean_b = sum(final_b) / n_seeds
     diff = mean_a - mean_b

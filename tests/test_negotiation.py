@@ -1,8 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bargainlab.errors import DegenerateRatio, InvalidConfig, SingularSystem
@@ -32,6 +33,12 @@ def rates_strategy():
         r_b=st.floats(min_value=0.01, max_value=0.9),
         f_b=st.floats(min_value=0.0, max_value=1.0),
     )
+
+
+# rates from about 0.5 down to 2^-541: their products run from normal
+# through subnormal to 0
+small_rate = st.builds(lambda mantissa, exponent: math.ldexp(mantissa, -exponent),
+                       st.floats(min_value=0.5, max_value=0.98), st.integers(1, 541))
 
 
 config_strategy = st.builds(
@@ -242,8 +249,24 @@ class TestFixedPoint:
         # tiny rates still pose the system well: it must be solved, not refused
         assert fixed_point(cfg(ConcessionRates(1e-7, 0.0, 1e-7, 0.0))) == (8.0, 2.0)
         assert fixed_point(cfg(ConcessionRates(1e-20, 0.5, 1e-20, 0.5))) == (5.0, 5.0)
+        # a subnormal determinant (about 1e-322) must not cost the answer its precision
+        assert fixed_point(cfg(ConcessionRates(1e-161, 0.0, 1e-161, 0.0))) == (8.0, 2.0)
         with pytest.raises(SingularSystem):
             fixed_point(cfg(ConcessionRates(1e-200, 0.0, 1e-200, 0.0)))
+
+    @given(r_a=small_rate, r_a_prime=st.one_of(st.just(0.0), small_rate),
+           r_b=small_rate, r_b_prime=st.one_of(st.just(0.0), small_rate),
+           buyer=st.floats(min_value=0.0, max_value=100.0),
+           seller=st.floats(min_value=0.0, max_value=100.0))
+    def test_normal_determinant_solves_unscaled(self, r_a, r_a_prime, r_b, r_b_prime,
+                                                buyer, seller):
+        det = r_a * r_b + r_a * r_b_prime + r_a_prime * r_b
+        assume(det >= sys.float_info.min)
+        cfg = fig3_config(rates=ConcessionRates(r_a, r_a_prime, r_b, r_b_prime),
+                          buyer_reserve_adj=buyer, seller_reserve_adj=seller)
+        assert fixed_point(cfg) == (
+            (r_a * buyer * (r_b + r_b_prime) + r_a_prime * r_b * seller) / det,
+            (r_b * seller * (r_a + r_a_prime) + r_b_prime * r_a * buyer) / det)
 
     def test_fixed_point_is_invariant_under_step(self):
         cfg = fig3_config()

@@ -1,3 +1,5 @@
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -5,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bargainlab import society
 from bargainlab.errors import (AllZero, ConfigMismatch, EmptyInput,
                                InvalidConfig, InvalidInput)
 from bargainlab.society import (Authoritarian, Constant, Institutional,
                                 Lognormal, SocietyConfig, Uniform,
                                 compare_regimes, gini, run_society)
+from society_reference import reference_run
 
 
 def config(**overrides):
@@ -133,10 +137,32 @@ class TestRunSociety:
         # a wealth ratio ** 400 beyond the float range means unbounded power
         cfg = SocietyConfig(n_agents=20, initial_wealth=Lognormal(0.0, 3.0),
                             regime=Authoritarian(400.0), epochs=1, pairings_per_epoch=1, seed=7)
-        trace = run_society(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # nor may numpy warn about it
+            trace = run_society(cfg)
         assert np.all(np.isfinite(trace.gini_series))
         grown = trace.totals[-1] - trace.totals[0]
         assert grown == pytest.approx(trace.injected_per_epoch, rel=1e-9)
+
+    def test_wealth_leaving_the_float_range_is_a_config_error_without_warnings(self):
+        # three rounds an epoch: the second already overflows inside the update
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidConfig) as raised:
+                run_society(config(unit_surplus=1.7e308, pairings_per_epoch=3))
+        assert raised.value.field == "unit_surplus"
+
+    def test_memory_is_bounded_by_the_population(self):
+        n = 200_000
+        cfg = config(n_agents=n, epochs=1, pairings_per_epoch=2)
+        tracemalloc.start()
+        try:
+            run_society(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 10.5 * n * 8 bytes today; the pair-by-pair loop took 16.5
+        assert peak < 12 * n * 8 + 8 * society._PERM_INDICES
 
     def test_gamma_dominance_for_fixed_seed(self):
         finals = [run_society(config(regime=Authoritarian(g), epochs=100,
@@ -178,3 +204,48 @@ class TestCompareRegimes:
         result = compare_regimes(a, b, n_seeds=5)
         assert result.sign == 1
         assert result.n_positive >= 4
+
+
+REGIMES = [Authoritarian(0.0), Authoritarian(0.7), Authoritarian(2.0), Authoritarian(3.0),
+           Authoritarian(400.0), Institutional(1.0), Institutional(1.2), Institutional(3.0)]
+
+
+def assert_matches_reference(cfg, trace):
+    wealth, ginis, totals = reference_run(cfg)
+    assert np.array_equal(trace.final_wealth, wealth)
+    assert np.array_equal(trace.gini_series, ginis)
+    assert np.array_equal(trace.totals, totals)
+
+
+class TestMatchesScalarLoop:
+    """The round-at-a-time kernel against the pair-by-pair loop, bit for bit."""
+
+    @pytest.mark.parametrize("regime", REGIMES, ids=repr)
+    @pytest.mark.parametrize("n_agents", [2, 3, 201])
+    def test_regimes_and_populations(self, regime, n_agents):
+        # sigma 1 spreads wealth ratios past 6, where ratio ** 400 overflows
+        cfg = config(n_agents=n_agents, initial_wealth=Lognormal(0.0, 1.0), regime=regime,
+                     epochs=15, pairings_per_epoch=2)
+        assert_matches_reference(cfg, run_society(cfg))
+
+    @pytest.mark.parametrize("regime", REGIMES, ids=repr)
+    def test_every_pair_ties_on_a_flat_start(self, regime):
+        cfg = config(n_agents=21, initial_wealth=Constant(5.0), regime=regime, epochs=10,
+                     pairings_per_epoch=3)
+        assert_matches_reference(cfg, run_society(cfg))
+
+    def test_rounds_past_one_permutation_buffer(self):
+        cfg = config(n_agents=201, regime=Authoritarian(2.0), epochs=60, pairings_per_epoch=6)
+        assert cfg.epochs * cfg.pairings_per_epoch > society._PERM_INDICES // cfg.n_agents
+        assert_matches_reference(cfg, run_society(cfg))
+
+    @pytest.mark.parametrize("regime", [Authoritarian(3.0), Institutional(1.2)], ids=repr)
+    def test_compare_regimes_batch_equals_single_runs(self, regime):
+        # five seeds of 201 agents fill the buffer in 65 rounds; this run makes 80
+        a = config(n_agents=201, regime=regime, epochs=40, pairings_per_epoch=2)
+        b = replace(a, regime=Authoritarian(0.7))
+        result = compare_regimes(a, b, n_seeds=5)
+        assert result.final_gini_a == tuple(
+            run_society(replace(a, seed=s)).final_gini for s in result.seeds)
+        assert result.final_gini_b == tuple(
+            run_society(replace(b, seed=s)).final_gini for s in result.seeds)
