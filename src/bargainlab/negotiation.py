@@ -75,6 +75,13 @@ class NegotiationConfig:
             object.__setattr__(self, name, require_finite(name, getattr(self, name), InvalidConfig))
         if self.seller_open < self.buyer_open:
             raise InvalidConfig("must be >= buyer_open", field="seller_open")
+        # offers stay in the anchors' hull, so a finite spread keeps every
+        # offer and gap finite
+        anchors = {name: getattr(self, name) for name in
+                   ("buyer_open", "seller_open", "buyer_reserve_adj", "seller_reserve_adj")}
+        if not math.isfinite(max(anchors.values()) - min(anchors.values())):
+            raise InvalidConfig("the opens and reserves must span a finite range",
+                                field=max(anchors, key=lambda name: abs(anchors[name])))
         check_stopping_rule(self.gap_epsilon, self.max_steps)
         if not isinstance(self.rates, ConcessionRates):
             raise InvalidConfig("must be a ConcessionRates", field="rates")
@@ -225,7 +232,10 @@ def run(cfg: NegotiationConfig) -> NegotiationTrace:
         gap = x_b - x_a
         steps.append((x_a, x_b, gap))
         if gap <= cfg.gap_epsilon:
-            return NegotiationTrace(tuple(steps), Agreement(price=(x_a + x_b) / 2.0, step=n))
+            # halve first only if the sum overflows: halving is exact there
+            total = x_a + x_b
+            price = total / 2.0 if math.isfinite(total) else x_a / 2.0 + x_b / 2.0
+            return NegotiationTrace(tuple(steps), Agreement(price=price, step=n))
         if n == cfg.max_steps:
             break
         x_a, x_b = step(x_a, x_b, cfg)

@@ -2,6 +2,13 @@
 
 The CSV rendering of each kind lives with the kind's registry entry in
 ``scenario``; ``write_trace_csv`` is re-exported here.
+
+The JSON form is ``json.dumps(doc, indent=2, sort_keys=True)``, but
+``indent`` turns off CPython's C encoder, and a negotiation's ``steps``
+can hold tens of thousands of rows.  So that array is rendered here, one
+string format per row, and spliced into the dump in place of a
+placeholder.  ``test_json_report_bytes_are_the_canonical_encoding`` pins
+the result to the stdlib encoder's bytes.
 """
 
 from __future__ import annotations
@@ -48,11 +55,36 @@ def run_scenario(scenario: Scenario, seed_override: int | None = None) -> RunRep
                      csv_text=csv_text)
 
 
+#: Stands in for the cells of a negotiation's ``steps``: dumped as the only
+#: cell of the only row, it leaves the brackets around the block to the
+#: encoder.  With sorted keys ``outcome.steps`` precedes the scenario echo,
+#: the only place a document can put this text, so its first quoted
+#: occurrence is where the rows go.
+_STEPS = "@@bargainlab-steps@@"
+#: One trace row at the dump's indentation: rows at 6 spaces, cells at 8.
+_ROW = "%d,\n        %s,\n        %s,\n        %s"
+_ROW_SEP = "\n      ],\n      [\n        "
+
+
 def report_to_json(report: RunReport) -> str:
+    outcome = report.outcome
+    steps = outcome["steps"] if outcome.get("kind") == "negotiation" else None
     doc = {
         "scenario": scenario_document(report.scenario),
-        "outcome": report.outcome,
+        "outcome": {**outcome, "steps": [[_STEPS]]} if steps else outcome,
         "engine_version": report.engine_version,
         "duration_s": report.duration_s,
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if not steps:
+        return text
+    head, tail = text.split(f'"{_STEPS}"', 1)
+    # float.__repr__ is json's float encoding, also for float subclasses;
+    # a negotiation's cells are finite (NegotiationConfig bounds its anchors)
+    f = float.__repr__
+    rows = [_ROW % (n, f(a), f(b), f(g)) for n, a, b, g in steps]
+    # the end rows carry the rest of the dump, so one join builds the
+    # report and the rendered block is not copied a second time
+    rows[0] = head + rows[0]
+    rows[-1] += tail
+    return _ROW_SEP.join(rows)

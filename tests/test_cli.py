@@ -89,6 +89,49 @@ def test_breakdown_is_success(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "# outcome,breakdown,3"
 
 
+OUT_OF_RANGE = {"version": 1, "kind": "negotiation",
+                "body": {"buyer": {"open": -1.7e308, "reserve": 5.0},
+                         "seller": {"open": 1.7e308, "reserve": 4.0},
+                         "rates": {"r_a": 0.1, "r_a_prime": 0.1, "r_b": 0.1, "r_b_prime": 0.1},
+                         "max_steps": 5}}
+
+
+def _huge_fig3():
+    doc = json.loads(preset_text("fig3"))
+    for side in ("buyer", "seller"):
+        doc["body"][side].update(open=1.7e308, reserve=1.7e308)
+    return doc
+
+
+def _no_non_finite(constant):
+    raise AssertionError(f"non-finite number {constant} in the report")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("doc, code, error", [
+    # offers 3.4e308 apart: the gap and the settlement would overflow
+    (OUT_OF_RANGE, 1, "buyer.open: the opens and reserves must span a finite range\n"),
+    # offers whose sum overflows agree at step 0
+    (_huge_fig3(), 0, ""),
+], ids=["spread-overflows", "sum-overflows"])
+def test_negotiation_numbers_stay_finite(doc, code, error, fmt, tmp_path, capsys):
+    """A negotiation document is rejected at a field path or reports only
+    finite numbers."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(path), "--format", fmt]) == code
+    captured = capsys.readouterr()
+    assert captured.err == (error and f"bargainlab: scenario error: {error}")
+    if code:
+        return
+    if fmt == "json":
+        outcome = json.loads(captured.out, parse_constant=_no_non_finite)["outcome"]
+        assert outcome["outcome"] == {"kind": "agreement", "price": 1.7e308, "step": 0}
+    else:
+        assert "inf" not in captured.out and "nan" not in captured.out
+        assert captured.out.splitlines()[-1] == "# outcome,agreement,0,1.7e+308"
+
+
 def test_no_chain_is_success(tmp_path, capsys):
     doc = {
         "version": 1, "kind": "power_chain",

@@ -84,6 +84,15 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig):
             fig3_config(**overrides)
 
+    @pytest.mark.parametrize("overrides, field", [
+        (dict(buyer_open=-1.7e308, seller_open=1.7e308), "buyer_open"),
+        (dict(buyer_open=-1e308, buyer_reserve_adj=1.7e308), "buyer_reserve_adj"),
+    ])
+    def test_anchor_spread_must_be_finite(self, overrides, field):
+        with pytest.raises(InvalidConfig) as excinfo:
+            fig3_config(**overrides)
+        assert excinfo.value.field == field
+
 
 class TestRateScaling:
     def test_identity(self):
@@ -176,6 +185,12 @@ class TestRun:
 
     def test_deterministic(self):
         assert run(fig3_config()) == run(fig3_config())
+
+    def test_settlement_of_offers_whose_sum_overflows(self):
+        huge = 1.7e308
+        trace = run(fig3_config(buyer_open=huge, seller_open=huge,
+                                buyer_reserve_adj=huge, seller_reserve_adj=huge))
+        assert trace.outcome == Agreement(price=huge, step=0)
 
     @given(cfg=config_strategy)
     def test_settlement_bounded_by_final_offers(self, cfg):
@@ -307,6 +322,27 @@ class TestStability:
     def test_valid_rates_are_always_stable(self, rates):
         # row sums of the step's linear part are 1 - r_a and 1 - r_b, both < 1
         assert spectral_radius(step_matrix(rates)) < 1.0
+
+
+# anchors across the whole float range, including pairs whose spread overflows
+any_anchor = st.one_of(st.floats(-1e6, 1e6), st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from([sys.float_info.max, -sys.float_info.max, 1.7e308,
+                                        -1.7e308, 2.0 ** 1023, -(2.0 ** 1023), 0.0]))
+
+
+@given(anchors=st.lists(any_anchor, min_size=4, max_size=4), rates=rates_strategy(),
+       gap_epsilon=st.floats(5e-324, 1e6), max_steps=st.integers(1, 300))
+@settings(max_examples=200, deadline=None)
+def test_accepted_negotiations_stay_finite(anchors, rates, gap_epsilon, max_steps):
+    buyer_open, seller_open = sorted(anchors[:2])
+    try:
+        cfg = NegotiationConfig(buyer_open, seller_open, abs(anchors[2]), abs(anchors[3]),
+                                rates, gap_epsilon, max_steps)
+    except InvalidConfig:
+        assume(False)
+    trace = run(cfg)
+    assert all(math.isfinite(cell) for row in trace.steps for cell in row)
+    assert not trace.agreed or math.isfinite(trace.outcome.price)
 
 
 @given(cfg=config_strategy)

@@ -14,11 +14,15 @@ Regenerate only when an output change is intended::
 
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from bargainlab.report import report_to_json, run_scenario
+from bargainlab.errors import InvariantError
+from bargainlab.report import _STEPS, report_to_json, run_scenario
 from bargainlab.scenario import load_preset, parse_scenario, preset_names, preset_text
 
 SNAPSHOT = Path(__file__).with_name("preset_snapshot.json")
@@ -45,21 +49,95 @@ def test_preset_output_is_byte_identical(name):
     assert preset_digests(name) == json.loads(SNAPSHOT.read_text())[name]
 
 
-def _stall():
-    """fig3 with rates too small to close the gap in 5 000 steps."""
+def _fig3(buyer=None, seller=None, rates=None, **body):
+    """fig3 with its body fields replaced."""
     doc = json.loads(preset_text("fig3"))
-    doc["body"]["rates"] = {"r_a": 1e-6, "r_a_prime": 0.0, "r_b": 1e-6, "r_b_prime": 0.0}
-    doc["body"]["max_steps"] = 5000
-    return parse_scenario(json.dumps(doc))
+    doc["body"]["buyer"].update(buyer or {})
+    doc["body"]["seller"].update(seller or {})
+    doc["body"]["rates"].update(rates or {})
+    doc["body"].update(body)
+    return doc
 
 
-@pytest.mark.parametrize("name", preset_names() + ["stall"])
+def _stall(max_steps):
+    """fig3 with rates too small to close the gap in ``max_steps`` steps."""
+    return _fig3(rates={"r_a": 1e-6, "r_a_prime": 0.0, "r_b": 1e-6, "r_b_prime": 0.0},
+                 max_steps=max_steps)
+
+
+# documents that stress the spliced steps block: (document, rows expected)
+TRACE_CASES = {
+    "stall": (_stall(5000), 5001),
+    # the placeholder text, and an array opening, in the scenario echo
+    "metadata-placeholder": ({**_fig3(), "metadata": {
+        _STEPS: _STEPS, "note": '"steps": [', "quoted": f'"{_STEPS}"'}}, 3),
+    "agree-at-0": (_fig3(seller={"open": 2.5}), 1),
+    # negative offers and exponent-form reprs, at both ends of the range
+    "signed-exponent": (_fig3(
+        buyer={"open": -1e16}, seller={"open": 1.0000000000000002e16},
+        rates={"r_a": 3e-7, "r_a_prime": 1e-7, "r_b": 2e-7, "r_b_prime": 0.0},
+        max_steps=300), 301),
+    "tiny-exponent": (_fig3(
+        buyer={"open": -1e-300, "reserve": 0.0}, seller={"open": 3e-300, "reserve": 0.0},
+        rates={"r_a": 1e-7, "r_a_prime": 2e-7, "r_b": 3e-7, "r_b_prime": 0.0},
+        gap_epsilon=1e-310, max_steps=300), 301),
+    "stall-30000": (_stall(30000), 30001),
+}
+
+
+@pytest.mark.parametrize("name", preset_names() + list(TRACE_CASES))
 def test_json_report_bytes_are_the_canonical_encoding(name):
-    report = run_scenario(_stall() if name == "stall" else load_preset(name))
-    if name == "stall":
-        assert len(report.outcome["steps"]) == 5001
+    if name in TRACE_CASES:
+        doc, rows = TRACE_CASES[name]
+        report = run_scenario(parse_scenario(json.dumps(doc)))
+        assert len(report.outcome["steps"]) == rows
+    else:
+        report = run_scenario(load_preset(name))
     text = report_to_json(report)
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+anchor = st.one_of(st.floats(-1e6, 1e6), st.floats(-1e300, 1e300),
+                   st.sampled_from([0.0, -0.0, 5e-324, -1e-300, 1e16, -1e16, 1.7e308, -1.7e308]))
+rate = st.floats(0.0, 1.0, exclude_max=True)
+
+
+@st.composite
+def negotiation_documents(draw):
+    """Negotiation documents with signed anchors and rates over their ranges;
+    some are rejected at parse time."""
+    buyer_open, seller_open = sorted([draw(anchor), draw(anchor)])
+    r_a, r_b = draw(rate), draw(rate)
+    return json.dumps(_fig3(
+        buyer={"open": buyer_open, "reserve": abs(draw(anchor))},
+        seller={"open": seller_open, "reserve": abs(draw(anchor))},
+        rates={"r_a": r_a, "r_a_prime": draw(rate) * (1.0 - r_a),
+               "r_b": r_b, "r_b_prime": draw(rate) * (1.0 - r_b)},
+        gap_epsilon=draw(st.one_of(st.floats(1e-300, 1e6), st.just(5e-324))),
+        max_steps=draw(st.integers(1, 300))))
+
+
+@given(text=negotiation_documents())
+@settings(max_examples=100, deadline=None)
+def test_json_report_of_any_negotiation_is_the_canonical_encoding(text):
+    try:
+        scenario = parse_scenario(text)
+    except InvariantError:
+        assume(False)
+    text = report_to_json(run_scenario(scenario))
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def test_json_report_memory_is_bounded_by_its_length():
+    """The steps block is built once, not re-encoded cell by cell."""
+    report = run_scenario(parse_scenario(json.dumps(_stall(30000))))
+    tracemalloc.start()
+    try:
+        text = report_to_json(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(text)
 
 
 if __name__ == "__main__":
