@@ -10,6 +10,7 @@ that fails to settle starves every deeper link.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import negotiation
@@ -42,6 +43,10 @@ class ChainStage:
             raise InvalidConfig("must have role SELLER", field="seller_view")
         if self.base_seller_reserve < 0.0:
             raise InvalidConfig("must be >= 0", field="base_seller_reserve")
+        # the buyer's adjusted reserve is capped by its incoming price; the seller's is not
+        if not math.isfinite(adjust_reserve_full(self.base_seller_reserve, self.seller_view)):
+            raise InvalidConfig("must stay finite when adjusted by the seller's view",
+                                field="base_seller_reserve")
         if self.margin_floor < 0.0:
             raise InvalidConfig("must be >= 0", field="margin_floor")
 
@@ -116,8 +121,8 @@ def _settle_stage(stage: ChainStage, incoming: float,
     return None, buyer_reserve
 
 
-def propagate(spec: ChainSpec, gap_epsilon: float | None = None,
-              max_steps: int = 5000) -> list[StageResult]:
+def propagate(spec: ChainSpec, gap_epsilon: float | None,
+              max_steps: int) -> list[StageResult]:
     """Settle every link from the market end toward the raw-material end.
 
     Stage k's buyer reserve is min(full imbalance adjustment of the
@@ -157,12 +162,6 @@ class SqueezeReport:
     margin_shares: tuple[tuple[str, float], ...]
     final_settlement_share: float | None
     complete: bool
-
-    @property
-    def total(self) -> float | None:
-        if not self.complete or self.final_settlement_share is None:
-            return None
-        return sum(share for _, share in self.margin_shares) + self.final_settlement_share
 
 
 def squeeze_report(results: list[StageResult]) -> SqueezeReport:

@@ -90,6 +90,15 @@ def power(effect_on_other: float, own_cost: float) -> float:
     return require_finite("effect_on_other", effect_on_other) - require_finite("own_cost", own_cost)
 
 
+def require_ratio(rho: float, name: str | None = None) -> float:
+    """An imbalance ratio whose reciprocal is finite and > 0 too (a seller's
+    rates are divided by it), or DegenerateRatio naming ``name``."""
+    if not 0.0 < rho < math.inf or math.isinf(1.0 / rho):
+        raise DegenerateRatio("imbalance ratio and its reciprocal must be finite and > 0",
+                              field=name)
+    return rho
+
+
 def imbalance_ratio(view: PerceptionView) -> float:
     """Scalar imbalance one side perceives between the parties.
 
@@ -100,16 +109,18 @@ def imbalance_ratio(view: PerceptionView) -> float:
 
     A value below 1 means the side holds the advantage (it will push its
     reserve price in its own favor); above 1 means it is the weak side.
+    Raises DegenerateRatio if the ratio or its reciprocal leaves the
+    float range.
     """
     if view.role is Role.BUYER:
         _require_divisor("other_motivation_perceived", view.other_motivation_perceived)
         _require_divisor("own_power", view.own_power)
-        return (view.own_motivation / view.other_motivation_perceived) * (
-            view.other_power_perceived / view.own_power)
+        return require_ratio((view.own_motivation / view.other_motivation_perceived) * (
+            view.other_power_perceived / view.own_power))
     _require_divisor("own_motivation", view.own_motivation)
     _require_divisor("other_power_perceived", view.other_power_perceived)
-    return (view.other_motivation_perceived / view.own_motivation) * (
-        view.own_power / view.other_power_perceived)
+    return require_ratio((view.other_motivation_perceived / view.own_motivation) * (
+        view.own_power / view.other_power_perceived))
 
 
 def require_reserve(base: float) -> float:
@@ -118,22 +129,6 @@ def require_reserve(base: float) -> float:
     if value < 0.0:
         raise InvalidInput("must be >= 0", field="reserve")
     return value
-
-
-def adjust_reserve_motivation(base: float, view: PerceptionView) -> float:
-    """Reserve price adjusted by the motivation ratio alone.
-
-    Buyer multiplies by own/other motivation, seller by other/own; the
-    result is clamped at zero (a negative price is meaningless).
-    """
-    base = require_reserve(base)
-    if view.role is Role.BUYER:
-        _require_divisor("other_motivation_perceived", view.other_motivation_perceived)
-        ratio = view.own_motivation / view.other_motivation_perceived
-    else:
-        _require_divisor("own_motivation", view.own_motivation)
-        ratio = view.other_motivation_perceived / view.own_motivation
-    return max(0.0, base * ratio)
 
 
 def adjust_reserve_full(base: float, view: PerceptionView) -> float:
@@ -153,10 +148,10 @@ def equity_index(m_a: float, k_a: float, m_b: float, k_b: float) -> float:
 
     Equals 1 when motivations and powers are balanced; falls below 1 as
     side A gains power or side B gains desperation.  Defined only for
-    strictly positive magnitudes -- callers with possibly negative
+    finite, strictly positive magnitudes -- callers with possibly negative
     motivations must treat DegenerateRatio as "index undefined".
     """
     for name, value in (("m_a", m_a), ("k_a", k_a), ("m_b", m_b), ("k_b", k_b)):
-        require_finite(name, value)
+        require_finite(name, value, DegenerateRatio)
         _require_divisor(name, value)
     return (m_a * k_b) / (m_b * k_a)

@@ -60,12 +60,7 @@ class ScenarioError(BargainError):
 
 
 class ParseError(ScenarioError):
-    """Scenario text is not valid JSON."""
-
-    def __init__(self, message: str, line: int | None = None, col: int | None = None):
-        super().__init__("", message)
-        self.line = line
-        self.col = col
+    """Scenario text is not valid JSON; the path is always ""."""
 
 
 class SchemaError(ScenarioError):

@@ -21,8 +21,9 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .core import PerceptionView, adjust_reserve_full, imbalance_ratio, require_finite, require_reserve
-from .errors import DegenerateRatio, InvalidConfig, SingularSystem
+from .core import (PerceptionView, adjust_reserve_full, imbalance_ratio, require_finite,
+                   require_ratio, require_reserve)
+from .errors import InvalidConfig, SingularSystem
 
 #: Clamp bounds used when imbalance scaling pushes a rate out of range.
 RATE_MIN = 1e-9
@@ -66,8 +67,8 @@ class NegotiationConfig:
     buyer_reserve_adj: float
     seller_reserve_adj: float
     rates: ConcessionRates
-    gap_epsilon: float = 0.05
-    max_steps: int = 1000
+    gap_epsilon: float
+    max_steps: int
 
     def __post_init__(self):
         for name in ("buyer_open", "seller_open", "buyer_reserve_adj",
@@ -189,9 +190,8 @@ def concession_rates_from_imbalance(base: ConcessionRates, rho_buyer: float,
     proportionally so the interpolation invariant survives.  A ratio of
     exactly 1 leaves that side's rates untouched.
     """
-    for name, rho in (("rho_buyer", rho_buyer), ("rho_seller", rho_seller)):
-        if not math.isfinite(rho) or rho <= 0.0:
-            raise DegenerateRatio("must be a finite positive number", field=name)
+    require_ratio(rho_buyer, "rho_buyer")
+    require_ratio(rho_seller, "rho_seller")
 
     def scale_pair(r: float, r_prime: float, factor: float) -> tuple[float, float]:
         if factor == 1.0:

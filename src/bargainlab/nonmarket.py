@@ -11,10 +11,11 @@ threat away.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import equity_index, require_finite
+from .core import equity_index, motivation, power, require_finite
 from .errors import DegenerateRatio, InvalidInput
 
 
@@ -81,6 +82,13 @@ class NonmarketScenario:
 
     def __post_init__(self):
         _require_probability("promise_keep_prob", self.promise_keep_prob)
+        sheet = welfare_balance(self)
+        if not all(math.isfinite(v) for v in vars(sheet).values() if isinstance(v, float)):
+            inputs = [(f"proposal.{name}", value) for name, value in vars(self.proposal).items()]
+            inputs += [(f"{side}.threat_on_refusal", getattr(self, side).threat_on_refusal)
+                       for side in ("influence_a", "influence_b")]
+            raise InvalidInput("the gains, costs and threats must keep the balance sheet finite",
+                               field=max(inputs, key=lambda item: abs(item[1]))[0])
 
 
 class Verdict(Enum):
@@ -122,10 +130,7 @@ def _verdict(m_a_effective: float, m_b_effective: float) -> Verdict:
     return Verdict.BOTH_REFUSE
 
 
-def welfare_balance(proposal: ExchangeProposal,
-                    influence_a: ExternalInfluence = NO_INFLUENCE,
-                    influence_b: ExternalInfluence = NO_INFLUENCE,
-                    promise_keep_prob: float = 1.0) -> BalanceSheet:
+def welfare_balance(scenario: NonmarketScenario) -> BalanceSheet:
     """Full bookkeeping for one proposed exchange.
 
     ``promise_keep_prob`` discounts B's gain when A's good is only a
@@ -133,14 +138,14 @@ def welfare_balance(proposal: ExchangeProposal,
     Equity uses the raw motivations -- threats live outside the exchange --
     and is None whenever any magnitude entering the index is non-positive.
     """
-    promise_keep_prob = _require_probability("promise_keep_prob", promise_keep_prob)
-    gain_for_b = proposal.gain_for_b * promise_keep_prob
-    m_a = proposal.gain_for_a - proposal.give_cost_a
-    m_b_raw = gain_for_b - proposal.give_cost_b
-    k_a = gain_for_b - proposal.give_cost_a
-    k_b = proposal.gain_for_a - proposal.give_cost_b
-    m_a_effective = m_a + influence_a.threat_on_refusal * (1.0 - influence_a.shield)
-    m_b_effective = m_b_raw + influence_b.threat_on_refusal * (1.0 - influence_b.shield)
+    proposal, a, b = scenario.proposal, scenario.influence_a, scenario.influence_b
+    gain_for_b = proposal.gain_for_b * scenario.promise_keep_prob
+    m_a = motivation(proposal.gain_for_a, proposal.give_cost_a)
+    m_b_raw = motivation(gain_for_b, proposal.give_cost_b)
+    k_a = power(gain_for_b, proposal.give_cost_a)
+    k_b = power(proposal.gain_for_a, proposal.give_cost_b)
+    m_a_effective = m_a + a.threat_on_refusal * (1.0 - a.shield)
+    m_b_effective = m_b_raw + b.threat_on_refusal * (1.0 - b.shield)
     try:
         equity = equity_index(m_a, k_a, m_b_raw, k_b)
     except DegenerateRatio:

@@ -25,8 +25,8 @@ __all__ = ["RunReport", "report_to_json", "run_scenario", "write_trace_csv"]
 
 @dataclass
 class RunReport:
-    """Everything a run produced: the scenario echo, the outcome payload,
-    and enough provenance (engine version, wall-clock) to archive it.
+    """Everything a run produced: the scenario echo, the outcome payload
+    and the wall-clock time.  The JSON form adds the engine version.
 
     ``csv_text`` is a derived rendering and is excluded from equality and
     from the JSON form.
@@ -34,9 +34,8 @@ class RunReport:
 
     scenario: Scenario
     outcome: dict
-    engine_version: str
     duration_s: float
-    csv_text: str | None = field(default=None, compare=False, repr=False)
+    csv_text: str = field(compare=False, repr=False)
 
 
 def run_scenario(scenario: Scenario, seed_override: int | None = None) -> RunReport:
@@ -50,9 +49,7 @@ def run_scenario(scenario: Scenario, seed_override: int | None = None) -> RunRep
     start = time.perf_counter()
     payload, csv_text = KINDS[scenario.kind].run(scenario.body)
     duration = time.perf_counter() - start
-    return RunReport(scenario=scenario, outcome=payload,
-                     engine_version=__version__, duration_s=duration,
-                     csv_text=csv_text)
+    return RunReport(scenario=scenario, outcome=payload, duration_s=duration, csv_text=csv_text)
 
 
 #: Stands in for the cells of a negotiation's ``steps``: dumped as the only
@@ -72,10 +69,10 @@ def report_to_json(report: RunReport) -> str:
     doc = {
         "scenario": scenario_document(report.scenario),
         "outcome": {**outcome, "steps": [[_STEPS]]} if steps else outcome,
-        "engine_version": report.engine_version,
+        "engine_version": __version__,
         "duration_s": report.duration_s,
     }
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if not steps:
         return text
     head, tail = text.split(f'"{_STEPS}"', 1)

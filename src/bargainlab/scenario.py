@@ -240,8 +240,8 @@ def _write(annotation: Any, value: Any) -> Any:
 
 def _fmt(x: float) -> str:
     """Float cell: up to 6 significant digits, never locale-dependent."""
-    s = format(float(x), ".6g")
-    if "." not in s and "e" not in s and "E" not in s:
+    s = format(x, ".6g")
+    if "." not in s and "e" not in s:
         s += ".0"
     return s
 
@@ -306,8 +306,7 @@ def _run_chain(body) -> tuple[dict, str]:
 def _run_nonmarket(body) -> tuple[dict, str]:
     from .nonmarket import welfare_balance
 
-    sheet = welfare_balance(body.proposal, body.influence_a, body.influence_b,
-                            body.promise_keep_prob)
+    sheet = welfare_balance(body)
     # the payload and the one CSV row are the balance sheet's fields, in order
     record = {**asdict(sheet), "verdict": sheet.verdict.value}
     cells = ["" if v is None else v if isinstance(v, str) else _fmt(v) for v in record.values()]
@@ -369,8 +368,7 @@ def _check_steps(body) -> None:
 
 # NegotiationConfig fields that to_config() derives from other document fields.
 _CONFIG_PATHS = {"buyer_open": "buyer.open", "seller_open": "seller.open",
-                 "buyer_reserve_adj": "buyer.reserve", "seller_reserve_adj": "seller.reserve",
-                 "rho_buyer": "buyer.view", "rho_seller": "seller.view"}
+                 "buyer_reserve_adj": "buyer.reserve", "seller_reserve_adj": "seller.reserve"}
 
 
 def _check_negotiation(body) -> None:
@@ -419,10 +417,10 @@ def parse_scenario(text: str) -> Scenario:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
-                         exc.lineno, exc.colno) from exc
+        raise ParseError("", f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
+                         f"{exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # past the decoder's digit or nesting limit
-        raise ParseError(f"invalid JSON: {exc}") from None
+        raise ParseError("", f"invalid JSON: {exc}") from None
     top = _obj(doc, "", {"version", "kind", "metadata", "body"}, ("version", "kind", "body"))
     version = _scalar(int, top["version"], "version")
     if version not in SUPPORTED_VERSIONS:
@@ -450,11 +448,6 @@ def scenario_document(scenario: Scenario) -> dict:
     if scenario.metadata:
         doc["metadata"] = dict(scenario.metadata)
     return doc
-
-
-def serialize_scenario(scenario: Scenario) -> str:
-    """Canonical JSON text; parse_scenario(serialize_scenario(s)) == s."""
-    return json.dumps(scenario_document(scenario), indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

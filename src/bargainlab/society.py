@@ -131,7 +131,6 @@ class WealthTrace:
     totals: np.ndarray
     injected_per_epoch: float
     final_wealth: np.ndarray
-    config: SocietyConfig
 
     @property
     def final_gini(self) -> float:
@@ -278,8 +277,8 @@ def _run_batch(cfgs: list[SocietyConfig]) -> list[WealthTrace]:
 
     injected = pairings * n_pairs * surplus
     return [WealthTrace(gini_series=gini_series[s], totals=totals[s],
-                        injected_per_epoch=injected, final_wealth=wealth[s], config=c)
-            for s, c in enumerate(cfgs)]
+                        injected_per_epoch=injected, final_wealth=wealth[s])
+            for s in range(len(cfgs))]
 
 
 @dataclass(frozen=True)
@@ -292,7 +291,6 @@ class RegimeComparison:
     mean_a: float
     mean_b: float
     mean_diff: float  # mean_a - mean_b
-    sign: int  # -1, 0, or +1
 
     @property
     def n_positive(self) -> int:
@@ -319,13 +317,11 @@ def compare_regimes(cfg_a: SocietyConfig, cfg_b: SocietyConfig,
     final_a, final_b = final_ginis(cfg_a), final_ginis(cfg_b)
     mean_a = sum(final_a) / n_seeds
     mean_b = sum(final_b) / n_seeds
-    diff = mean_a - mean_b
     return RegimeComparison(
         seeds=seeds,
         final_gini_a=final_a,
         final_gini_b=final_b,
         mean_a=mean_a,
         mean_b=mean_b,
-        mean_diff=diff,
-        sign=(diff > 0) - (diff < 0),
+        mean_diff=mean_a - mean_b,
     )

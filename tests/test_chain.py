@@ -21,6 +21,16 @@ def stage(name="link", seller=None, buyer=None, base=40.0, floor=0.0, rates=SYM)
     return ChainStage(name, seller or neutral(S), buyer or neutral(B), base, rates, floor)
 
 
+def settle(spec):
+    """propagate with ChainScenario's default stopping rule."""
+    return propagate(spec, None, 5000)
+
+
+def squeeze_total(report):
+    """Margin shares plus the final settlement share: 1 when every link settled."""
+    return sum(share for _, share in report.margin_shares) + report.final_settlement_share
+
+
 def raise_buyer_power(spec, index, factor):
     target = spec.stages[index]
     view = target.buyer_view
@@ -65,7 +75,7 @@ def test_single_stage_reduces_to_one_negotiation():
 def test_two_stage_symmetric_settles_at_midpoints():
     spec = ChainSpec(stages=(stage("retail", base=40.0), stage("supply", base=10.0)),
                      anchor_price=100.0)
-    results = propagate(spec)
+    results = settle(spec)
     assert results[0].settlement == pytest.approx(70.0, abs=1e-3)  # mid of (40, 100)
     assert results[1].settlement == pytest.approx(40.0, abs=1e-3)  # mid of (10, ~70)
     assert all(r.margin > 0 for r in results)
@@ -74,17 +84,17 @@ def test_two_stage_symmetric_settles_at_midpoints():
 def test_margin_shares_conserve_anchor():
     spec = ChainSpec(stages=(stage("retail", base=40.0), stage("supply", base=10.0)),
                      anchor_price=100.0)
-    report = squeeze_report(propagate(spec))
+    report = squeeze_report(settle(spec))
     assert report.complete
     assert report.anchor_price == pytest.approx(100.0)
-    assert report.total == pytest.approx(1.0, abs=1e-9)
+    assert squeeze_total(report) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_degenerate_zero_margin_chain():
     # buyer and seller reserves coincide with the anchor: zero margin,
     # the terminal settlement keeps the whole anchor
     spec = ChainSpec(stages=(stage(base=100.0),), anchor_price=100.0)
-    report = squeeze_report(propagate(spec))
+    report = squeeze_report(settle(spec))
     assert report.margin_shares[0][1] == pytest.approx(0.0, abs=1e-9)
     assert report.final_settlement_share == pytest.approx(1.0, abs=1e-9)
 
@@ -94,7 +104,7 @@ def test_breakdown_cascades_downstream():
     blocked = stage("blocked", base=500.0)
     spec = ChainSpec(stages=(stage("retail", base=40.0), blocked, stage("deep", base=1.0)),
                      anchor_price=100.0)
-    results = propagate(spec)
+    results = settle(spec)
     assert results[0].settled
     assert not results[1].settled
     assert results[1].buyer_reserve_effective is not None  # it did negotiate
@@ -109,7 +119,7 @@ def test_upstream_results_are_bit_identical_under_deep_perturbation():
     base_spec = ChainSpec(stages=(stage("retail", base=40.0), stage("supply", base=10.0)),
                           anchor_price=100.0)
     perturbed = raise_buyer_power(base_spec, 1, 3.0)
-    assert propagate(base_spec)[0] == propagate(perturbed)[0]
+    assert settle(base_spec)[0] == settle(perturbed)[0]
 
 
 def test_monotone_squeeze_from_stage_power():
@@ -117,9 +127,9 @@ def test_monotone_squeeze_from_stage_power():
                              stage("mid", base=15.0),
                              stage("deep", base=5.0)),
                      anchor_price=100.0)
-    base_results = propagate(spec)
+    base_results = settle(spec)
     for factor in (1.5, 2.0, 3.0):
-        squeezed = propagate(raise_buyer_power(spec, 1, factor))
+        squeezed = settle(raise_buyer_power(spec, 1, factor))
         # stages before k unchanged, stages >= k weakly lower, margin at k up
         assert squeezed[0] == base_results[0]
         for k in (1, 2):
@@ -145,11 +155,11 @@ def test_random_chains_conserve_and_squeeze_monotonically():
                                       float(rng.uniform(0.05, 0.25)),
                                       float(rng.uniform(0.0, 0.12)))))
         spec = ChainSpec(stages=tuple(stages), anchor_price=100.0)
-        results = propagate(spec)
+        results = settle(spec)
         if all(r.settled for r in results):
             checked += 1
-            assert squeeze_report(results).total == pytest.approx(1.0, abs=1e-9)
-        stronger = propagate(raise_buyer_power(spec, 0, 1.5))
+            assert squeeze_total(squeeze_report(results)) == pytest.approx(1.0, abs=1e-9)
+        stronger = settle(raise_buyer_power(spec, 0, 1.5))
         for weak, strong in zip(results, stronger):
             if weak.settled and strong.settled:
                 assert strong.settlement <= weak.settlement + 1e-9

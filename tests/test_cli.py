@@ -358,3 +358,97 @@ def test_malformed_documents_name_the_field(case, tmp_path_factory):
     lines = err.getvalue().splitlines()
     assert code == 1 and len(lines) == 1, (code, lines)
     assert lines[0].startswith(f"bargainlab: scenario error: {path}: {rule}"), lines
+
+
+def _edited(name, edit):
+    doc = json.loads(preset_text(name))
+    edit(doc["body"])
+    return doc
+
+
+RATIO_BELOW_FLOAT_RANGE = {"own_motivation": 1.0, "other_motivation_perceived": 1e-310,
+                           "own_power": 1.0, "other_power_perceived": 1.0}
+
+
+@pytest.mark.parametrize("doc, path", [
+    # gains 2e200 and costs 1e200: the equity index would be inf / inf
+    (_edited("casting-selection", lambda b: b["proposal"].update(
+        gain_for_a=2e200, gain_for_b=2e200, give_cost_a=1e200, give_cost_b=1e200)),
+     "proposal.gain_for_b"),  # of the inputs of largest magnitude, the first
+    (_edited("casting-selection", lambda b: (
+        b["proposal"].update(gain_for_b=1.7e308),
+        b["influence_b"].update(threat_on_refusal=1.7e308))), "proposal.gain_for_b"),
+    (_edited("casting-selection", lambda b: b["proposal"].update(
+        gain_for_a=-1.7e308, give_cost_a=1.7e308)), "proposal.give_cost_a"),
+    (_edited("fig3", lambda b: b["buyer"].update(view={
+        "own_motivation": 1e200, "other_motivation_perceived": 1e-5,
+        "own_power": 1.0, "other_power_perceived": 1e200})), "buyer.view"),
+    # a seller divides its rates by its ratio: 1 / 1e-310 overflows
+    (_edited("fig3", lambda b: (b["seller"].update(view=RATIO_BELOW_FLOAT_RANGE),
+                                b.update(scale_rates_by_imbalance=True))), "seller.view"),
+    (_edited("kilns", lambda b: b["stages"][0].update(seller_view=RATIO_BELOW_FLOAT_RANGE)),
+     "stages[0].seller_view"),
+    (_edited("kilns", lambda b: b["stages"][0]["seller_view"].update(own_power=1.7e308)),
+     "stages[0].base_seller_reserve"),
+], ids=["nonmarket-equity", "nonmarket-threat", "nonmarket-motivation", "buyer-ratio",
+        "seller-reciprocal", "chain-ratio", "chain-seller-reserve"])
+def test_out_of_range_inputs_are_rejected_at_a_document_path(doc, path, tmp_path, capsys):
+    target = tmp_path / "doc.json"
+    target.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"bargainlab: scenario error: {path}: ")
+
+
+# ---------------------------------------------------------------------------
+# huge and tiny values: one numeric field of a preset set to an extreme
+
+EXTREMES = ["1.7e308", "-1.7e308", "1e200", "5e-324"]
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_extreme_values_run_finite_or_name_a_document_path(name, tmp_path):
+    """Every number of a preset set to each extreme either runs to a report
+    of finite numbers or is rejected with one line naming a document path."""
+    paths = {_field_path(keys) for keys, _ in _leaves(PRESETS[name]["body"])}
+    numbers = [k for k, v in _leaves(PRESETS[name]["body"])
+               if k and isinstance(v, (int, float)) and not isinstance(v, bool)]
+    target = tmp_path / "doc.json"
+    failures = []
+    for keys in numbers:
+        for literal in EXTREMES:
+            doc = json.loads(json.dumps(PRESETS[name]))
+            parent = doc["body"]
+            for key in keys[:-1]:
+                parent = parent[key]
+            parent[keys[-1]] = "__literal__"
+            target.write_text(json.dumps(doc).replace('"__literal__"', literal))
+            for fmt in ("json", "csv"):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(["run", "--scenario", str(target), "--format", fmt])
+                problem = _extreme_problem(code, out.getvalue(), err.getvalue(), fmt, paths)
+                if problem:
+                    failures.append(f"{_field_path(keys)}={literal} ({fmt}): {problem}")
+    assert not failures, "\n".join(failures)
+
+
+def _extreme_problem(code, out, err, fmt, paths):
+    """What is wrong with one run's exit code and output, or None."""
+    if code == 0:
+        if fmt == "json":
+            try:
+                json.loads(out, parse_constant=_no_non_finite)
+            except AssertionError as exc:
+                return str(exc)
+        elif any(cell.strip("-") in ("inf", "inf.0", "nan", "nan.0")
+                 for line in out.splitlines() for cell in line.split(",")):
+            return "non-finite CSV cell"
+        return None
+    lines = err.splitlines()
+    prefix = "bargainlab: scenario error: "
+    if code != 1 or len(lines) != 1 or not lines[0].startswith(prefix):
+        return f"exit {code}: {lines}"
+    path = lines[0][len(prefix):].split(": ", 1)[0]
+    return None if path in paths else f"path not in the document: {lines[0]}"

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bargainlab.core import (DEFAULT_EPSILON, PerceptionView, Role,
-                             adjust_reserve_full, adjust_reserve_motivation,
-                             equity_index, imbalance_ratio, motivation, power)
+                             adjust_reserve_full, equity_index, imbalance_ratio,
+                             motivation, power)
 from bargainlab.errors import DegenerateRatio, InvalidInput
 
 magnitudes = st.floats(min_value=0.01, max_value=100.0,
@@ -106,13 +106,15 @@ class TestImbalanceRatio:
         assert imbalance_ratio(scaled) == pytest.approx(imbalance_ratio(view), rel=1e-9)
 
 
+def motivation_ratio(view):
+    """The motivation factor of the imbalance ratio: own/other for a buyer,
+    other/own for a seller."""
+    if view.role is Role.BUYER:
+        return view.own_motivation / view.other_motivation_perceived
+    return view.other_motivation_perceived / view.own_motivation
+
+
 class TestReserveAdjustment:
-    def test_motivation_only_buyer(self):
-        assert adjust_reserve_motivation(10.0, buyer_view(1.0, 2.0, 1.0, 1.0)) == pytest.approx(5.0)
-
-    def test_motivation_only_seller(self):
-        assert adjust_reserve_motivation(10.0, seller_view(1.0, 3.0, 1.0, 1.0)) == pytest.approx(30.0)
-
     def test_full_buyer_squeeze(self):
         # motivation factor 0.2, power factor 0.1: 5.0 -> 0.10
         view = buyer_view(1.0, 5.0, 10.0, 1.0)
@@ -132,7 +134,6 @@ class TestReserveAdjustment:
     def test_identity_at_ratio_one_is_exact(self, base, m, k, role):
         view = PerceptionView(m, m, k, k, role)
         assert adjust_reserve_full(base, view) == base
-        assert adjust_reserve_motivation(base, view) == base
 
     @given(base=prices, view=views,
            lam=st.floats(min_value=0.0, max_value=1000.0, allow_nan=False))
@@ -162,7 +163,7 @@ class TestReserveAdjustment:
                                         view.other_motivation_perceived,
                                         view.own_power, view.own_power, view.role)
         assert (adjust_reserve_full(base, balanced_power)
-                == adjust_reserve_motivation(base, balanced_power))
+                == max(0.0, base * motivation_ratio(balanced_power)))
 
     @given(base=prices, view=views)
     def test_never_negative(self, base, view):

@@ -291,7 +291,7 @@ class TestFixedPoint:
 
 def step_matrix(rates):
     """Linear part of `step`, read off from unit offers with zero reserves."""
-    cfg = NegotiationConfig(0.0, 0.0, 0.0, 0.0, rates)
+    cfg = NegotiationConfig(0.0, 0.0, 0.0, 0.0, rates, 0.05, 1)
     return np.array([step(1.0, 0.0, cfg), step(0.0, 1.0, cfg)]).T
 
 

@@ -5,17 +5,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bargainlab.errors import InvalidInput
-from bargainlab.nonmarket import (ExchangeProposal, ExternalInfluence, Verdict,
-                                  welfare_balance)
+from bargainlab.nonmarket import (ExchangeProposal, ExternalInfluence, NonmarketScenario,
+                                  Verdict, welfare_balance)
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False)
 costs = st.floats(min_value=0.0, max_value=50.0, allow_nan=False, allow_infinity=False)
 
 
+def balance(proposal, **context):
+    """Balance sheet of a proposal in a context of threats, shields and promises."""
+    return welfare_balance(NonmarketScenario(proposal, **context))
+
+
 def verdict(m_a_eff, m_b_eff):
     """Verdict of an exchange, free of threats, with these effective motivations."""
-    return welfare_balance(ExchangeProposal(give_cost_a=0.0, gain_for_b=m_b_eff,
-                                            give_cost_b=0.0, gain_for_a=m_a_eff)).verdict
+    return balance(ExchangeProposal(give_cost_a=0.0, gain_for_b=m_b_eff,
+                                    give_cost_b=0.0, gain_for_a=m_a_eff)).verdict
 
 
 class TestValidation:
@@ -33,13 +38,13 @@ class TestValidation:
     def test_promise_prob_bounds(self):
         proposal = ExchangeProposal(1.0, 1.0, 1.0, 1.0)
         with pytest.raises(InvalidInput):
-            welfare_balance(proposal, promise_keep_prob=1.5)
+            balance(proposal, promise_keep_prob=1.5)
 
 
 class TestAcceptanceCases:
     def test_symmetric_exchange_accepted_with_unit_equity(self):
-        result = welfare_balance(ExchangeProposal(give_cost_a=2.0, gain_for_b=4.0,
-                                                  give_cost_b=2.0, gain_for_a=4.0))
+        result = balance(ExchangeProposal(give_cost_a=2.0, gain_for_b=4.0,
+                                          give_cost_b=2.0, gain_for_a=4.0))
         assert result.m_a == 2.0
         assert result.m_b_raw == 2.0
         assert result.verdict is Verdict.BOTH_ACCEPT
@@ -49,8 +54,7 @@ class TestAcceptanceCases:
         # B loses on the goods alone (-1) but refusing costs 3 more
         proposal = ExchangeProposal(give_cost_a=0.5, gain_for_b=1.0,
                                     give_cost_b=2.0, gain_for_a=4.0)
-        result = welfare_balance(proposal,
-                                 influence_b=ExternalInfluence(threat_on_refusal=3.0))
+        result = balance(proposal, influence_b=ExternalInfluence(threat_on_refusal=3.0))
         assert result.m_b_raw == -1.0
         assert result.m_b_effective == 2.0
         assert result.verdict is Verdict.BOTH_ACCEPT
@@ -58,9 +62,8 @@ class TestAcceptanceCases:
     def test_full_shield_nullifies_the_threat(self):
         proposal = ExchangeProposal(give_cost_a=0.5, gain_for_b=1.0,
                                     give_cost_b=2.0, gain_for_a=4.0)
-        result = welfare_balance(proposal,
-                                 influence_b=ExternalInfluence(threat_on_refusal=3.0,
-                                                               shield=1.0))
+        result = balance(proposal,
+                         influence_b=ExternalInfluence(threat_on_refusal=3.0, shield=1.0))
         assert result.m_b_effective == -1.0
         assert result.verdict is Verdict.B_REFUSES
 
@@ -93,8 +96,8 @@ class TestThreats:
     def test_effective_motivation_monotone_in_threat(self, gain_b, cost_b,
                                                      threat_lo, extra, shield):
         proposal = ExchangeProposal(1.0, gain_b, cost_b, 1.0)
-        low = welfare_balance(proposal, influence_b=ExternalInfluence(threat_lo, shield))
-        high = welfare_balance(proposal, influence_b=ExternalInfluence(threat_lo + extra, shield))
+        low = balance(proposal, influence_b=ExternalInfluence(threat_lo, shield))
+        high = balance(proposal, influence_b=ExternalInfluence(threat_lo + extra, shield))
         assert high.m_b_effective >= low.m_b_effective
 
     @given(gain_b=finite, cost_b=costs, threat=costs,
@@ -104,20 +107,20 @@ class TestThreats:
                                                      shield_lo, shield_hi):
         shield_lo, shield_hi = sorted((shield_lo, shield_hi))
         proposal = ExchangeProposal(1.0, gain_b, cost_b, 1.0)
-        weak = welfare_balance(proposal, influence_b=ExternalInfluence(threat, shield_hi))
-        strong = welfare_balance(proposal, influence_b=ExternalInfluence(threat, shield_lo))
+        weak = balance(proposal, influence_b=ExternalInfluence(threat, shield_hi))
+        strong = balance(proposal, influence_b=ExternalInfluence(threat, shield_lo))
         assert strong.m_b_effective >= weak.m_b_effective
 
 
 class TestPromiseDiscount:
     def test_default_is_no_discount(self):
         proposal = ExchangeProposal(0.5, 10.0, 5.0, 5.5)
-        assert welfare_balance(proposal) == welfare_balance(proposal, promise_keep_prob=1.0)
+        assert balance(proposal) == balance(proposal, promise_keep_prob=1.0)
 
     def test_discount_scales_gain_and_power(self):
         proposal = ExchangeProposal(give_cost_a=0.5, gain_for_b=10.0,
                                     give_cost_b=5.0, gain_for_a=5.5)
-        result = welfare_balance(proposal, promise_keep_prob=0.8)
+        result = balance(proposal, promise_keep_prob=0.8)
         assert result.m_b_raw == pytest.approx(3.0)   # 8 - 5
         assert result.k_a == pytest.approx(7.5)       # 8 - 0.5
         assert result.m_a == pytest.approx(5.0)       # untouched
@@ -126,8 +129,8 @@ class TestPromiseDiscount:
     def test_broken_promise_can_flip_the_verdict(self):
         proposal = ExchangeProposal(give_cost_a=0.5, gain_for_b=6.0,
                                     give_cost_b=5.0, gain_for_a=5.5)
-        assert welfare_balance(proposal).verdict is Verdict.BOTH_ACCEPT
-        assert welfare_balance(proposal, promise_keep_prob=0.5).verdict is Verdict.B_REFUSES
+        assert balance(proposal).verdict is Verdict.BOTH_ACCEPT
+        assert balance(proposal, promise_keep_prob=0.5).verdict is Verdict.B_REFUSES
 
 
 class TestEquity:
@@ -135,7 +138,7 @@ class TestEquity:
         # extortion: B's own balance is negative, the index has no meaning
         proposal = ExchangeProposal(give_cost_a=0.2, gain_for_b=1.0,
                                     give_cost_b=4.0, gain_for_a=4.5)
-        result = welfare_balance(proposal, influence_b=ExternalInfluence(10.0, 0.0))
+        result = balance(proposal, influence_b=ExternalInfluence(10.0, 0.0))
         assert result.m_b_raw < 0
         assert result.equity is None
         assert result.verdict is Verdict.BOTH_ACCEPT
@@ -144,9 +147,8 @@ class TestEquity:
         # raising what the weak side's good is worth to A raises k_b
         previous = 0.0
         for gain_for_a in (2.2, 2.6, 3.0, 3.4):
-            result = welfare_balance(ExchangeProposal(give_cost_a=0.5, gain_for_b=6.0,
-                                                      give_cost_b=2.0,
-                                                      gain_for_a=gain_for_a))
+            result = balance(ExchangeProposal(give_cost_a=0.5, gain_for_b=6.0,
+                                              give_cost_b=2.0, gain_for_a=gain_for_a))
             assert result.equity is not None
             assert previous < result.equity < 1.0
             previous = result.equity

@@ -85,6 +85,18 @@ TRACE_CASES = {
 }
 
 
+def assert_canonical(text):
+    """``text`` equals the stdlib encoding of what it decodes to.  A mismatch
+    reports the first differing offset, not a diff of two long reports."""
+    canonical = json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    if text != canonical:
+        at = next((i for i, (a, b) in enumerate(zip(text, canonical)) if a != b),
+                  min(len(text), len(canonical)))
+        around = slice(max(0, at - 20), at + 20)
+        pytest.fail(f"report differs from the canonical encoding at offset {at}: "
+                    f"{text[around]!r} != {canonical[around]!r}")
+
+
 @pytest.mark.parametrize("name", preset_names() + list(TRACE_CASES))
 def test_json_report_bytes_are_the_canonical_encoding(name):
     if name in TRACE_CASES:
@@ -93,8 +105,7 @@ def test_json_report_bytes_are_the_canonical_encoding(name):
         assert len(report.outcome["steps"]) == rows
     else:
         report = run_scenario(load_preset(name))
-    text = report_to_json(report)
-    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    assert_canonical(report_to_json(report))
 
 
 anchor = st.one_of(st.floats(-1e6, 1e6), st.floats(-1e300, 1e300),
@@ -124,8 +135,7 @@ def test_json_report_of_any_negotiation_is_the_canonical_encoding(text):
         scenario = parse_scenario(text)
     except InvariantError:
         assume(False)
-    text = report_to_json(run_scenario(scenario))
-    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    assert_canonical(report_to_json(run_scenario(scenario)))
 
 
 def test_json_report_memory_is_bounded_by_its_length():
