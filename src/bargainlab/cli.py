@@ -16,6 +16,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -36,6 +37,9 @@ def _read_scenario_text(spec: str) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # no engine calls BLAS, so OpenBLAS's thread pool only costs start-up
+    # time; a user's own setting wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = argparse.ArgumentParser(prog="bargainlab",
                                      description="bilateral-exchange simulator")
     sub = parser.add_subparsers(dest="command", required=True)

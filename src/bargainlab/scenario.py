@@ -44,9 +44,11 @@ SUPPORTED_VERSIONS = (1,)
 PRESETS = Path(__file__).with_name("presets")
 
 #: Work budget, checked at parse time: a negotiation or chain may run at
-#: most MAX_STEPS steps per link, a society may hold at most MAX_AGENTS
-#: agents and make at most MAX_EXCHANGES pair exchanges in all.
+#: most MAX_STEPS steps per link and a chain MAX_CHAIN_STEPS over all its
+#: links, a society may hold at most MAX_AGENTS agents and make at most
+#: MAX_EXCHANGES pair exchanges in all.
 MAX_STEPS = 100_000
+MAX_CHAIN_STEPS = 10 * MAX_STEPS
 MAX_AGENTS = 1_000_000
 MAX_EXCHANGES = 10 ** 7
 
@@ -366,6 +368,12 @@ def _check_steps(body) -> None:
         raise InvariantError("max_steps", f"must be <= {MAX_STEPS}")
 
 
+def _check_chain(body) -> None:
+    _check_steps(body)
+    if len(body.spec.stages) * body.max_steps > MAX_CHAIN_STEPS:
+        raise InvariantError("stages", f"len(stages) * max_steps must be <= {MAX_CHAIN_STEPS}")
+
+
 # NegotiationConfig fields that to_config() derives from other document fields.
 _CONFIG_PATHS = {"buyer_open": "buyer.open", "seller_open": "seller.open",
                  "buyer_reserve_adj": "buyer.reserve", "seller_reserve_adj": "seller.reserve"}
@@ -402,7 +410,7 @@ class Kind:
 
 KINDS = {
     "negotiation": Kind("negotiation", "NegotiationScenario", _run_negotiation, _check_negotiation),
-    "chain": Kind("chain", "ChainScenario", _run_chain, _check_steps),
+    "chain": Kind("chain", "ChainScenario", _run_chain, _check_chain),
     "nonmarket": Kind("nonmarket", "NonmarketScenario", _run_nonmarket),
     "power_chain": Kind("powerchain", "PowerChainScenario", _run_power_chain),
     "society": Kind("society", "SocietyConfig", _run_society, _check_society),

@@ -17,7 +17,8 @@ inequality is tracked with the Gini coefficient.
 
 A round's pairs are disjoint, so the kernel applies a whole round as one
 array update, which gives the same floats as taking its pairs one at a
-time.  ``compare_regimes`` runs its seeds as the rows of one wealth array.
+time.  ``compare_regimes`` runs its seeds as the rows of one wealth array,
+and the Ginis of every seed over a block of epochs are taken in one pass.
 """
 
 from __future__ import annotations
@@ -138,30 +139,56 @@ class WealthTrace:
 
 
 def gini(wealths) -> float:
-    """Gini coefficient: mean absolute pairwise difference over twice the mean.
+    """Gini coefficient of a 1-D sequence: mean absolute pairwise difference
+    over twice the mean.  Ranges from 0 (perfect equality) to 1 - 1/n (one
+    agent holds everything).
 
     Computed via the sorted-index identity, which is O(n log n) and equal
-    to the n^2-pair definition.  Ranges from 0 (perfect equality) to
-    1 - 1/n (one agent holds everything).
+    to the n^2-pair definition: with x(1) <= ... <= x(n) the sorted values,
+    G = 2 * sum_i i * x(i) / (n * total) - (n + 1) / n.  The rank-weighted
+    sum is taken as sum_i i * x(i) = sum_k S_k, where S_k = x(k) + ... + x(n)
+    are the suffix sums (x(i) sits in S_1 ... S_i).  Both sums are
+    ``np.add.accumulate`` passes, which add in sequence and call no BLAS, so
+    the result does not depend on the BLAS build or its thread count.  Every
+    term is non-negative, so nothing cancels: each sum is within n rounding
+    errors of its exact value.
     """
     arr = np.asarray(wealths, dtype=float)
+    if arr.ndim != 1:
+        raise InvalidInput("gini takes a 1-D sequence of values")
     if arr.size == 0:
         raise EmptyInput("gini needs at least one value")
-    if not np.all(np.isfinite(arr)):
+    return _gini_rows(np.sort(arr)[None, :])[0]
+
+
+_TOO_LARGE = "gini values are too large: 2n times their sum overflows"
+
+
+def _gini_rows(ranked: np.ndarray) -> list[float]:
+    """``gini`` of each row of ``ranked``, a (rows, n) array sorted along its
+    rows.  Each row is summed on its own, so its result does not depend on
+    the other rows."""
+    n = ranked.shape[1]
+    lo, hi = ranked[:, 0].tolist(), ranked[:, -1].tolist()
+    # NaN sorts last and -inf first, so a row's ends check all of it
+    if not all(map(math.isfinite, lo + hi)):
         raise InvalidInput("gini values must be finite")
-    if np.any(arr < 0.0):
+    if min(lo) < 0.0:
         raise InvalidInput("gini values must be non-negative")
-    n = arr.size
-    with np.errstate(over="ignore"):  # an overflowing sum is rejected below
-        total = float(arr.sum())
-    # the rank-weighted sum below is at most n * total: 2n * total bounds every step
-    if not math.isfinite(2.0 * n * total):
-        raise InvalidInput("gini values are too large: 2n times their sum overflows")
-    if total == 0.0:
+    # the rank-weighted sum is at most n * total: 2n * total bounds every step.
+    # A total is at least its row's largest value, so checking that first
+    # means no partial sum overflows
+    bound = 2.0 * n
+    if not math.isfinite(bound * max(hi)):
+        raise InvalidInput(_TOO_LARGE)
+    suffix = np.add.accumulate(ranked[:, ::-1], axis=1)  # S_n, ..., S_1
+    totals = suffix[:, -1].tolist()
+    if not math.isfinite(bound * max(totals)):
+        raise InvalidInput(_TOO_LARGE)
+    if min(totals) == 0.0:
         raise AllZero("gini is undefined when every value is zero")
-    ranked = np.sort(arr)
-    weighted = float(np.dot(np.arange(1, n + 1), ranked))
-    return 2.0 * weighted / (n * total) - (n + 1) / n
+    weighted = np.add.accumulate(suffix, axis=1)[:, -1].tolist()
+    return [2.0 * w / (n * t) - (n + 1) / n for w, t in zip(weighted, totals)]
 
 
 def _sample_initial(dist: WealthDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -210,6 +237,9 @@ def run_society(cfg: SocietyConfig) -> WealthTrace:
 #: Permutation indices drawn at a time across a batch; rounds are drawn in
 #: chunks of this size, so memory does not grow with the number of rounds.
 _PERM_INDICES = 1 << 16
+#: Wealth values measured in one Gini pass: a block of epochs' snapshots,
+#: small enough that the pass works in cache.
+_GINI_VALUES = 1 << 14
 
 
 def _run_batch(cfgs: list[SocietyConfig]) -> list[WealthTrace]:
@@ -229,20 +259,28 @@ def _run_batch(cfgs: list[SocietyConfig]) -> list[WealthTrace]:
     gini_series = np.empty((len(cfgs), cfg.epochs + 1))
     totals = np.empty((len(cfgs), cfg.epochs + 1))
 
-    def record(epoch: int, field: str) -> None:
-        for s, row in enumerate(wealth):
-            # gini rejects positive wealth only when it leaves the float range;
-            # report that at the config field that drove it there
-            try:
-                gini_series[s, epoch] = gini(row)
-            except InvalidInput:
-                raise InvalidConfig("total wealth overflows the float range",
-                                    field=field) from None
+    # each epoch's wealth is held here and a block of epochs is measured in
+    # one pass, so a small population does not pay numpy's per-call cost
+    # every epoch
+    held = np.empty((min(cfg.epochs, max(1, _GINI_VALUES // (len(cfgs) * n))), len(cfgs), n))
+
+    def measure(first: int, snapshots: np.ndarray, field: str) -> None:
+        """Record the Ginis and totals of epochs first, first + 1, ... from
+        their (epochs, seeds, n) wealth snapshots."""
+        span = slice(first, first + len(snapshots))
+        # gini rejects positive wealth only when it leaves the float range;
+        # report that at the config field that drove it there
+        try:
+            ginis = _gini_rows(np.sort(snapshots, axis=2).reshape(-1, n))
+        except InvalidInput:
+            raise InvalidConfig("total wealth overflows the float range",
+                                field=field) from None
+        gini_series[:, span] = np.reshape(ginis, snapshots.shape[:2]).T
         # a running sum adds left to right like Python's sum(), where numpy's
         # sum() adds pairwise and rounds differently
-        totals[:, epoch] = np.add.accumulate(wealth, axis=1)[:, -1]
+        totals[:, span] = np.add.accumulate(snapshots, axis=2)[..., -1].T
 
-    record(0, "initial_wealth")
+    measure(0, wealth[None], "initial_wealth")
 
     surplus, regime = cfg.unit_surplus, cfg.regime
     flat = wealth.reshape(-1)  # a view: pairs index agents across all rows
@@ -250,7 +288,7 @@ def _run_batch(cfgs: list[SocietyConfig]) -> list[WealthTrace]:
     chunk = min(rounds, max(1, _PERM_INDICES // (len(cfgs) * n)))
     orders = np.empty((len(cfgs), chunk, n), dtype=np.intp)
     row_offsets = (np.arange(len(cfgs)) * n)[:, None, None]
-    # inf and nan wealth are reported by record(); numpy need not warn first
+    # inf and nan wealth are reported by measure(); numpy need not warn first
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(rounds):
             k = t % chunk
@@ -273,7 +311,11 @@ def _run_batch(cfgs: list[SocietyConfig]) -> list[WealthTrace]:
             flat[rich] = w_rich + surplus * share_rich
             flat[poor] = w_poor + surplus * (1.0 - share_rich)
             if (t + 1) % pairings == 0:
-                record((t + 1) // pairings, "unit_surplus")
+                epoch = (t + 1) // pairings
+                slot = (epoch - 1) % len(held)
+                held[slot] = wealth
+                if slot + 1 == len(held) or epoch == cfg.epochs:
+                    measure(epoch - slot, held[:slot + 1], "unit_surplus")
 
     injected = pairings * n_pairs * surplus
     return [WealthTrace(gini_series=gini_series[s], totals=totals[s],

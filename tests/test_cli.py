@@ -251,9 +251,15 @@ def test_society_overflow_is_a_scenario_error(edit, path, tmp_path, capsys):
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _python(*args):
+def _python(*args, **env_vars):
+    """Run Python on the repository's ``src``; an ``env_vars`` value of None
+    unsets that variable."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    for name, value in env_vars.items():
+        env.pop(name, None)
+        if value is not None:
+            env[name] = value
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env=env, timeout=120)
 
@@ -278,6 +284,52 @@ def test_only_society_runs_load_numpy():
         print("numpy" in sys.modules)
         """)
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "False\n")
+
+
+@pytest.mark.parametrize("given,after", [(None, "1"), ("2", "2")])
+def test_cli_runs_blas_on_one_thread_unless_told_otherwise(given, after):
+    """Importing the library leaves the variable alone; ``main`` sets it
+    only when it is unset."""
+    proc = _python("-c", """if True:
+        import contextlib, io, os
+        from bargainlab import cli
+        imported = os.environ.get("OPENBLAS_NUM_THREADS")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["presets"]) == 0
+        print(imported, os.environ["OPENBLAS_NUM_THREADS"])
+        """, OPENBLAS_NUM_THREADS=given)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", f"{given} {after}\n")
+
+
+SOCIETY_PRESETS = ["society-authoritarian", "society-institutional"]
+
+
+def _society_reports(**env_vars):
+    """Both society presets' JSON reports from one CLI process, without the
+    wall-clock ``duration_s`` line."""
+    proc = _python("-c", f"""if True:
+        import contextlib, io, sys
+        from bargainlab import cli
+        for name in {SOCIETY_PRESETS!r}:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(["run", "--scenario", name]) == 0, name
+            sys.stdout.write(out.getvalue())
+        """, **env_vars)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return [line for line in proc.stdout.splitlines() if '"duration_s":' not in line]
+
+
+def test_society_reports_do_not_depend_on_the_blas_kernel_or_threads():
+    """OpenBLAS picks its kernels by CPU and splits work across threads,
+    and either can change how a sum rounds.  No society number may go
+    through it."""
+    reports = {(core, threads): _society_reports(OPENBLAS_CORETYPE=core,
+                                                 OPENBLAS_NUM_THREADS=threads)
+               for core in (None, "Haswell", "Sandybridge") for threads in ("1", "2")}
+    first = reports[None, "1"]
+    assert sum('"gini_series":' in line for line in first) == len(SOCIETY_PRESETS)
+    assert {key: report == first for key, report in reports.items()} == dict.fromkeys(reports, True)
 
 
 # ---------------------------------------------------------------------------

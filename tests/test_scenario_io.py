@@ -14,7 +14,7 @@ from bargainlab.nonmarket import ExchangeProposal, ExternalInfluence, NonmarketS
 from bargainlab.powerchain import PowerChainScenario, TrustEdge, TrustGraph
 from bargainlab.report import report_to_json, run_scenario, write_trace_csv
 from bargainlab import __version__
-from bargainlab.scenario import (MAX_EXCHANGES, MAX_STEPS, Scenario, load_preset,
+from bargainlab.scenario import (MAX_CHAIN_STEPS, MAX_EXCHANGES, MAX_STEPS, Scenario, load_preset,
                                  parse_scenario, preset_names, preset_text, scenario_document)
 from bargainlab.society import (Authoritarian, Constant, Institutional,
                                 SocietyConfig, Uniform)
@@ -237,8 +237,33 @@ class TestParsing:
         path = "epochs" if keys == ("pairings_per_epoch",) else field_path(keys)
         assert (excinfo.value.path, excinfo.value.rule) == (path, rule)
 
+    def test_chain_budget_counts_every_link(self):
+        # 80 links, each seller reserve 1.0 below the price its link is
+        # offered: every link stalls for ~99 000 steps
+        neutral = {"own_motivation": 1.0, "other_motivation_perceived": 1.0,
+                   "own_power": 1.0, "other_power_perceived": 1.0}
+        rates = {"r_a": 7e-6, "r_a_prime": 0.0, "r_b": 7e-6, "r_b_prime": 0.0}
+        stages = [{"name": f"link-{i}", "buyer_view": neutral, "seller_view": neutral,
+                   "base_seller_reserve": 99.0 - 0.5 * i, "rates": rates} for i in range(80)]
+        doc = {"version": 1, "kind": "chain", "body": {
+            "anchor_price": 100.0, "gap_epsilon": 1e-9, "max_steps": MAX_STEPS, "stages": stages}}
+        with pytest.raises(InvariantError) as excinfo:
+            parse_scenario(json.dumps(doc))
+        assert (excinfo.value.path, excinfo.value.rule) == (
+            "stages", f"len(stages) * max_steps must be <= {MAX_CHAIN_STEPS}")
+
+    @pytest.mark.parametrize("preset", ["baterias", "kilns", "tomato-south"])
+    def test_chain_presets_run_at_the_step_limit(self, preset):
+        scenario = parse_scenario(with_literal(preset, ("max_steps",), json.dumps(MAX_STEPS)))
+        # every link settles long before the preset's own max_steps
+        assert run_scenario(scenario).outcome == run_scenario(load_preset(preset)).outcome
+
     def test_budget_admits_its_limits(self):
         parse_scenario(with_literal("fig3", ("max_steps",), json.dumps(MAX_STEPS)))
+        doc = json.loads(preset_text("kilns"))
+        doc["body"].update(stages=doc["body"]["stages"][:1] * (MAX_CHAIN_STEPS // MAX_STEPS),
+                           max_steps=MAX_STEPS)
+        parse_scenario(json.dumps(doc))
         # 100 agents: 50 pairs per round
         doc = json.loads(preset_text("society-institutional"))
         doc["body"].update(n_agents=100, epochs=MAX_EXCHANGES // 50, pairings_per_epoch=1)

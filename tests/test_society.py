@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -31,6 +32,28 @@ def gini_bruteforce(values):
     return float(diffs.mean() / (2.0 * arr.mean()))
 
 
+def gini_fsum(values):
+    """Gini as sum_i (2i - n - 1) * x(i) over n * sum_i x(i), both sums by
+    ``math.fsum``.  Each product rounds once and each fsum is correctly
+    rounded, so this is within 6 units of roundoff of the exact Gini."""
+    ranked = sorted(values)
+    n = len(ranked)
+    weighted = math.fsum((2 * i - n - 1) * x for i, x in enumerate(ranked, start=1))
+    return weighted / (n * math.fsum(ranked))
+
+
+def gini_error_bound(n):
+    """Worst-case |gini - gini_fsum| for n values, in units u = 2**-53.
+
+    Each of the kernel's sequential sums of non-negative terms is within
+    relative gamma = (n - 1) u (to first order) of its exact value: the
+    total once, the rank-weighted sum twice (its terms are the computed
+    suffix sums).  So 2W / (nT) <= 2 is within 2 * (3 gamma + 2u), the
+    constant (n + 1) / n and the last subtraction add 3u, and the oracle 6u.
+    """
+    return (6 * n + 16) * 2.0 ** -53
+
+
 class TestGini:
     def test_perfect_equality(self):
         assert gini([5.0, 5.0, 5.0, 5.0]) == 0.0
@@ -55,11 +78,23 @@ class TestGini:
         with pytest.raises(InvalidInput):
             gini([1e306] * 100)  # the sum is finite, the rank-weighted sum is not
 
+    @pytest.mark.parametrize("values", [5.0, [[1.0, 2.0]]])
+    def test_takes_one_dimension(self, values):
+        with pytest.raises(InvalidInput):
+            gini(values)
+
     @given(values=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=60))
     def test_matches_pairwise_oracle(self, values):
         if sum(values) == 0.0:
             return
         assert gini(values) == pytest.approx(gini_bruteforce(values), abs=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 200, 2001, 10 ** 4, 10 ** 5])
+    def test_matches_fsum_oracle_within_its_error_bound(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            values = rng.lognormal(0.0, 3.0, size=n)
+            assert abs(gini(values) - gini_fsum(values.tolist())) <= gini_error_bound(n)
 
     @given(values=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=60))
     def test_bounds(self, values):
@@ -216,6 +251,24 @@ def assert_matches_reference(cfg, trace):
     assert np.array_equal(trace.totals, totals)
 
 
+class TestGiniRows:
+    """The society kernel's one Gini pass over a (seeds, n) array against
+    ``gini`` on each row, bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(1, 200), (5, 200), (20, 200), (3, 2001), (4, 1), (2, 2)])
+    def test_sorted_rows_equal_one_row_at_a_time(self, shape):
+        rng = np.random.default_rng(shape)
+        wealth = rng.lognormal(0.0, 3.0, size=shape)
+        wealth[0] = 7.0  # a flat row: every value ties
+        assert society._gini_rows(np.sort(wealth, axis=1)) == [gini(row) for row in wealth]
+
+    def test_one_bad_row_rejects_the_batch(self):
+        wealth = np.ones((3, 10))
+        wealth[1, 4] = np.inf
+        with pytest.raises(InvalidInput):
+            society._gini_rows(np.sort(wealth, axis=1))
+
+
 class TestMatchesScalarLoop:
     """The round-at-a-time kernel against the pair-by-pair loop, bit for bit."""
 
@@ -236,6 +289,11 @@ class TestMatchesScalarLoop:
     def test_rounds_past_one_permutation_buffer(self):
         cfg = config(n_agents=201, regime=Authoritarian(2.0), epochs=60, pairings_per_epoch=6)
         assert cfg.epochs * cfg.pairings_per_epoch > society._PERM_INDICES // cfg.n_agents
+        assert_matches_reference(cfg, run_society(cfg))
+
+    def test_epochs_past_one_gini_block(self):
+        cfg = config(n_agents=201, regime=Authoritarian(2.0), epochs=170, pairings_per_epoch=1)
+        assert cfg.epochs > 2 * (society._GINI_VALUES // cfg.n_agents)
         assert_matches_reference(cfg, run_society(cfg))
 
     @pytest.mark.parametrize("regime", [Authoritarian(3.0), Institutional(1.2)], ids=repr)
