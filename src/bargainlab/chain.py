@@ -75,6 +75,11 @@ class ChainScenario:
     def __post_init__(self):
         check_stopping_rule(self.gap_epsilon, self.max_steps)
 
+    def run(self) -> tuple[list[StageResult], SqueezeReport]:
+        """Every link's result, and how the anchor price was shared out."""
+        results = propagate(self.spec, self.gap_epsilon, self.max_steps)
+        return results, squeeze_report(results)
+
 
 @dataclass(frozen=True)
 class StageResult:

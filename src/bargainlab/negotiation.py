@@ -148,6 +148,10 @@ class NegotiationScenario:
             max_steps=self.max_steps,
         )
 
+    def run(self) -> NegotiationTrace:
+        """The offer trace of the resolved config (the module's ``run``)."""
+        return run(self.to_config())
+
 
 @dataclass(frozen=True)
 class Agreement:

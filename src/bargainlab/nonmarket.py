@@ -90,6 +90,9 @@ class NonmarketScenario:
             raise InvalidInput("the gains, costs and threats must keep the balance sheet finite",
                                field=max(inputs, key=lambda item: abs(item[1]))[0])
 
+    def run(self) -> BalanceSheet:
+        return welfare_balance(self)
+
 
 class Verdict(Enum):
     BOTH_ACCEPT = "both_accept"

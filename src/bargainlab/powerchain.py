@@ -91,6 +91,14 @@ class PowerChainScenario:
         if self.weak not in self.graph.strengths:
             raise InvalidConfig("must be a node", field="weak")
 
+    def run(self) -> PowerChain | NoChain:
+        """The power chain, or the ``NoChain`` error that says why there is
+        none: like a negotiation breakdown, that is a result, not a failure."""
+        try:
+            return find_power_chain(self.graph, self.weak, self.adversary, self.threshold)
+        except NoChain as exc:
+            return exc
+
 
 @dataclass(frozen=True)
 class PowerChain:

@@ -1,41 +1,54 @@
-"""Run reports: executing a parsed scenario and its JSON form.
+"""Run reports: executing a parsed scenario, and the report's JSON form.
 
-The CSV rendering of each kind lives with the kind's registry entry in
-``scenario``; ``write_trace_csv`` is re-exported here.
+A run keeps the engine's result and times only the engine.  The outcome
+payload and the CSV text are rendered from that result on first use, by
+the kind's renderers in ``kinds``, so a run pays only for the output it
+is asked for.  ``write_trace_csv`` is re-exported here.
 
 The JSON form is ``json.dumps(doc, indent=2, sort_keys=True)``, but
 ``indent`` turns off CPython's C encoder, and a negotiation's ``steps``
-can hold tens of thousands of rows.  So that array is rendered here, one
-string format per row, and spliced into the dump in place of a
-placeholder.  ``test_json_report_bytes_are_the_canonical_encoding`` pins
-the result to the stdlib encoder's bytes.
+can hold tens of thousands of rows.  So that array is rendered here
+straight from the trace, one string format per row, and spliced into the
+dump in place of a placeholder; the JSON form never reads ``outcome``'s
+lists.  ``test_json_report_bytes_are_the_canonical_encoding`` pins the
+result to the stdlib encoder's bytes.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Any
 
 from . import __version__
-from .scenario import KINDS, Scenario, scenario_document, write_trace_csv
+from .kinds import write_trace_csv
+from .scenario import KINDS, Scenario, scenario_document
 
 __all__ = ["RunReport", "report_to_json", "run_scenario", "write_trace_csv"]
 
 
-@dataclass
+@dataclass(eq=False)
 class RunReport:
-    """Everything a run produced: the scenario echo, the outcome payload
-    and the wall-clock time.  The JSON form adds the engine version.
+    """A run: the scenario echo, the engine's result and the wall-clock
+    time of the engine run.  The JSON form adds the engine version.
 
-    ``csv_text`` is a derived rendering and is excluded from equality and
-    from the JSON form.
+    ``outcome`` (the JSON outcome payload) and ``csv_text`` are rendered
+    from ``result`` when first read.
     """
 
     scenario: Scenario
-    outcome: dict
+    result: Any
     duration_s: float
-    csv_text: str = field(compare=False, repr=False)
+
+    @cached_property
+    def outcome(self) -> dict:
+        return KINDS[self.scenario.kind].payload(self.scenario.body, self.result)
+
+    @cached_property
+    def csv_text(self) -> str:
+        return KINDS[self.scenario.kind].csv(self.scenario.body, self.result)
 
 
 def run_scenario(scenario: Scenario, seed_override: int | None = None) -> RunReport:
@@ -47,9 +60,9 @@ def run_scenario(scenario: Scenario, seed_override: int | None = None) -> RunRep
     if seed_override is not None and scenario.kind == "society":
         scenario = replace(scenario, body=replace(scenario.body, seed=seed_override))
     start = time.perf_counter()
-    payload, csv_text = KINDS[scenario.kind].run(scenario.body)
+    result = scenario.body.run()
     duration = time.perf_counter() - start
-    return RunReport(scenario=scenario, outcome=payload, duration_s=duration, csv_text=csv_text)
+    return RunReport(scenario=scenario, result=result, duration_s=duration)
 
 
 #: Stands in for the cells of a negotiation's ``steps``: dumped as the only
@@ -59,27 +72,27 @@ def run_scenario(scenario: Scenario, seed_override: int | None = None) -> RunRep
 #: occurrence is where the rows go.
 _STEPS = "@@bargainlab-steps@@"
 #: One trace row at the dump's indentation: rows at 6 spaces, cells at 8.
-_ROW = "%d,\n        %s,\n        %s,\n        %s"
+#: ``%r`` of a float is ``float.__repr__``, json's float encoding; a trace's
+#: cells are plain floats, finite because NegotiationConfig bounds its anchors.
+_ROW = "%d,\n        %r,\n        %r,\n        %r"
 _ROW_SEP = "\n      ],\n      [\n        "
 
 
 def report_to_json(report: RunReport) -> str:
-    outcome = report.outcome
-    steps = outcome["steps"] if outcome.get("kind") == "negotiation" else None
+    trace, negotiation = report.result, report.scenario.kind == "negotiation"
+    if negotiation:  # the payload of the trace without its rows, which are spliced in below
+        outcome = KINDS["negotiation"].payload(report.scenario.body, replace(trace, steps=()))
     doc = {
         "scenario": scenario_document(report.scenario),
-        "outcome": {**outcome, "steps": [[_STEPS]]} if steps else outcome,
+        "outcome": {**outcome, "steps": [[_STEPS]]} if negotiation else report.outcome,
         "engine_version": __version__,
         "duration_s": report.duration_s,
     }
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    if not steps:
+    if not negotiation:
         return text
     head, tail = text.split(f'"{_STEPS}"', 1)
-    # float.__repr__ is json's float encoding, also for float subclasses;
-    # a negotiation's cells are finite (NegotiationConfig bounds its anchors)
-    f = float.__repr__
-    rows = [_ROW % (n, f(a), f(b), f(g)) for n, a, b, g in steps]
+    rows = [_ROW % (n, a, b, g) for n, (a, b, g) in enumerate(trace.steps)]
     # the end rows carry the rest of the dump, so one join builds the
     # report and the rendered block is not copied a second time
     rows[0] = head + rows[0]

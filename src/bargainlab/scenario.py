@@ -1,5 +1,4 @@
-"""Scenario files: strict JSON documents, the registry of scenario kinds,
-and each kind's run with its CSV rendering.
+"""Scenario files: strict JSON documents and the registry of scenario kinds.
 
 A scenario document is::
 
@@ -7,17 +6,14 @@ A scenario document is::
 
 where kind is one of negotiation, chain, nonmarket, power_chain, society.
 Each kind has one registry entry naming its body dataclass, which lives in
-the kind's engine module; that module is imported only when a document of
-the kind is read, so only society documents load numpy.
+the kind's engine module, and its renderers in ``kinds``.  The engine
+module is imported only when a document of the kind is read, so only
+society documents load numpy.
 
 A body is read by walking the annotated fields of its dataclass.  Reading
 checks shape and types; value invariants belong to the engine dataclasses,
 and any they raise is reported at the offending field's path (body-relative,
 e.g. "rates.r_a").  Reading also enforces the work budget below.
-
-CSV output is locale-independent and byte-deterministic: prices are
-rendered with up to 6 significant digits (a ``.0`` is appended to bare
-integers so every price cell stays visibly a decimal).
 """
 
 from __future__ import annotations
@@ -29,16 +25,14 @@ import math
 import types
 import typing
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from importlib import import_module
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
-from .errors import (DegenerateRatio, InvalidConfig, InvalidInput, InvariantError,
-                     NoChain, ParseError, SchemaError)
-
-if typing.TYPE_CHECKING:
-    from .negotiation import NegotiationTrace
+from . import kinds
+from .errors import (DegenerateRatio, InvalidConfig, InvalidInput, InvariantError, ParseError,
+                     SchemaError)
 
 SUPPORTED_VERSIONS = (1,)
 PRESETS = Path(__file__).with_name("presets")
@@ -46,11 +40,12 @@ PRESETS = Path(__file__).with_name("presets")
 #: Work budget, checked at parse time: a negotiation or chain may run at
 #: most MAX_STEPS steps per link and a chain MAX_CHAIN_STEPS over all its
 #: links, a society may hold at most MAX_AGENTS agents and make at most
-#: MAX_EXCHANGES pair exchanges in all.
+#: MAX_EXCHANGES pair exchanges in at most MAX_ROUNDS rounds.
 MAX_STEPS = 100_000
 MAX_CHAIN_STEPS = 10 * MAX_STEPS
 MAX_AGENTS = 1_000_000
 MAX_EXCHANGES = 10 ** 7
+MAX_ROUNDS = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -238,130 +233,7 @@ def _write(annotation: Any, value: Any) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# the kinds: running a body, rendering its CSV, and parse-time checks
-
-def _fmt(x: float) -> str:
-    """Float cell: up to 6 significant digits, never locale-dependent."""
-    s = format(x, ".6g")
-    if "." not in s and "e" not in s:
-        s += ".0"
-    return s
-
-
-def _csv(lines: list[str]) -> str:
-    return "\n".join(lines) + "\n"
-
-
-def write_trace_csv(trace: NegotiationTrace) -> str:
-    """Offer trace as CSV: step,offer_buyer,offer_seller,gap + outcome row."""
-    lines = ["step,offer_buyer,offer_seller,gap"]
-    for n, (buyer, seller, gap) in enumerate(trace.steps):
-        lines.append(f"{n},{_fmt(buyer)},{_fmt(seller)},{_fmt(gap)}")
-    if trace.agreed:
-        lines.append(f"# outcome,agreement,{trace.outcome.step},{_fmt(trace.outcome.price)}")
-    else:
-        lines.append(f"# outcome,breakdown,{trace.outcome.at_step}")
-    return _csv(lines)
-
-
-def _run_negotiation(body) -> tuple[dict, str]:
-    from .negotiation import run
-
-    cfg = body.to_config()
-    trace = run(cfg)
-    payload = {
-        "kind": "negotiation",
-        "buyer_reserve_adj": cfg.buyer_reserve_adj,
-        "seller_reserve_adj": cfg.seller_reserve_adj,
-        "rates": asdict(cfg.rates),
-        "steps": [[n, *row] for n, row in enumerate(trace.steps)],
-        "outcome": {"kind": type(trace.outcome).__name__.lower(), **asdict(trace.outcome)},
-    }
-    return payload, write_trace_csv(trace)
-
-
-def _run_chain(body) -> tuple[dict, str]:
-    from .chain import propagate, squeeze_report
-
-    results = propagate(body.spec, gap_epsilon=body.gap_epsilon, max_steps=body.max_steps)
-    report = squeeze_report(results)
-    payload = {
-        "kind": "chain",
-        "stages": [asdict(r) for r in results],
-        "squeeze": {**asdict(report), "margin_shares": [list(m) for m in report.margin_shares]},
-    }
-    lines = ["stage,name,buyer_reserve_effective,settlement,margin,margin_share"]
-    for index, (result, (_, share)) in enumerate(zip(results, report.margin_shares)):
-        cells = [str(index), result.name]
-        for value in (result.buyer_reserve_effective, result.settlement, result.margin):
-            cells.append("" if value is None else _fmt(value))
-        cells.append(_fmt(share) if result.settled else "")
-        lines.append(",".join(cells))
-    if report.complete:
-        lines.append(f"# outcome,complete,{_fmt(report.final_settlement_share)}")
-    else:
-        first_broken = next(i for i, r in enumerate(results) if not r.settled)
-        lines.append(f"# outcome,breakdown,{first_broken}")
-    return payload, _csv(lines)
-
-
-def _run_nonmarket(body) -> tuple[dict, str]:
-    from .nonmarket import welfare_balance
-
-    sheet = welfare_balance(body)
-    # the payload and the one CSV row are the balance sheet's fields, in order
-    record = {**asdict(sheet), "verdict": sheet.verdict.value}
-    cells = ["" if v is None else v if isinstance(v, str) else _fmt(v) for v in record.values()]
-    return {"kind": "nonmarket", **record}, ",".join(record) + "\n" + ",".join(cells) + "\n"
-
-
-def _run_power_chain(body) -> tuple[dict, str]:
-    from .powerchain import find_power_chain
-
-    lines = ["position,subject,strength_vs_adversary"]
-    try:
-        chain = find_power_chain(body.graph, body.weak, body.adversary, body.threshold)
-    except NoChain as exc:
-        # like a negotiation breakdown, "no chain" is a result, not a failure
-        lines.append("# outcome,no_chain")
-        return {"kind": "power_chain", "found": False, "reason": str(exc)}, _csv(lines)
-    strengths = [body.graph.strength_vs(node, body.adversary) for node in chain.path]
-    payload = {
-        "kind": "power_chain",
-        "found": True,
-        "path": list(chain.path),
-        "strengths": strengths,
-        "terminal_strength": chain.terminal_strength,
-        "hops": len(chain.path) - 1,
-    }
-    for position, (subject, strength) in enumerate(zip(chain.path, strengths)):
-        lines.append(f"{position},{subject},{_fmt(strength)}")
-    lines.append(f"# outcome,chain,{len(chain.path) - 1},{_fmt(chain.terminal_strength)}")
-    return payload, _csv(lines)
-
-
-def _run_society(body) -> tuple[dict, str]:
-    from .society import run_society
-
-    trace = run_society(body)
-    wealth = trace.final_wealth
-    payload = {
-        "kind": "society",
-        "final_gini": trace.final_gini,
-        "gini_series": [float(g) for g in trace.gini_series],
-        "total_initial": float(trace.totals[0]),
-        "total_final": float(trace.totals[-1]),
-        "injected_per_epoch": trace.injected_per_epoch,
-        "wealth_mean": float(wealth.mean()),
-        "wealth_min": float(wealth.min()),
-        "wealth_max": float(wealth.max()),
-    }
-    lines = ["epoch,gini"]
-    for epoch, value in enumerate(trace.gini_series):
-        lines.append(f"{epoch},{_fmt(value)}")
-    lines.append(f"# outcome,final_gini,{_fmt(trace.final_gini)}")
-    return payload, _csv(lines)
-
+# the kinds: parse-time checks beyond the body's own invariants, and the registry
 
 def _check_steps(body) -> None:
     if body.max_steps > MAX_STEPS:
@@ -391,17 +263,21 @@ def _check_society(body) -> None:
     if (body.n_agents // 2) * body.epochs * body.pairings_per_epoch > MAX_EXCHANGES:
         raise InvariantError("epochs", "(n_agents // 2) * epochs * pairings_per_epoch "
                              f"must be <= {MAX_EXCHANGES}")
+    if body.epochs * body.pairings_per_epoch > MAX_ROUNDS:
+        raise InvariantError("epochs", f"epochs * pairings_per_epoch must be <= {MAX_ROUNDS}")
 
 
 @dataclass(frozen=True)
 class Kind:
-    """One scenario kind: its body dataclass in its engine module, how a
-    body runs into (outcome payload, CSV text), and the parse-time checks
-    beyond the body's own invariants."""
+    """One scenario kind: its body dataclass in its engine module (the body's
+    ``run()`` gives the engine's result), that result's renderers as the
+    outcome payload and as CSV, and the parse-time checks beyond the body's
+    own invariants."""
 
     module: str
     body_name: str
-    run: Callable[[Any], tuple[dict, str]]
+    payload: Callable[[Any, Any], dict]
+    csv: Callable[[Any, Any], str]
     check: Callable[[Any], None] = lambda body: None
 
     def body_type(self) -> type:
@@ -409,11 +285,15 @@ class Kind:
 
 
 KINDS = {
-    "negotiation": Kind("negotiation", "NegotiationScenario", _run_negotiation, _check_negotiation),
-    "chain": Kind("chain", "ChainScenario", _run_chain, _check_chain),
-    "nonmarket": Kind("nonmarket", "NonmarketScenario", _run_nonmarket),
-    "power_chain": Kind("powerchain", "PowerChainScenario", _run_power_chain),
-    "society": Kind("society", "SocietyConfig", _run_society, _check_society),
+    "negotiation": Kind("negotiation", "NegotiationScenario", kinds.negotiation_payload,
+                        kinds.negotiation_csv, _check_negotiation),
+    "chain": Kind("chain", "ChainScenario", kinds.chain_payload, kinds.chain_csv, _check_chain),
+    "nonmarket": Kind("nonmarket", "NonmarketScenario", kinds.nonmarket_payload,
+                      kinds.nonmarket_csv),
+    "power_chain": Kind("powerchain", "PowerChainScenario", kinds.power_chain_payload,
+                        kinds.power_chain_csv),
+    "society": Kind("society", "SocietyConfig", kinds.society_payload, kinds.society_csv,
+                    _check_society),
 }
 
 

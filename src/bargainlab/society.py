@@ -117,6 +117,9 @@ class SocietyConfig:
         if not isinstance(self.regime, (Authoritarian, Institutional)):
             raise InvalidConfig("regime must be Authoritarian or Institutional")
 
+    def run(self) -> WealthTrace:
+        return run_society(self)
+
 
 @dataclass(frozen=True)
 class WealthTrace:

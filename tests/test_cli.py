@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -11,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bargainlab import cli
 from bargainlab.cli import main
-from bargainlab.scenario import (MAX_AGENTS, MAX_EXCHANGES, MAX_STEPS, preset_names,
-                                 preset_text)
+from bargainlab.report import run_scenario
+from bargainlab.scenario import (KINDS, MAX_AGENTS, MAX_EXCHANGES, MAX_STEPS, load_preset,
+                                 preset_names, preset_text)
 
 
 @pytest.fixture
@@ -284,6 +287,56 @@ def test_only_society_runs_load_numpy():
         print("numpy" in sys.modules)
         """)
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "False\n")
+
+
+#: What ``import bargainlab.cli`` may load into an interpreter started
+#: without ``site``: the CLI's own modules and these stdlib packages (as
+#: Python 3.11 imports them).  No engine module and no numpy.
+CLI_MODULES = {"bargainlab", "bargainlab.cli", "bargainlab.errors", "bargainlab.kinds",
+               "bargainlab.report", "bargainlab.scenario"}
+CLI_STDLIB = {
+    "__future__", "_ast", "_collections", "_collections_abc", "_functools", "_json", "_opcode",
+    "_operator", "_sre", "_stat", "_typing", "_weakrefset", "argparse", "ast", "collections",
+    "contextlib", "copy", "copyreg", "dataclasses", "dis", "enum", "errno", "fnmatch",
+    "functools", "genericpath", "gettext", "importlib", "inspect", "ipaddress", "itertools",
+    "json", "keyword", "linecache", "math", "ntpath", "opcode", "operator", "os", "pathlib",
+    "posixpath", "re", "reprlib", "stat", "token", "tokenize", "types", "typing", "urllib",
+    "warnings", "weakref"}
+
+
+def test_importing_the_cli_stays_within_its_module_budget():
+    assert CLI_STDLIB <= sys.stdlib_module_names
+    proc = _python("-S", "-c", """if True:
+        import sys
+        before = set(sys.modules)
+        import bargainlab.cli
+        print(*sorted(set(sys.modules) - before))
+        """)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    loaded = set(proc.stdout.split())
+    assert "bargainlab.cli" in loaded
+    extra = sorted(name for name in loaded - CLI_MODULES
+                   if name.startswith("bargainlab") or name.split(".")[0] not in CLI_STDLIB)
+    assert not extra, f"import bargainlab.cli loads modules outside its budget: {extra}"
+
+
+def _refuse(*args):
+    raise AssertionError("rendered an output that was not asked for")
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_each_format_renders_only_its_own_output(name, monkeypatch, capsys):
+    """A JSON run never renders the CSV; a CSV run never builds the payload."""
+    csv_text = run_scenario(load_preset(name)).csv_text
+    kind = json.loads(preset_text(name))["kind"]
+    entry = KINDS[kind]
+    monkeypatch.setitem(KINDS, kind, dataclasses.replace(entry, csv=_refuse))
+    assert main(["run", "--scenario", name, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["outcome"]["kind"] == kind
+    monkeypatch.setitem(KINDS, kind, dataclasses.replace(entry, payload=_refuse))
+    monkeypatch.setattr(cli, "report_to_json", _refuse)
+    assert main(["run", "--scenario", name, "--format", "csv"]) == 0
+    assert capsys.readouterr().out == csv_text
 
 
 @pytest.mark.parametrize("given,after", [(None, "1"), ("2", "2")])

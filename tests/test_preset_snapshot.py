@@ -22,7 +22,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bargainlab.errors import InvariantError
-from bargainlab.report import _STEPS, report_to_json, run_scenario
+from bargainlab.report import _STEPS, RunReport, report_to_json, run_scenario
 from bargainlab.scenario import load_preset, parse_scenario, preset_names, preset_text
 
 SNAPSHOT = Path(__file__).with_name("preset_snapshot.json")
@@ -106,6 +106,21 @@ def test_json_report_bytes_are_the_canonical_encoding(name):
     else:
         report = run_scenario(load_preset(name))
     assert_canonical(report_to_json(report))
+
+
+@pytest.mark.parametrize("name", ["fig3", "stall-30000"])
+def test_json_report_bytes_do_not_depend_on_what_was_read_first(name):
+    """The JSON form renders a negotiation's rows from its trace, never
+    from ``outcome``, whether or not ``outcome`` and ``csv_text`` were read.
+    Digests keep a failure's report short."""
+    scenario = (parse_scenario(json.dumps(TRACE_CASES[name][0])) if name in TRACE_CASES
+                else load_preset(name))
+    read = run_scenario(scenario)
+    fresh = RunReport(read.scenario, read.result, read.duration_s)
+    fresh_digest = _digest(report_to_json(fresh))
+    assert "outcome" not in vars(fresh) and "csv_text" not in vars(fresh)
+    assert read.outcome and read.csv_text
+    assert _digest(report_to_json(read)) == fresh_digest
 
 
 anchor = st.one_of(st.floats(-1e6, 1e6), st.floats(-1e300, 1e300),

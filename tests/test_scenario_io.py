@@ -14,8 +14,9 @@ from bargainlab.nonmarket import ExchangeProposal, ExternalInfluence, NonmarketS
 from bargainlab.powerchain import PowerChainScenario, TrustEdge, TrustGraph
 from bargainlab.report import report_to_json, run_scenario, write_trace_csv
 from bargainlab import __version__
-from bargainlab.scenario import (MAX_CHAIN_STEPS, MAX_EXCHANGES, MAX_STEPS, Scenario, load_preset,
-                                 parse_scenario, preset_names, preset_text, scenario_document)
+from bargainlab.scenario import (MAX_CHAIN_STEPS, MAX_EXCHANGES, MAX_ROUNDS, MAX_STEPS, Scenario,
+                                 load_preset, parse_scenario, preset_names, preset_text,
+                                 scenario_document)
 from bargainlab.society import (Authoritarian, Constant, Institutional,
                                 SocietyConfig, Uniform)
 
@@ -237,6 +238,17 @@ class TestParsing:
         path = "epochs" if keys == ("pairings_per_epoch",) else field_path(keys)
         assert (excinfo.value.path, excinfo.value.rule) == (path, rule)
 
+    @pytest.mark.parametrize("epochs,pairings", [(MAX_ROUNDS + 1, 1), (MAX_ROUNDS // 2 + 1, 2),
+                                                 (10 ** 7, 1)])
+    def test_society_budget_counts_rounds(self, epochs, pairings):
+        # two agents make one exchange a round: far inside MAX_EXCHANGES
+        doc = json.loads(preset_text("society-institutional"))
+        doc["body"].update(n_agents=2, epochs=epochs, pairings_per_epoch=pairings)
+        with pytest.raises(InvariantError) as excinfo:
+            parse_scenario(json.dumps(doc))
+        assert (excinfo.value.path, excinfo.value.rule) == (
+            "epochs", f"epochs * pairings_per_epoch must be <= {MAX_ROUNDS}")
+
     def test_chain_budget_counts_every_link(self):
         # 80 links, each seller reserve 1.0 below the price its link is
         # offered: every link stalls for ~99 000 steps
@@ -264,9 +276,10 @@ class TestParsing:
         doc["body"].update(stages=doc["body"]["stages"][:1] * (MAX_CHAIN_STEPS // MAX_STEPS),
                            max_steps=MAX_STEPS)
         parse_scenario(json.dumps(doc))
-        # 100 agents: 50 pairs per round
+        # 200 agents: 100 pairs per round, so MAX_ROUNDS rounds make MAX_EXCHANGES exchanges
         doc = json.loads(preset_text("society-institutional"))
-        doc["body"].update(n_agents=100, epochs=MAX_EXCHANGES // 50, pairings_per_epoch=1)
+        doc["body"].update(n_agents=200, epochs=MAX_ROUNDS, pairings_per_epoch=1)
+        assert 100 * MAX_ROUNDS == MAX_EXCHANGES
         parse_scenario(json.dumps(doc))
 
     def test_out_of_range_rate_names_the_field(self):
