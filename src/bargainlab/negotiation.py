@@ -172,7 +172,8 @@ class NegotiationTrace:
     """A run's offers and outcome.
 
     ``steps`` holds one ``(offer_buyer, offer_seller, gap)`` row per step;
-    a row's index is its step number.
+    a row's index is its step number.  In a stall whose offers repeat, the
+    rows past the repeated state are shared objects (see ``run``).
     """
 
     steps: tuple[tuple[float, float, float], ...]
@@ -229,8 +230,18 @@ def run(cfg: NegotiationConfig) -> NegotiationTrace:
     offer) is at most gap_epsilon, which also covers crossed offers; the
     settlement is the midpoint of the two terminal offers.  If the gap is
     still open after max_steps updates the negotiation breaks down.
+
+    The update is a fixed function of the two offers.  So once the offers
+    at step n equal those at step n - 2 (a rest point or a 2-cycle), every
+    later row repeats rows n - 1 and n, none can close the gap, and the
+    run breaks down: the trace fills rows n + 1 to max_steps with those
+    two row objects instead of iterating.  The test needs equal bits, and
+    ``==`` equates 0.0 and -0.0, so offers of zero never take it.
     """
     x_a, x_b = cfg.buyer_open, cfg.seller_open
+    # the buyer's offers two steps and one step back; the seller's offer
+    # two steps back is read from its row only when the buyer's repeats
+    back_a = last_a = math.nan
     steps: list[tuple[float, float, float]] = []
     for n in range(cfg.max_steps + 1):
         gap = x_b - x_a
@@ -242,6 +253,11 @@ def run(cfg: NegotiationConfig) -> NegotiationTrace:
             return NegotiationTrace(tuple(steps), Agreement(price=price, step=n))
         if n == cfg.max_steps:
             break
+        if x_a == back_a and x_b == steps[-3][1] and x_a and x_b:
+            rest, cycle = cfg.max_steps - n, tuple(steps[-2:])
+            return NegotiationTrace(tuple(steps) + cycle * (rest // 2) + cycle[:rest % 2],
+                                    Breakdown(at_step=cfg.max_steps))
+        back_a, last_a = last_a, x_a
         x_a, x_b = step(x_a, x_b, cfg)
     return NegotiationTrace(tuple(steps), Breakdown(at_step=cfg.max_steps))
 

@@ -8,7 +8,8 @@ is asked for.  ``write_trace_csv`` is re-exported here.
 The JSON form is ``json.dumps(doc, indent=2, sort_keys=True)``, but
 ``indent`` turns off CPython's C encoder, and a negotiation's ``steps``
 can hold tens of thousands of rows.  So that array is rendered here
-straight from the trace, one string format per row, and spliced into the
+straight from the trace, one string format per distinct row object (a
+stall's rows past a repeated state are shared), and spliced into the
 dump in place of a placeholder; the JSON form never reads ``outcome``'s
 lists.  ``test_json_report_bytes_are_the_canonical_encoding`` pins the
 result to the stdlib encoder's bytes.
@@ -23,7 +24,7 @@ from functools import cached_property
 from typing import Any
 
 from . import __version__
-from .kinds import write_trace_csv
+from .kinds import render_rows, write_trace_csv
 from .scenario import KINDS, Scenario, scenario_document
 
 __all__ = ["RunReport", "report_to_json", "run_scenario", "write_trace_csv"]
@@ -71,11 +72,16 @@ def run_scenario(scenario: Scenario, seed_override: int | None = None) -> RunRep
 #: the only place a document can put this text, so its first quoted
 #: occurrence is where the rows go.
 _STEPS = "@@bargainlab-steps@@"
-#: One trace row at the dump's indentation: rows at 6 spaces, cells at 8.
-#: ``%r`` of a float is ``float.__repr__``, json's float encoding; a trace's
-#: cells are plain floats, finite because NegotiationConfig bounds its anchors.
-_ROW = "%d,\n        %r,\n        %r,\n        %r"
+#: The cells of one trace row at the dump's indentation: rows at 6 spaces,
+#: cells at 8.  ``%r`` of a float is ``float.__repr__``, json's float
+#: encoding; a trace's cells are plain floats, finite because
+#: NegotiationConfig bounds its anchors.
+_CELLS = "%r,\n        %r,\n        %r"
 _ROW_SEP = "\n      ],\n      [\n        "
+
+
+def _json_cells(rows) -> list[str]:
+    return [_CELLS % row for row in rows]
 
 
 def report_to_json(report: RunReport) -> str:
@@ -92,7 +98,8 @@ def report_to_json(report: RunReport) -> str:
     if not negotiation:
         return text
     head, tail = text.split(f'"{_STEPS}"', 1)
-    rows = [_ROW % (n, a, b, g) for n, (a, b, g) in enumerate(trace.steps)]
+    rows = [f"{n},\n        {cells}"
+            for n, cells in enumerate(render_rows(trace.steps, _json_cells))]
     # the end rows carry the rest of the dump, so one join builds the
     # report and the rendered block is not copied a second time
     rows[0] = head + rows[0]

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from bargainlab.negotiation import (RATE_MAX, Agreement, Breakdown,
                                     ConcessionRates, NegotiationConfig,
                                     concession_rates_from_imbalance,
                                     fixed_point, run, step)
+from negotiation_reference import CYCLING_STALLS, first_repeat
+from negotiation_reference import run as reference_run
 
 FIG3_RATES = ConcessionRates(0.05, 0.02, 0.3, 0.2)
 
@@ -358,3 +361,89 @@ def test_iteration_converges_to_fixed_point(cfg):
         if max(abs(x_a - fp_a), abs(x_b - fp_b)) < 1e-9:
             break
     assert max(abs(x_a - fp_a), abs(x_b - fp_b)) < 1e-6
+
+
+def cycling_stall(period, max_steps=30000):
+    """The pinned stall of ``period`` and the step its offers first repeat at."""
+    repeat, fields = CYCLING_STALLS[period]
+    return repeat, NegotiationConfig(**{**fields, "rates": ConcessionRates(*fields["rates"])},
+                                      max_steps=max_steps)
+
+
+def distinct_rows(trace):
+    return len({id(row) for row in trace.steps})
+
+
+def assert_same_trace(trace, expected):
+    """Equal cell for cell by ``repr``, which tells -0.0 from 0.0, and in
+    outcome.  A mismatch names its first row, not a diff of two traces."""
+    rows, want = ([tuple(map(repr, row)) for row in t.steps] for t in (trace, expected))
+    first = next((n for n, (got, row) in enumerate(zip(rows, want)) if got != row), None)
+    assert first is None, f"row {first}: {rows[first]} != {want[first]}"
+    assert len(rows) == len(want)
+    assert repr(trace.outcome) == repr(expected.outcome)
+
+
+class TestMatchesReferenceLoop:
+    """``run`` stops iterating once the offers repeat; the loop in
+    ``negotiation_reference`` iterates every step."""
+
+    cycle_anchor = st.one_of(st.floats(-100.0, 100.0), st.floats(-1e16, 1e16),
+                             st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16]))
+
+    @given(anchors=st.lists(cycle_anchor, min_size=4, max_size=4), rates=rates_strategy(),
+           gap_epsilon=st.one_of(st.floats(1e-300, 10.0), st.just(5e-324)),
+           max_steps=st.integers(1, 3000))
+    @settings(max_examples=200, deadline=None)
+    def test_any_trace(self, anchors, rates, gap_epsilon, max_steps):
+        buyer_open, seller_open = sorted(anchors[:2])
+        cfg = NegotiationConfig(buyer_open, seller_open, anchors[2], anchors[3],
+                                rates, gap_epsilon, max_steps)
+        assert_same_trace(run(cfg), reference_run(cfg))
+
+    @pytest.mark.parametrize("period", [1, 2])
+    def test_pinned_cycling_stall(self, period):
+        repeat, cfg = cycling_stall(period)
+        expected = reference_run(cfg)
+        assert first_repeat(expected.steps) == (repeat, period)
+        trace = run(cfg)
+        assert_same_trace(trace, expected)
+        assert trace.outcome == Breakdown(at_step=30000)
+        # rows past the repeat are the objects of rows repeat - 1 and repeat
+        assert distinct_rows(trace) == repeat + 1
+
+    @pytest.mark.parametrize("period", [1, 2])
+    @pytest.mark.parametrize("after", [0, 1, 2, 3])
+    def test_cycle_seen_at_the_last_steps(self, period, after):
+        """The offers first repeat at max_steps - after: at max_steps itself
+        the run has nothing left to fill."""
+        repeat, _ = cycling_stall(period)
+        _, cfg = cycling_stall(period, max_steps=repeat + after)
+        trace = run(cfg)
+        assert_same_trace(trace, reference_run(cfg))
+        assert distinct_rows(trace) == repeat + 1
+
+    @pytest.mark.parametrize("buyer_open", [0.0, -0.0])
+    def test_cycle_through_a_zero_offer_iterates_in_full(self, buyer_open):
+        """The buyer's offer rests at 0.0, which ``==`` cannot tell from
+        -0.0, so the offers repeat but every row is computed."""
+        cfg = NegotiationConfig(buyer_open, 5.0, 0.0, 3.0, ConcessionRates(0.3, 0.0, 0.3, 0.0),
+                                0.05, 500)
+        expected = reference_run(cfg)
+        assert first_repeat(expected.steps) is not None
+        trace = run(cfg)
+        assert_same_trace(trace, expected)
+        assert distinct_rows(trace) == len(trace.steps) == 501
+
+    @pytest.mark.parametrize("period", [1, 2])
+    def test_cycling_stall_allocates_only_its_distinct_rows(self, period):
+        repeat, cfg = cycling_stall(period)
+        tracemalloc.start()
+        try:
+            trace = run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert distinct_rows(trace) <= repeat + 2
+        # 30 001 row tuples of three floats would take about 4.3 MB
+        assert peak < 1_000_000

@@ -24,6 +24,8 @@ from hypothesis import strategies as st
 from bargainlab.errors import InvariantError
 from bargainlab.report import _STEPS, RunReport, report_to_json, run_scenario
 from bargainlab.scenario import load_preset, parse_scenario, preset_names, preset_text
+from negotiation_reference import CYCLING_STALLS
+from negotiation_reference import run as reference_run
 
 SNAPSHOT = Path(__file__).with_name("preset_snapshot.json")
 
@@ -65,8 +67,18 @@ def _stall(max_steps):
                  max_steps=max_steps)
 
 
+def _cycling_stall(period, max_steps):
+    """The pinned stall whose offers settle on a cycle of ``period``."""
+    _, fields = CYCLING_STALLS[period]
+    return _fig3(buyer={"open": fields["buyer_open"], "reserve": fields["buyer_reserve_adj"]},
+                 seller={"open": fields["seller_open"], "reserve": fields["seller_reserve_adj"]},
+                 rates=dict(zip(("r_a", "r_a_prime", "r_b", "r_b_prime"), fields["rates"])),
+                 gap_epsilon=fields["gap_epsilon"], max_steps=max_steps)
+
+
 # documents that stress the spliced steps block: (document, rows expected)
 TRACE_CASES = {
+    # never repeats its offers, so every step is iterated and rendered
     "stall": (_stall(5000), 5001),
     # the placeholder text, and an array opening, in the scenario echo
     "metadata-placeholder": ({**_fig3(), "metadata": {
@@ -82,6 +94,9 @@ TRACE_CASES = {
         rates={"r_a": 1e-7, "r_a_prime": 2e-7, "r_b": 3e-7, "r_b_prime": 0.0},
         gap_epsilon=1e-310, max_steps=300), 301),
     "stall-30000": (_stall(30000), 30001),
+    # offers repeat within ~100 steps: the rest of the rows are shared objects
+    "cycle-1-30000": (_cycling_stall(1, 30000), 30001),
+    "cycle-2-30000": (_cycling_stall(2, 30000), 30001),
 }
 
 
@@ -108,7 +123,7 @@ def test_json_report_bytes_are_the_canonical_encoding(name):
     assert_canonical(report_to_json(report))
 
 
-@pytest.mark.parametrize("name", ["fig3", "stall-30000"])
+@pytest.mark.parametrize("name", ["fig3", "stall-30000", "cycle-1-30000", "cycle-2-30000"])
 def test_json_report_bytes_do_not_depend_on_what_was_read_first(name):
     """The JSON form renders a negotiation's rows from its trace, never
     from ``outcome``, whether or not ``outcome`` and ``csv_text`` were read.
@@ -153,9 +168,22 @@ def test_json_report_of_any_negotiation_is_the_canonical_encoding(text):
     assert_canonical(report_to_json(run_scenario(scenario)))
 
 
-def test_json_report_memory_is_bounded_by_its_length():
+@pytest.mark.parametrize("name", ["cycle-1-30000", "cycle-2-30000"])
+def test_cycling_stall_outputs_equal_those_of_the_reference_loop(name):
+    """Rows shared past a repeated state render as if each were computed.
+    Digests keep a failure's report short."""
+    report = run_scenario(parse_scenario(json.dumps(TRACE_CASES[name][0])))
+    expected = RunReport(report.scenario, reference_run(report.scenario.body.to_config()),
+                         report.duration_s)
+    assert len({id(row) for row in report.result.steps}) < len(report.result.steps)
+    assert _digest(report_to_json(report)) == _digest(report_to_json(expected))
+    assert _digest(report.csv_text) == _digest(expected.csv_text)
+
+
+@pytest.mark.parametrize("name", ["stall-30000", "cycle-1-30000"])
+def test_json_report_memory_is_bounded_by_its_length(name):
     """The steps block is built once, not re-encoded cell by cell."""
-    report = run_scenario(parse_scenario(json.dumps(_stall(30000))))
+    report = run_scenario(parse_scenario(json.dumps(TRACE_CASES[name][0])))
     tracemalloc.start()
     try:
         text = report_to_json(report)
