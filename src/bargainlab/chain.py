@@ -11,7 +11,7 @@ that fails to settle starves every deeper link.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import negotiation
 from .core import PerceptionView, Role, adjust_reserve_full, imbalance_ratio
@@ -66,13 +66,17 @@ class ChainSpec:
 
 @dataclass(frozen=True)
 class ChainScenario:
-    """A chain with the stopping rule every link negotiates under."""
+    """A chain with the stopping rule every link negotiates under.  The
+    stages and anchor price are kept as the ``spec`` the engine runs on."""
 
-    spec: ChainSpec
+    stages: tuple[ChainStage, ...]
+    anchor_price: float
     gap_epsilon: float | None = None  # None: propagate's anchor-scaled default
     max_steps: int = 5000
+    spec: ChainSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "spec", ChainSpec(self.stages, self.anchor_price))
         check_stopping_rule(self.gap_epsilon, self.max_steps)
 
     def run(self) -> tuple[list[StageResult], SqueezeReport]:

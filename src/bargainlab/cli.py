@@ -75,7 +75,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         text = _read_scenario_text(args.scenario)
         scenario = parse_scenario(text)
-    except (OSError, FileNotFoundError) as exc:
+    except OSError as exc:
         diag(str(exc))
         return 1
     except ScenarioError as exc:

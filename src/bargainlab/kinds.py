@@ -30,7 +30,7 @@ def _csv(lines: list[str]) -> str:
 
 
 def negotiation_payload(body, trace) -> dict:
-    cfg = body.to_config()
+    cfg = body.config
     return {
         "kind": "negotiation",
         "buyer_reserve_adj": cfg.buyer_reserve_adj,

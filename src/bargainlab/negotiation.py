@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import (PerceptionView, adjust_reserve_full, imbalance_ratio, require_finite,
                    require_ratio, require_reserve)
@@ -119,10 +119,17 @@ class SideSpec:
         return adjust_reserve_full(self.reserve, self.view) if self.view else self.reserve
 
 
+#: NegotiationConfig fields that NegotiationScenario derives from other
+#: fields of its own, by the path of the field each comes from.
+_CONFIG_SOURCES = {"buyer_open": "buyer.open", "seller_open": "seller.open",
+                   "buyer_reserve_adj": "buyer.reserve", "seller_reserve_adj": "seller.reserve"}
+
+
 @dataclass(frozen=True)
 class NegotiationScenario:
     """A negotiation as a scenario states it: each side's perceptions rather
-    than already-adjusted reserves.  ``to_config`` resolves it."""
+    than already-adjusted reserves, resolved once into ``config``.  An
+    invariant of the config is reported at the field it comes from."""
 
     buyer: SideSpec
     seller: SideSpec
@@ -130,27 +137,35 @@ class NegotiationScenario:
     max_steps: int
     gap_epsilon: float = 0.05
     scale_rates_by_imbalance: bool = False
+    config: NegotiationConfig = field(init=False, repr=False, compare=False)
 
-    def to_config(self) -> NegotiationConfig:
-        """Resolve perceptions into a runnable NegotiationConfig."""
+    def __post_init__(self):
         rates = self.rates
         if self.scale_rates_by_imbalance:
             rho_buyer = imbalance_ratio(self.buyer.view) if self.buyer.view else 1.0
             rho_seller = imbalance_ratio(self.seller.view) if self.seller.view else 1.0
             rates = concession_rates_from_imbalance(rates, rho_buyer, rho_seller)
-        return NegotiationConfig(
-            buyer_open=self.buyer.open,
-            seller_open=self.seller.open,
-            buyer_reserve_adj=self.buyer.reserve_adj(),
-            seller_reserve_adj=self.seller.reserve_adj(),
-            rates=rates,
-            gap_epsilon=self.gap_epsilon,
-            max_steps=self.max_steps,
-        )
+        try:
+            config = NegotiationConfig(
+                buyer_open=self.buyer.open,
+                seller_open=self.seller.open,
+                buyer_reserve_adj=self.buyer.reserve_adj(),
+                seller_reserve_adj=self.seller.reserve_adj(),
+                rates=rates,
+                gap_epsilon=self.gap_epsilon,
+                max_steps=self.max_steps,
+            )
+        except InvalidConfig as exc:
+            raise InvalidConfig(exc.rule, field=_CONFIG_SOURCES.get(exc.field, exc.field)) from None
+        object.__setattr__(self, "config", config)
+
+    def to_config(self) -> NegotiationConfig:
+        """The runnable NegotiationConfig the perceptions resolve to."""
+        return self.config
 
     def run(self) -> NegotiationTrace:
         """The offer trace of the resolved config (the module's ``run``)."""
-        return run(self.to_config())
+        return run(self.config)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ threat away.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .core import equity_index, motivation, power, require_finite
@@ -73,12 +73,14 @@ NO_INFLUENCE = ExternalInfluence()
 @dataclass(frozen=True)
 class NonmarketScenario:
     """One proposed exchange with its context: threats, shields, and how
-    likely A is to keep a promised good."""
+    likely A is to keep a promised good.  Its balance sheet is kept as
+    ``sheet``."""
 
     proposal: ExchangeProposal
     influence_a: ExternalInfluence = NO_INFLUENCE
     influence_b: ExternalInfluence = NO_INFLUENCE
     promise_keep_prob: float = 1.0
+    sheet: BalanceSheet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require_probability("promise_keep_prob", self.promise_keep_prob)
@@ -89,9 +91,10 @@ class NonmarketScenario:
                        for side in ("influence_a", "influence_b")]
             raise InvalidInput("the gains, costs and threats must keep the balance sheet finite",
                                field=max(inputs, key=lambda item: abs(item[1]))[0])
+        object.__setattr__(self, "sheet", sheet)
 
     def run(self) -> BalanceSheet:
-        return welfare_balance(self)
+        return self.sheet
 
 
 class Verdict(Enum):

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from .core import require_finite
 from .errors import InvalidConfig, InvalidInput, NoChain
 
 
@@ -28,7 +29,7 @@ class TrustEdge:
     def __post_init__(self):
         if self.requester == self.helper:
             raise InvalidConfig("self-loops are not allowed")
-        if not math.isfinite(self.willingness) or not 0.0 < self.willingness <= 1.0:
+        if not 0.0 < require_finite("willingness", self.willingness, InvalidConfig) <= 1.0:
             raise InvalidConfig("must lie in (0, 1]", field="willingness")
 
 
@@ -79,16 +80,34 @@ class TrustGraph:
 
 
 @dataclass(frozen=True)
-class PowerChainScenario:
-    """A weak subject looking for help against an adversary in a trust graph."""
+class Node:
+    """A subject's strength against each adversary it is rated against."""
 
-    graph: TrustGraph
+    strength_vs: Mapping[str, float]
+
+
+@dataclass(frozen=True)
+class PowerChainScenario:
+    """A weak subject looking for help against an adversary in a trust graph,
+    given as labelled nodes and edges and kept as the ``graph`` the search
+    runs on."""
+
+    nodes: Mapping[str, Node]
+    edges: tuple[TrustEdge, ...]
     weak: str
     adversary: str
     threshold: float
+    graph: TrustGraph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.weak not in self.graph.strengths:
+        strengths = {label: node.strength_vs for label, node in self.nodes.items()}
+        try:
+            graph = TrustGraph(strengths=strengths, edges=self.edges)
+        except InvalidConfig as exc:  # the graph's strengths are the body's nodes
+            raise InvalidConfig(exc.rule, field="nodes" if exc.field == "strengths"
+                                else exc.field) from None
+        object.__setattr__(self, "graph", graph)
+        if self.weak not in self.nodes:
             raise InvalidConfig("must be a node", field="weak")
 
     def run(self) -> PowerChain | NoChain:
@@ -136,8 +155,7 @@ def find_power_chain(graph: TrustGraph, weak: str, adversary: str,
     prefixes with different bottlenecks can tie after a weaker edge, and
     the label tie-break may then want the one that was dropped.
     """
-    if not math.isfinite(threshold):
-        raise InvalidInput("threshold must be finite")
+    require_finite("threshold", threshold)
     strength = {weak: graph.strength_vs(weak, adversary)}
     if strength[weak] >= threshold:
         return PowerChain((weak,), strength[weak])

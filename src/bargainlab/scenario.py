@@ -10,10 +10,15 @@ the kind's engine module, and its renderers in ``kinds``.  The engine
 module is imported only when a document of the kind is read, so only
 society documents load numpy.
 
-A body is read by walking the annotated fields of its dataclass.  Reading
-checks shape and types; value invariants belong to the engine dataclasses,
-and any they raise is reported at the offending field's path (body-relative,
-e.g. "rates.r_a").  Reading also enforces the work budget below.
+A body is read and written by walking the init fields of its dataclass,
+which are the fields of its document; what its engine runs on, the body
+builds from them itself.  A JSON array is a ``tuple[X, ...]``, an object
+whose keys are data a ``Mapping[str, X]``, and the one field a document
+leaves out is a perception view's role, implied by where the view sits.
+Reading checks shape and types; value invariants belong to the engine
+dataclasses, and any they raise is reported at the offending field's path
+(body-relative, e.g. "rates.r_a").  Reading also enforces the work budget
+below.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import json
 import math
 import types
 import typing
+from collections import abc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import import_module
@@ -64,23 +70,22 @@ def _join(path: str, name: str | None) -> str:
 
 
 @contextmanager
-def _at(path: str, paths: Mapping[str, str] = {}):
-    """Report an engine invariant raised in the block at the field's path.
-
-    ``paths`` maps field names of an object the document does not hold as
-    such (a resolved config) to the document fields they come from.
-    """
+def _at(path: str):
+    """Report an engine invariant raised in the block at the field's path."""
     try:
         yield
     except (InvalidConfig, InvalidInput, DegenerateRatio) as exc:
-        raise InvariantError(_join(path, paths.get(exc.field, exc.field)), exc.rule) from None
+        raise InvariantError(_join(path, exc.field), exc.rule) from None
 
 
-def _obj(value: Any, path: str, allowed: set[str], required: tuple[str, ...]) -> dict:
+def _obj(value: Any, path: str, allowed: set[str] | None = None,
+         required: tuple[str, ...] = ()) -> dict:
+    """``value`` as a JSON object whose keys are all in ``allowed`` (None:
+    any key) and include ``required``."""
     if not isinstance(value, dict):
         raise SchemaError(path, f"expected an object, got {type(value).__name__}")
     for key in value:
-        if key not in allowed:
+        if allowed is not None and key not in allowed:
             raise SchemaError(_join(path, key), "unknown field")
     for key in required:
         if key not in value:
@@ -129,15 +134,20 @@ def _options(annotation: Any) -> tuple | None:
 def _read(annotation: Any, value: Any, path: str) -> Any:
     if annotation in (float, int, str, bool):
         return _scalar(annotation, value, path)
-    if typing.get_origin(annotation) is tuple:  # tuple[X, ...] is a JSON array
+    origin = typing.get_origin(annotation)
+    if origin is tuple:  # tuple[X, ...] is a JSON array
         if not isinstance(value, list):
             raise SchemaError(path, "expected an array")
         item = typing.get_args(annotation)[0]
         return tuple(_read(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+    if origin is abc.Mapping:  # Mapping[str, X] is a JSON object whose keys are data
+        item = typing.get_args(annotation)[1]
+        return {key: _read(item, v, f"{path}.{key}") for key, v in _obj(value, path).items()}
     options = _options(annotation)
     if options is None:
-        read = _SHAPES.get(annotation.__name__, (_read_fields,))[0]
-        return read(annotation, value, path)
+        if annotation.__name__ == "PerceptionView":
+            return _read_view(annotation, value, path)
+        return _read_fields(annotation, value, path)
     if len(options) == 1:
         return _read(options[0], value, path)
     # a union of dataclasses is stored with a "kind" tag: the lowercased class name
@@ -168,58 +178,17 @@ def _read_view(cls: type, value: Any, path: str) -> Any:
     return view
 
 
-def _read_chain(cls: type, value: dict, path: str) -> Any:
-    # the spec's fields (anchor_price, stages) sit in the body itself
-    spec_type = _fields(cls)["spec"][0]
-    inline = {k: v for k, v in value.items() if k in _fields(spec_type)}
-    spec = _read_fields(spec_type, inline, path)
-    rest = {k: v for k, v in value.items() if k not in inline}
-    return _read_fields(cls, rest, path, spec=spec)
-
-
-def _read_power_chain(cls: type, value: dict, path: str) -> Any:
-    # the graph sits in the body as nodes {label: {"strength_vs": {adversary: x}}} and edges
-    graph_type = _fields(cls)["graph"][0]
-    obj = _obj(value, path, {"nodes", "edges", *_fields(cls)} - {"graph"}, ("nodes", "edges"))
-    nodes, at = obj["nodes"], _join(path, "nodes")
-    if not isinstance(nodes, dict):
-        raise SchemaError(at, "expected an object mapping node labels")
-    strengths = {}
-    for label, node in nodes.items():
-        against = _obj(node, f"{at}.{label}", {"strength_vs"}, ("strength_vs",))["strength_vs"]
-        if not isinstance(against, dict):
-            raise SchemaError(f"{at}.{label}.strength_vs", "expected an object")
-        strengths[label] = {adversary: _num(x, f"{at}.{label}.strength_vs.{adversary}")
-                            for adversary, x in against.items()}
-    edges = _read(_fields(graph_type)["edges"][0], obj["edges"], _join(path, "edges"))
-    with _at(path, {"strengths": "nodes"}):
-        graph = graph_type(strengths=strengths, edges=edges)
-    rest = {k: v for k, v in obj.items() if k not in ("nodes", "edges")}
-    return _read_fields(cls, rest, path, graph=graph)
-
-
-def _write_power_chain(doc: dict) -> dict:
-    graph = doc.pop("graph")
-    nodes = {label: {"strength_vs": dict(against)} for label, against in graph["strengths"].items()}
-    return {**doc, "nodes": nodes, "edges": graph["edges"]}
-
-
-# Dataclasses whose document shape differs from their fields: class name ->
-# (read the document, reshape the field-by-field dict into the document).
-_SHAPES: dict[str, tuple[Callable[[type, Any, str], Any], Callable[[dict], dict]]] = {
-    "PerceptionView": (_read_view, lambda doc: {k: v for k, v in doc.items() if k != "role"}),
-    "ChainScenario": (_read_chain, lambda doc: {**doc.pop("spec"), **doc}),
-    "PowerChainScenario": (_read_power_chain, _write_power_chain),
-}
-
-
 # ---------------------------------------------------------------------------
 # writing: the inverse of reading
 
 def _write(annotation: Any, value: Any) -> Any:
-    if typing.get_origin(annotation) is tuple:
+    origin = typing.get_origin(annotation)
+    if origin is tuple:
         item = typing.get_args(annotation)[0]
         return [_write(item, v) for v in value]
+    if origin is abc.Mapping:
+        item = typing.get_args(annotation)[1]
+        return {key: _write(item, v) for key, v in value.items()}
     options = _options(annotation)
     if options is not None:
         doc = _write(type(value), value)
@@ -228,8 +197,9 @@ def _write(annotation: Any, value: Any) -> Any:
         return value
     doc = {name: _write(spec[0], getattr(value, name)) for name, spec in _fields(annotation).items()
            if getattr(value, name) is not None}
-    shape = _SHAPES.get(annotation.__name__)
-    return shape[1](doc) if shape else doc
+    if annotation.__name__ == "PerceptionView":
+        del doc["role"]  # implied by where the view sits
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -242,19 +212,8 @@ def _check_steps(body) -> None:
 
 def _check_chain(body) -> None:
     _check_steps(body)
-    if len(body.spec.stages) * body.max_steps > MAX_CHAIN_STEPS:
+    if len(body.stages) * body.max_steps > MAX_CHAIN_STEPS:
         raise InvariantError("stages", f"len(stages) * max_steps must be <= {MAX_CHAIN_STEPS}")
-
-
-# NegotiationConfig fields that to_config() derives from other document fields.
-_CONFIG_PATHS = {"buyer_open": "buyer.open", "seller_open": "seller.open",
-                 "buyer_reserve_adj": "buyer.reserve", "seller_reserve_adj": "seller.reserve"}
-
-
-def _check_negotiation(body) -> None:
-    _check_steps(body)
-    with _at("", _CONFIG_PATHS):
-        body.to_config()
 
 
 def _check_society(body) -> None:
@@ -286,7 +245,7 @@ class Kind:
 
 KINDS = {
     "negotiation": Kind("negotiation", "NegotiationScenario", kinds.negotiation_payload,
-                        kinds.negotiation_csv, _check_negotiation),
+                        kinds.negotiation_csv, _check_steps),
     "chain": Kind("chain", "ChainScenario", kinds.chain_payload, kinds.chain_csv, _check_chain),
     "nonmarket": Kind("nonmarket", "NonmarketScenario", kinds.nonmarket_payload,
                       kinds.nonmarket_csv),
@@ -317,14 +276,8 @@ def parse_scenario(text: str) -> Scenario:
     kind = _scalar(str, top["kind"], "kind")
     if kind not in KINDS:
         raise SchemaError("kind", f"must be one of {', '.join(KINDS)}")
-    metadata = top.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise SchemaError("metadata", "expected an object of string labels")
-    for key, value in metadata.items():
-        _scalar(str, value, f"metadata.{key}")
-    if not isinstance(top["body"], dict):
-        raise SchemaError("body", "expected an object")
-    body = _read(KINDS[kind].body_type(), top["body"], "")
+    metadata = _read(Mapping[str, str], top.get("metadata", {}), "metadata")
+    body = _read(KINDS[kind].body_type(), _obj(top["body"], "body"), "")  # paths are body-relative
     KINDS[kind].check(body)
     return Scenario(version=version, kind=kind, body=body, metadata=metadata)
 

@@ -29,6 +29,7 @@ from itertools import repeat
 
 import numpy as np
 
+from .core import require_finite
 from .errors import AllZero, ConfigMismatch, EmptyInput, InvalidConfig, InvalidInput
 
 
@@ -37,7 +38,7 @@ class Constant:
     value: float
 
     def __post_init__(self):
-        if not math.isfinite(self.value) or self.value <= 0.0:
+        if require_finite("value", self.value, InvalidConfig) <= 0.0:
             raise InvalidConfig("must be > 0", field="value")
 
 
@@ -47,11 +48,9 @@ class Uniform:
     hi: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise InvalidConfig("uniform bounds must be finite")
-        if self.lo <= 0.0:
+        if require_finite("lo", self.lo, InvalidConfig) <= 0.0:
             raise InvalidConfig("must be > 0", field="lo")
-        if self.hi <= self.lo:
+        if require_finite("hi", self.hi, InvalidConfig) <= self.lo:
             raise InvalidConfig("must be > lo", field="hi")
 
 
@@ -61,9 +60,8 @@ class Lognormal:
     sigma: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
-            raise InvalidConfig("lognormal needs finite mu and sigma")
-        if self.sigma < 0.0:
+        require_finite("mu", self.mu, InvalidConfig)
+        if require_finite("sigma", self.sigma, InvalidConfig) < 0.0:
             raise InvalidConfig("must be >= 0", field="sigma")
 
 
@@ -75,7 +73,7 @@ class Authoritarian:
     power_exponent: float  # 0 disables the wealth-to-power coupling
 
     def __post_init__(self):
-        if not math.isfinite(self.power_exponent) or self.power_exponent < 0.0:
+        if require_finite("power_exponent", self.power_exponent, InvalidConfig) < 0.0:
             raise InvalidConfig("must be >= 0", field="power_exponent")
 
 
@@ -84,7 +82,7 @@ class Institutional:
     cap: float  # 1 forces exact parity
 
     def __post_init__(self):
-        if not math.isfinite(self.cap) or self.cap < 1.0:
+        if require_finite("cap", self.cap, InvalidConfig) < 1.0:
             raise InvalidConfig("must be >= 1", field="cap")
 
 
@@ -110,7 +108,7 @@ class SocietyConfig:
                 raise InvalidConfig(f"must be >= {least}", field=name)
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
             raise InvalidConfig("must be a 64-bit unsigned integer", field="seed")
-        if not math.isfinite(self.unit_surplus) or self.unit_surplus <= 0.0:
+        if require_finite("unit_surplus", self.unit_surplus, InvalidConfig) <= 0.0:
             raise InvalidConfig("must be > 0", field="unit_surplus")
         if not isinstance(self.initial_wealth, (Constant, Uniform, Lognormal)):
             raise InvalidConfig("initial_wealth must be a distribution spec")

@@ -55,6 +55,16 @@ def test_out_writes_file(fig3_file, tmp_path, capsys):
     assert target.read_text().splitlines()[1] == "0,2.5,4.5,2.0"
 
 
+def test_unwritable_out_is_a_runtime_error(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "trace.json"
+    assert main(["run", "--scenario", "fig3", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("bargainlab: runtime error: "), lines
+    assert not target.parent.exists()
+
+
 def test_missing_file_is_a_scenario_error(capsys):
     assert main(["run", "--scenario", "/no/such/file.json", "--quiet"]) == 1
 

@@ -37,6 +37,20 @@ class TestValidation:
         with pytest.raises(InvalidConfig):
             TrustEdge("a", "b", w)
 
+    @pytest.mark.parametrize("w", [float("inf"), float("nan")])
+    def test_non_finite_willingness_names_its_field(self, w):
+        with pytest.raises(InvalidConfig) as excinfo:
+            TrustEdge("a", "b", w)
+        assert (excinfo.value.field, excinfo.value.rule) == ("willingness",
+                                                             "must be a finite number")
+
+    @pytest.mark.parametrize("threshold", [float("inf"), float("nan")])
+    def test_non_finite_threshold_names_its_field(self, threshold):
+        with pytest.raises(InvalidInput) as excinfo:
+            find_power_chain(POE, "victim", "minister", threshold)
+        assert (excinfo.value.field, excinfo.value.rule) == ("threshold",
+                                                             "must be a finite number")
+
     def test_edge_endpoints_must_be_nodes(self):
         with pytest.raises(InvalidConfig):
             TrustGraph(strengths={"a": {}}, edges=(TrustEdge("a", "ghost", 0.5),))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -5,15 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bargainlab.core import PerceptionView, Role
-from bargainlab.chain import ChainScenario, ChainSpec, ChainStage
+from bargainlab.chain import ChainScenario, ChainStage
 from bargainlab.errors import InvariantError, ParseError, SchemaError
 from bargainlab.negotiation import (Agreement, Breakdown, ConcessionRates,
                                     NegotiationScenario, NegotiationTrace,
                                     SideSpec, run)
 from bargainlab.nonmarket import ExchangeProposal, ExternalInfluence, NonmarketScenario
-from bargainlab.powerchain import PowerChainScenario, TrustEdge, TrustGraph
+from bargainlab.powerchain import Node, PowerChainScenario, TrustEdge
 from bargainlab.report import report_to_json, run_scenario, write_trace_csv
-from bargainlab import __version__
+from bargainlab import __version__, negotiation, nonmarket
 from bargainlab.scenario import (MAX_CHAIN_STEPS, MAX_EXCHANGES, MAX_ROUNDS, MAX_STEPS, Scenario,
                                  load_preset, parse_scenario, preset_names, preset_text,
                                  scenario_document)
@@ -41,6 +42,27 @@ def with_literal(preset, keys, literal):
         target = target[key]
     target[keys[-1]] = "__literal__"
     return json.dumps(doc).replace('"__literal__"', literal)
+
+
+def assert_document_holds_fields(value, doc, path):
+    """``doc`` holds each init field of the dataclass ``value`` that is not
+    None (a view holds no role; a union member adds its kind tag), and
+    likewise at every level below."""
+    if dataclasses.is_dataclass(value):
+        names = {f.name for f in dataclasses.fields(value)
+                 if f.init and getattr(value, f.name) is not None}
+        names -= {"role"} if isinstance(value, PerceptionView) else set()
+        assert set(doc) - {"kind"} == names, path
+        for name in names:
+            assert_document_holds_fields(getattr(value, name), doc[name], f"{path}.{name}")
+    elif isinstance(value, tuple):
+        assert len(doc) == len(value), path
+        for index, (item, item_doc) in enumerate(zip(value, doc)):
+            assert_document_holds_fields(item, item_doc, f"{path}[{index}]")
+    elif isinstance(value, dict):
+        assert set(doc) == set(value), path
+        for key, item in value.items():
+            assert_document_holds_fields(item, doc[key], f"{path}.{key}")
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +98,7 @@ negotiation_bodies = st.builds(
 
 chain_bodies = st.builds(
     lambda anchor, stages, steps: ChainScenario(
-        spec=ChainSpec(stages=tuple(stages), anchor_price=anchor), max_steps=steps),
+        stages=tuple(stages), anchor_price=anchor, max_steps=steps),
     st.floats(min_value=0.1, max_value=1e4),
     st.lists(st.builds(ChainStage, label, view_strategy(Role.SELLER),
                        view_strategy(Role.BUYER),
@@ -103,8 +125,8 @@ nonmarket_bodies = st.builds(
 def power_chain_bodies(draw):
     labels = draw(st.lists(label, min_size=1, max_size=6, unique=True))
     adversary = draw(label)
-    strengths = {lab: {adversary: draw(st.floats(min_value=0.0, max_value=10.0))}
-                 for lab in labels}
+    nodes = {lab: Node({adversary: draw(st.floats(min_value=0.0, max_value=10.0))})
+             for lab in labels}
     edges = []
     if len(labels) > 1:
         for a in labels:
@@ -112,7 +134,7 @@ def power_chain_bodies(draw):
                 if a != b and draw(st.booleans()):
                     edges.append(TrustEdge(a, b, draw(st.floats(min_value=0.01, max_value=1.0))))
     return PowerChainScenario(
-        graph=TrustGraph(strengths=strengths, edges=tuple(edges)),
+        nodes=nodes, edges=tuple(edges),
         weak=draw(st.sampled_from(labels)), adversary=adversary,
         threshold=draw(st.floats(min_value=0.0, max_value=12.0)))
 
@@ -206,7 +228,10 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_scenario(text)
 
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("literal", [
+        "NaN", "Infinity", "-Infinity", "1e400",
+        # read as an int, which float() cannot convert
+        pytest.param("1" + "0" * 400, id="int-past-the-float-range")])
     @pytest.mark.parametrize("preset,keys", [
         ("fig3", ("buyer", "open")),
         ("fig3", ("buyer", "reserve")),
@@ -333,6 +358,43 @@ class TestParsing:
             parse_scenario(json.dumps(doc))
         assert excinfo.value.path == "seller.open"
 
+    @pytest.mark.parametrize("preset,edit,path,rule", [
+        ("fig3", lambda doc: doc.update(body=[]), "body", "expected an object, got list"),
+        ("fig3", lambda doc: doc.update(metadata="fig3"), "metadata",
+         "expected an object, got str"),
+        ("fig3", lambda doc: doc["body"].pop("rates"), "", "missing required field 'rates'"),
+        ("fig3", lambda doc: doc["body"]["buyer"].pop("open"), "buyer",
+         "missing required field 'open'"),
+        ("kilns", lambda doc: doc["body"].update(stages={}), "stages", "expected an array"),
+        ("society-authoritarian", lambda doc: doc["body"]["regime"].update(kind="feudal"),
+         "regime.kind", "must be one of authoritarian, institutional"),
+        ("purloined-letter", lambda doc: doc["body"].update(nodes=[]), "nodes",
+         "expected an object, got list"),
+        ("purloined-letter", lambda doc: doc["body"]["nodes"].update(dupin={"strength_vs": 5}),
+         "nodes.dupin.strength_vs", "expected an object, got int"),
+        ("purloined-letter", lambda doc: doc["body"]["nodes"]["dupin"].update(extra=1),
+         "nodes.dupin.extra", "unknown field"),
+        ("purloined-letter", lambda doc: doc["body"]["nodes"]["dupin"].pop("strength_vs"),
+         "nodes.dupin", "missing required field 'strength_vs'"),
+        ("purloined-letter",
+         lambda doc: doc["body"]["nodes"]["dupin"]["strength_vs"].update(minister="x"),
+         "nodes.dupin.strength_vs.minister", "expected a number, got str"),
+    ], ids=["body", "metadata", "missing-body-field", "missing-side-field", "array", "union-kind",
+            "nodes", "strength_vs", "node-field", "missing-node-field", "strength"])
+    def test_shape_errors_are_reported_at_their_path(self, preset, edit, path, rule):
+        doc = json.loads(preset_text(preset))
+        edit(doc)
+        with pytest.raises(SchemaError) as excinfo:
+            parse_scenario(json.dumps(doc))
+        assert (excinfo.value.path, excinfo.value.rule) == (path, rule)
+
+    @pytest.mark.parametrize("name", ALL_PRESETS)
+    def test_document_holds_the_body_fields(self, name):
+        """Every preset's body document holds exactly the init fields of its
+        body dataclass, at every level: a body has no reader of its own."""
+        scenario = load_preset(name)
+        assert_document_holds_fields(scenario.body, scenario_document(scenario)["body"], "body")
+
     @pytest.mark.parametrize("name", ALL_PRESETS)
     def test_all_presets_parse_and_roundtrip(self, name):
         scenario = load_preset(name)
@@ -416,6 +478,22 @@ class TestRunReport:
         assert report.scenario.body.seed == 7
         again = run_scenario(scenario, seed_override=7)
         assert report.outcome == again.outcome
+
+    def test_a_run_resolves_its_engine_input_once(self, monkeypatch):
+        """Parsing, running and rendering fig3 builds one NegotiationConfig,
+        and protection-money draws up one balance sheet."""
+        configs, sheets = [], []
+        check_config = negotiation.NegotiationConfig.__post_init__
+        monkeypatch.setattr(negotiation.NegotiationConfig, "__post_init__",
+                            lambda cfg: (configs.append(cfg), check_config(cfg))[1])
+        balance = nonmarket.welfare_balance
+        monkeypatch.setattr(nonmarket, "welfare_balance",
+                            lambda body: (sheets.append(body), balance(body))[1])
+        for name in ("fig3", "protection-money"):
+            report = run_scenario(parse_scenario(preset_text(name)))
+            report_to_json(report)
+            assert report.csv_text
+        assert (len(configs), len(sheets)) == (1, 1)
 
     @pytest.mark.parametrize("name", ALL_PRESETS)
     def test_every_preset_runs(self, name):

@@ -25,6 +25,20 @@ def config(**overrides):
     return SocietyConfig(**kwargs)
 
 
+#: Each float field of a society config, by name: the config with that
+#: field set to a given value and every other field valid.
+BUILD_WITH = {
+    "value": lambda x: Constant(x),
+    "lo": lambda x: Uniform(x, 2.0),
+    "hi": lambda x: Uniform(1.0, x),
+    "mu": lambda x: Lognormal(x, 1.0),
+    "sigma": lambda x: Lognormal(0.0, x),
+    "power_exponent": lambda x: Authoritarian(x),
+    "cap": lambda x: Institutional(x),
+    "unit_surplus": lambda x: config(unit_surplus=x),
+}
+
+
 def gini_bruteforce(values):
     """Pairwise-definition oracle: mean |x_i - x_j| over 2 * mean."""
     arr = np.asarray(values, dtype=float)
@@ -122,6 +136,13 @@ class TestConfigValidation:
             Constant(0.0)
         with pytest.raises(InvalidConfig):
             Lognormal(0.0, -1.0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", sorted(BUILD_WITH))
+    def test_non_finite_numbers_name_their_field(self, name, value):
+        with pytest.raises(InvalidConfig) as excinfo:
+            BUILD_WITH[name](value)
+        assert (excinfo.value.field, excinfo.value.rule) == (name, "must be a finite number")
 
     def test_regime_bounds(self):
         with pytest.raises(InvalidConfig):
