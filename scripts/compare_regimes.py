@@ -7,6 +7,7 @@ Defaults reproduce the pre-registered comparison: 200 agents, 500 epochs,
 
 import argparse
 
+from bargainlab.errors import BargainError
 from bargainlab.society import (Authoritarian, Institutional, SocietyConfig,
                                 Uniform, compare_regimes)
 
@@ -29,10 +30,12 @@ def main() -> None:
     base = dict(n_agents=args.agents, initial_wealth=Uniform(1.0, 2.0),
                 epochs=args.epochs, pairings_per_epoch=args.pairings,
                 seed=args.seed, unit_surplus=args.surplus)
-    cfg_auth = SocietyConfig(regime=Authoritarian(args.gamma), **base)
-    cfg_inst = SocietyConfig(regime=Institutional(args.cap), **base)
-
-    result = compare_regimes(cfg_auth, cfg_inst, n_seeds=args.seeds)
+    try:
+        cfg_auth = SocietyConfig(regime=Authoritarian(args.gamma), **base)
+        cfg_inst = SocietyConfig(regime=Institutional(args.cap), **base)
+        result = compare_regimes(cfg_auth, cfg_inst, n_seeds=args.seeds)
+    except BargainError as err:
+        parser.error(str(err))
 
     print(f"{'seed':>10}  {'gini authoritarian':>19}  {'gini institutional':>19}")
     for seed, a, b in zip(result.seeds, result.final_gini_a, result.final_gini_b):

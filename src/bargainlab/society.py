@@ -17,15 +17,15 @@ inequality is tracked with the Gini coefficient.
 
 A round's pairs are disjoint, so the kernel applies a whole round as one
 array update, which gives the same floats as taking its pairs one at a
-time.  ``compare_regimes`` runs its seeds as the rows of one wealth array,
-and the Ginis of every seed over a block of epochs are taken in one pass.
+time.  ``compare_regimes`` runs both regimes over all its seeds as the rows
+of one wealth array, and the Ginis of every row over a block of epochs are
+taken in one pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import repeat
 
 import numpy as np
 
@@ -200,24 +200,16 @@ def _sample_initial(dist: WealthDistribution, n: int, rng: np.random.Generator) 
     return rng.lognormal(dist.mu, dist.sigma, size=n)
 
 
-def _pow(base: float, exponent: float) -> float:
-    try:
-        return base ** exponent
-    except OverflowError:  # float ** raises where the rich side's power is unbounded
-        return math.inf
-
-
-def _power_ratio(ratio: np.ndarray, regime: RegimeRule) -> np.ndarray:
+def _power_ratio(ratio: np.ndarray, regime: RegimeRule) -> None:
+    """Turn wealth ratios into the regime's power ratios, in place."""
     if isinstance(regime, Institutional):
-        return np.minimum(ratio, regime.cap)
-    # Python's float pow, one libm call per ratio: numpy's vectorised power
-    # rounds some results differently, which would change the bytes of a run
-    ratios = ratio.tolist()
-    exponent = regime.power_exponent
-    try:
-        return np.fromiter(map(pow, ratios, repeat(exponent)), float, len(ratios))
-    except OverflowError:
-        return np.fromiter(map(_pow, ratios, repeat(exponent)), float, len(ratios))
+        np.minimum(ratio, regime.cap, out=ratio)
+    else:
+        # float_power has no SIMD loop: it calls the C library's pow once per
+        # ratio, as Python's float ** does, where np.power rounds some results
+        # differently.  It overflows to inf where ** raises; the kernel gives
+        # an infinite ratio share 1
+        np.float_power(ratio, regime.power_exponent, out=ratio)
 
 
 def run_society(cfg: SocietyConfig) -> WealthTrace:
@@ -244,30 +236,31 @@ _GINI_VALUES = 1 << 14
 
 
 def _run_batch(cfgs: list[SocietyConfig]) -> list[WealthTrace]:
-    """Run configs that differ only in their seed as the rows of one
-    (seeds, n) wealth array, one update per round over every row's pairs.
+    """Run configs that differ only in their seed and regime as the rows of
+    one (rows, n) wealth array, one update per round over every row's pairs.
 
-    Each row draws from its own generator in the order a lone run does,
-    so row s is bitwise the run of ``cfgs[s]`` by itself.
+    Each row draws from its own generator in the order a lone run does, and
+    each pair's power ratio follows its own row's regime, so row s is
+    bitwise the run of ``cfgs[s]`` by itself.
     """
-    cfg = cfgs[0]
+    cfg, rows = cfgs[0], len(cfgs)
     n, n_pairs, pairings = cfg.n_agents, cfg.n_agents // 2, cfg.pairings_per_epoch
     rngs = [np.random.default_rng(c.seed) for c in cfgs]
     wealth = np.stack([_sample_initial(cfg.initial_wealth, n, rng) for rng in rngs])
     if np.any(wealth == 0.0):  # an exchange divides by the poorer side's wealth
         raise InvalidConfig("sampled wealth underflows to 0", field="initial_wealth")
 
-    gini_series = np.empty((len(cfgs), cfg.epochs + 1))
-    totals = np.empty((len(cfgs), cfg.epochs + 1))
+    gini_series = np.empty((rows, cfg.epochs + 1))
+    totals = np.empty((rows, cfg.epochs + 1))
 
     # each epoch's wealth is held here and a block of epochs is measured in
     # one pass, so a small population does not pay numpy's per-call cost
     # every epoch
-    held = np.empty((min(cfg.epochs, max(1, _GINI_VALUES // (len(cfgs) * n))), len(cfgs), n))
+    held = np.empty((min(cfg.epochs, max(1, _GINI_VALUES // (rows * n))), rows, n))
 
     def measure(first: int, snapshots: np.ndarray, field: str) -> None:
         """Record the Ginis and totals of epochs first, first + 1, ... from
-        their (epochs, seeds, n) wealth snapshots."""
+        their (epochs, rows, n) wealth snapshots."""
         span = slice(first, first + len(snapshots))
         # gini rejects positive wealth only when it leaves the float range;
         # report that at the config field that drove it there
@@ -283,12 +276,18 @@ def _run_batch(cfgs: list[SocietyConfig]) -> list[WealthTrace]:
 
     measure(0, wealth[None], "initial_wealth")
 
-    surplus, regime = cfg.unit_surplus, cfg.regime
+    # a round's pairs are laid out row after row, so each run of consecutive
+    # rows that share a regime owns one slice of them
+    starts = [s for s in range(rows) if s == 0 or cfgs[s].regime != cfgs[s - 1].regime]
+    spans = [(cfgs[a].regime, slice(a * n_pairs, b * n_pairs))
+             for a, b in zip(starts, starts[1:] + [rows])]
+
+    surplus = cfg.unit_surplus
     flat = wealth.reshape(-1)  # a view: pairs index agents across all rows
     rounds = cfg.epochs * pairings
-    chunk = min(rounds, max(1, _PERM_INDICES // (len(cfgs) * n)))
-    orders = np.empty((len(cfgs), chunk, n), dtype=np.intp)
-    row_offsets = (np.arange(len(cfgs)) * n)[:, None, None]
+    chunk = min(rounds, max(1, _PERM_INDICES // (rows * n)))
+    orders = np.empty((rows, chunk, n), dtype=np.intp)
+    row_offsets = (np.arange(rows) * n)[:, None]
     # inf and nan wealth are reported by measure(); numpy need not warn first
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(rounds):
@@ -296,21 +295,25 @@ def _run_batch(cfgs: list[SocietyConfig]) -> list[WealthTrace]:
             if k == 0:
                 block = orders[:, :min(chunk, rounds - t)]
                 block[...] = np.arange(n)
-                for rng, rows in zip(rngs, block):  # the stream of per-round rng.permutation(n)
-                    rng.permuted(rows, axis=1, out=rows)
-                block += row_offsets
-            pairs = block[:, k, :2 * n_pairs]
-            first, second = pairs[:, 0::2].ravel(), pairs[:, 1::2].ravel()
+                for rng, perms in zip(rngs, block):  # the stream of per-round rng.permutation(n)
+                    rng.permuted(perms, axis=1, out=perms)
+                # (rounds, rows * n_pairs): each round's first and second
+                # sides as contiguous arrays of indices into flat
+                pairs = block[..., :2 * n_pairs].swapaxes(0, 1)
+                firsts = (pairs[..., 0::2] + row_offsets).reshape(len(pairs), -1)
+                seconds = (pairs[..., 1::2] + row_offsets).reshape(len(pairs), -1)
+            first, second = firsts[k], seconds[k]
             w_first, w_second = flat[first], flat[second]
             first_rich = w_first >= w_second
-            rich, poor = np.where(first_rich, first, second), np.where(first_rich, second, first)
             w_rich = np.where(first_rich, w_first, w_second)
-            w_poor = np.where(first_rich, w_second, w_first)
-            rho = _power_ratio(w_rich / w_poor, regime)
+            rho = w_rich / np.where(first_rich, w_second, w_first)
+            for regime, span in spans:
+                _power_ratio(rho[span], regime)
             share_rich = rho / (1.0 + rho)
             share_rich[np.isinf(rho)] = 1.0
-            flat[rich] = w_rich + surplus * share_rich
-            flat[poor] = w_poor + surplus * (1.0 - share_rich)
+            share_poor = 1.0 - share_rich
+            flat[first] = w_first + surplus * np.where(first_rich, share_rich, share_poor)
+            flat[second] = w_second + surplus * np.where(first_rich, share_poor, share_rich)
             if (t + 1) % pairings == 0:
                 epoch = (t + 1) // pairings
                 slot = (epoch - 1) % len(held)
@@ -321,7 +324,7 @@ def _run_batch(cfgs: list[SocietyConfig]) -> list[WealthTrace]:
     injected = pairings * n_pairs * surplus
     return [WealthTrace(gini_series=gini_series[s], totals=totals[s],
                         injected_per_epoch=injected, final_wealth=wealth[s])
-            for s in range(len(cfgs))]
+            for s in range(rows)]
 
 
 @dataclass(frozen=True)
@@ -347,17 +350,16 @@ def compare_regimes(cfg_a: SocietyConfig, cfg_b: SocietyConfig,
 
     The configs must be identical except (possibly) for the regime; seeds
     are cfg.seed, cfg.seed + 1, ... so replicate sweeps stay reproducible.
+    Both regimes run as the rows of one batch.
     """
     if not isinstance(n_seeds, int) or n_seeds < 1:
         raise InvalidConfig("n_seeds must be a positive integer")
     if replace(cfg_a, regime=cfg_b.regime) != cfg_b:
         raise ConfigMismatch("configs may differ only in their regime rule")
     seeds = tuple(cfg_a.seed + i for i in range(n_seeds))
-
-    def final_ginis(cfg: SocietyConfig) -> tuple[float, ...]:
-        return tuple(t.final_gini for t in _run_batch([replace(cfg, seed=s) for s in seeds]))
-
-    final_a, final_b = final_ginis(cfg_a), final_ginis(cfg_b)
+    traces = _run_batch([replace(cfg, seed=s) for cfg in (cfg_a, cfg_b) for s in seeds])
+    finals = tuple(t.final_gini for t in traces)
+    final_a, final_b = finals[:n_seeds], finals[n_seeds:]
     mean_a = sum(final_a) / n_seeds
     mean_b = sum(final_b) / n_seeds
     return RegimeComparison(

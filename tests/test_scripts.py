@@ -20,9 +20,25 @@ ROOT = Path(__file__).resolve().parents[1]
      r"mean difference: [+-]\d\.\d{5} \(authoritarian more unequal in [0-2]/2 seeds\)"),
 ])
 def test_script_runs_to_its_summary(script, args, summary):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = run_script(script, args)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert re.fullmatch(summary, proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--seeds", "0"], "n_seeds must be a positive integer"),
+    (["--agents", "1"], "n_agents: must be >= 2"),
+    (["--cap", "0.5"], "cap: must be >= 1"),
+])
+def test_compare_regimes_reports_bad_arguments_as_usage_errors(args, message):
+    proc = run_script("compare_regimes.py", args)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == f"compare_regimes.py: error: {message}"
+
+
+def run_script(script, args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          capture_output=True, text=True, env=env, timeout=120)

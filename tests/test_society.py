@@ -208,6 +208,21 @@ class TestRunSociety:
                 run_society(config(unit_surplus=1.7e308, pairings_per_epoch=3))
         assert raised.value.field == "unit_surplus"
 
+    def test_compare_regimes_fails_as_a_lone_run_does(self):
+        # both regimes inject the same surplus, so both leave the float range
+        a = config(regime=Authoritarian(400.0), unit_surplus=1.7e308, pairings_per_epoch=3)
+        b = replace(a, regime=Institutional(1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lone = []
+            for cfg in (a, b):
+                with pytest.raises(InvalidConfig) as raised:
+                    run_society(cfg)
+                lone.append(raised.value)
+            with pytest.raises(InvalidConfig) as raised:
+                compare_regimes(a, b, n_seeds=3)
+        assert [(e.field, e.rule) for e in lone] == [(raised.value.field, raised.value.rule)] * 2
+
     def test_memory_is_bounded_by_the_population(self):
         n = 200_000
         cfg = config(n_agents=n, epochs=1, pairings_per_epoch=2)
@@ -290,6 +305,33 @@ class TestGiniRows:
             society._gini_rows(np.sort(wealth, axis=1))
 
 
+def python_pow(base: float, exponent: float) -> float:
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
+
+
+class TestPowerRatio:
+    def test_float_power_is_python_pow_bit_for_bit(self):
+        # the authoritarian ratio goes through np.float_power, which calls
+        # libm's pow per element as Python's ** does; a SIMD loop, such as
+        # np.power's, rounds some results differently
+        rng = np.random.default_rng(1515)
+        spreads = [rng.lognormal(0.0, sigma, (2, 4000)) for sigma in (0.5, 1.0, 3.0)]
+        ratios = np.concatenate([[1.0, np.nan], rng.uniform(1.0, 1e3, 4000),
+                                 *(np.max(w, axis=0) / np.min(w, axis=0) for w in spreads)])
+        overflows = 0
+        for exponent in (0.0, 0.7, 2.0, 3.0, 400.0, 5e-324):
+            got = ratios.copy()
+            with np.errstate(over="ignore"):
+                society._power_ratio(got, Authoritarian(exponent))
+            want = np.array([python_pow(r, exponent) for r in ratios.tolist()])
+            assert np.array_equal(got, want, equal_nan=True), exponent
+            overflows += np.isinf(want).sum()
+        assert overflows > 0  # some ratio ** 400 raised, and float_power gave inf
+
+
 class TestMatchesScalarLoop:
     """The round-at-a-time kernel against the pair-by-pair loop, bit for bit."""
 
@@ -317,13 +359,32 @@ class TestMatchesScalarLoop:
         assert cfg.epochs > 2 * (society._GINI_VALUES // cfg.n_agents)
         assert_matches_reference(cfg, run_society(cfg))
 
+    @pytest.mark.parametrize("regime_b", [Authoritarian(0.7), Institutional(3.0)], ids=repr)
     @pytest.mark.parametrize("regime", [Authoritarian(3.0), Institutional(1.2)], ids=repr)
-    def test_compare_regimes_batch_equals_single_runs(self, regime):
-        # five seeds of 201 agents fill the buffer in 65 rounds; this run makes 80
+    def test_compare_regimes_batch_equals_single_runs(self, regime, regime_b):
+        # ten rows of 201 agents fill the buffer in 32 rounds; this run makes 80
         a = config(n_agents=201, regime=regime, epochs=40, pairings_per_epoch=2)
-        b = replace(a, regime=Authoritarian(0.7))
+        b = replace(a, regime=regime_b)
         result = compare_regimes(a, b, n_seeds=5)
         assert result.final_gini_a == tuple(
             run_society(replace(a, seed=s)).final_gini for s in result.seeds)
         assert result.final_gini_b == tuple(
             run_society(replace(b, seed=s)).final_gini for s in result.seeds)
+
+    @pytest.mark.parametrize("regimes", [
+        [Authoritarian(400.0), Institutional(1.0)],
+        [Authoritarian(2.0), Authoritarian(2.0)],  # one run of rows
+        [Institutional(1.2), Authoritarian(0.7), Institutional(1.2)],
+    ], ids=repr)
+    def test_mixed_regime_rows_equal_their_lone_runs(self, regimes):
+        # sigma 1 spreads wealth ratios past 6, where ratio ** 400 overflows
+        base = config(n_agents=201, initial_wealth=Lognormal(0.0, 1.0), epochs=50,
+                      pairings_per_epoch=2)
+        cfgs = [replace(base, regime=r, seed=s) for r in regimes for s in (11, 12)]
+        rounds = base.epochs * base.pairings_per_epoch
+        assert rounds > society._PERM_INDICES // (len(cfgs) * base.n_agents)
+        for cfg, trace in zip(cfgs, society._run_batch(cfgs)):
+            lone = run_society(cfg)
+            assert np.array_equal(trace.final_wealth, lone.final_wealth)
+            assert np.array_equal(trace.gini_series, lone.gini_series)
+            assert np.array_equal(trace.totals, lone.totals)
