@@ -12,6 +12,12 @@ from bargainlab.society import (Authoritarian, Institutional, SocietyConfig,
                                 Uniform, compare_regimes)
 
 
+#: The option that sets each config field a bad argument can reach.
+OPTIONS = {"n_agents": "--agents", "epochs": "--epochs", "pairings_per_epoch": "--pairings",
+           "n_seeds": "--seeds", "seed": "--seed", "power_exponent": "--gamma", "cap": "--cap",
+           "unit_surplus": "--surplus"}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--agents", type=int, default=200)
@@ -35,7 +41,8 @@ def main() -> None:
         cfg_inst = SocietyConfig(regime=Institutional(args.cap), **base)
         result = compare_regimes(cfg_auth, cfg_inst, n_seeds=args.seeds)
     except BargainError as err:
-        parser.error(str(err))
+        parser.error(f"argument {OPTIONS[err.field]}: {err.rule}" if err.field in OPTIONS
+                     else str(err))
 
     print(f"{'seed':>10}  {'gini authoritarian':>19}  {'gini institutional':>19}")
     for seed, a, b in zip(result.seeds, result.final_gini_a, result.final_gini_b):

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import negotiation
-from .core import PerceptionView, Role, adjust_reserve_full, imbalance_ratio
+from .core import PerceptionView, Role, adjust_reserve_full, imbalance_ratio, require_finite
 from .errors import InvalidConfig
 from .negotiation import Agreement, ConcessionRates, NegotiationConfig, check_stopping_rule
 
@@ -26,7 +26,9 @@ class ChainStage:
     ``base_seller_reserve`` is the seller's unadjusted minimum price.  The
     buyer's unadjusted maximum is the price it receives from downstream,
     so it is not a field here; ``margin_floor`` is the absolute margin the
-    buyer refuses to go below.
+    buyer refuses to go below.  What a link's negotiation needs that does
+    not depend on that price is built once: the seller's adjusted reserve,
+    the buyer's imbalance ratio and the imbalance-scaled rates.
     """
 
     name: str
@@ -35,6 +37,9 @@ class ChainStage:
     base_seller_reserve: float
     rates: ConcessionRates
     margin_floor: float = 0.0
+    seller_reserve_adj: float = field(init=False, repr=False, compare=False)
+    rho_buyer: float = field(init=False, repr=False, compare=False)
+    scaled_rates: ConcessionRates = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.buyer_view.role is not Role.BUYER:
@@ -44,11 +49,16 @@ class ChainStage:
         if self.base_seller_reserve < 0.0:
             raise InvalidConfig("must be >= 0", field="base_seller_reserve")
         # the buyer's adjusted reserve is capped by its incoming price; the seller's is not
-        if not math.isfinite(adjust_reserve_full(self.base_seller_reserve, self.seller_view)):
+        object.__setattr__(self, "seller_reserve_adj",
+                           adjust_reserve_full(self.base_seller_reserve, self.seller_view))
+        if not math.isfinite(self.seller_reserve_adj):
             raise InvalidConfig("must stay finite when adjusted by the seller's view",
                                 field="base_seller_reserve")
         if self.margin_floor < 0.0:
             raise InvalidConfig("must be >= 0", field="margin_floor")
+        object.__setattr__(self, "rho_buyer", imbalance_ratio(self.buyer_view))
+        object.__setattr__(self, "scaled_rates", negotiation.concession_rates_from_imbalance(
+            self.rates, self.rho_buyer, imbalance_ratio(self.seller_view)))
 
 
 @dataclass(frozen=True)
@@ -59,7 +69,7 @@ class ChainSpec:
     def __post_init__(self):
         if len(self.stages) < 1:
             raise InvalidConfig("must have at least one stage", field="stages")
-        if self.anchor_price <= 0.0:
+        if require_finite("anchor_price", self.anchor_price, InvalidConfig) <= 0.0:
             raise InvalidConfig("must be > 0", field="anchor_price")
         object.__setattr__(self, "stages", tuple(self.stages))
 
@@ -107,27 +117,17 @@ class StageResult:
 def _settle_stage(stage: ChainStage, incoming: float,
                   gap_epsilon: float, max_steps: int) -> tuple[float | None, float]:
     """Negotiate one link given the price its buyer collects downstream."""
-    rho_buyer = imbalance_ratio(stage.buyer_view)
-    rho_seller = imbalance_ratio(stage.seller_view)
-    buyer_reserve = min(adjust_reserve_full(incoming, stage.buyer_view),
+    # adjust_reserve_full(incoming, stage.buyer_view), with the view's ratio taken once
+    buyer_reserve = min(max(0.0, incoming * stage.rho_buyer),
                         max(0.0, incoming - stage.margin_floor))
-    seller_reserve = adjust_reserve_full(stage.base_seller_reserve, stage.seller_view)
-    rates = negotiation.concession_rates_from_imbalance(stage.rates, rho_buyer, rho_seller)
+    seller_reserve = stage.seller_reserve_adj
     # Each side opens at the other's adjusted reserve (its best plausible
     # deal); min/max keeps the opening order valid when reserves invert.
-    cfg = NegotiationConfig(
-        buyer_open=min(buyer_reserve, seller_reserve),
-        seller_open=max(buyer_reserve, seller_reserve),
-        buyer_reserve_adj=buyer_reserve,
-        seller_reserve_adj=seller_reserve,
-        rates=rates,
-        gap_epsilon=gap_epsilon,
-        max_steps=max_steps,
-    )
-    trace = negotiation.run(cfg)
-    if isinstance(trace.outcome, Agreement):
-        return trace.outcome.price, buyer_reserve
-    return None, buyer_reserve
+    cfg = NegotiationConfig(min(buyer_reserve, seller_reserve), max(buyer_reserve, seller_reserve),
+                            buyer_reserve, seller_reserve, stage.scaled_rates,
+                            gap_epsilon, max_steps)
+    outcome = negotiation.run(cfg).outcome
+    return (outcome.price if isinstance(outcome, Agreement) else None), buyer_reserve
 
 
 def propagate(spec: ChainSpec, gap_epsilon: float | None,

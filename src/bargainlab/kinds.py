@@ -5,9 +5,9 @@ asked for.  None imports an engine module.
 
 CSV output is locale-independent and byte-deterministic: prices are
 rendered with up to 6 significant digits (a ``.0`` is appended to bare
-integers so every price cell stays visibly a decimal).  A negotiation
-trace can repeat one row object many times (a stall past its repeated
-state), so the trace renderers format each distinct row once.
+integers so every price cell stays visibly a decimal).  The trace
+renderers format each row a negotiation iterated once; a stall's stated
+cycle repeats those strings by position (``NegotiationTrace.expand``).
 """
 
 from __future__ import annotations
@@ -41,25 +41,11 @@ def negotiation_payload(body, trace) -> dict:
     }
 
 
-def render_rows(steps, render) -> list[str]:
-    """Each trace row's string, in order, where ``render(rows)`` returns one
-    string per row and is given each distinct row object once: a stalled
-    trace repeats a few row objects up to its end.  The trace keeps its
-    rows alive, so their ids stay unique."""
-    ids = list(map(id, steps))
-    distinct = dict(zip(ids, steps))
-    rendered = dict(zip(distinct, render(distinct.values())))
-    return list(map(rendered.__getitem__, ids))
-
-
-def _csv_cells(rows) -> list[str]:
-    return [f"{_fmt(buyer)},{_fmt(seller)},{_fmt(gap)}" for buyer, seller, gap in rows]
-
-
 def write_trace_csv(trace) -> str:
     """Offer trace as CSV: step,offer_buyer,offer_seller,gap + outcome row."""
     lines = ["step,offer_buyer,offer_seller,gap"]
-    lines += [f"{n},{cells}" for n, cells in enumerate(render_rows(trace.steps, _csv_cells))]
+    lines += [f"{n},{cells}" for n, cells in enumerate(trace.expand(
+        [f"{_fmt(buyer)},{_fmt(seller)},{_fmt(gap)}" for buyer, seller, gap in trace.rows]))]
     if trace.agreed:
         lines.append(f"# outcome,agreement,{trace.outcome.step},{_fmt(trace.outcome.price)}")
     else:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .core import (PerceptionView, adjust_reserve_full, imbalance_ratio, require_finite,
                    require_ratio, require_reserve)
@@ -186,17 +187,34 @@ Outcome = Agreement | Breakdown
 class NegotiationTrace:
     """A run's offers and outcome.
 
-    ``steps`` holds one ``(offer_buyer, offer_seller, gap)`` row per step;
-    a row's index is its step number.  In a stall whose offers repeat, the
-    rows past the repeated state are shared objects (see ``run``).
+    ``rows`` holds one ``(offer_buyer, offer_seller, gap)`` row per step the
+    run iterated; a row's index is its step number.  A stall may state the
+    cycle its offers settled on instead of iterating it: with ``period`` > 0
+    the last ``period`` rows repeat, in order, up to the breakdown step.
+    ``steps`` holds every step's row.
     """
 
-    steps: tuple[tuple[float, float, float], ...]
+    rows: tuple[tuple[float, float, float], ...]
     outcome: Outcome
+    period: int = 0
 
     @property
     def agreed(self) -> bool:
         return isinstance(self.outcome, Agreement)
+
+    @cached_property
+    def steps(self) -> tuple[tuple[float, float, float], ...]:
+        return self.expand(self.rows)
+
+    def expand(self, items):
+        """``items``, one per row of ``rows``, extended to one per step: item
+        k past the end is item ``len(items) - period + (k - len(items)) mod
+        period``.  A list gives a list and a tuple a tuple."""
+        if not self.period:
+            return items
+        cycle = items[len(items) - self.period:]
+        laps, rest = divmod(self.outcome.at_step + 1 - len(items), self.period)
+        return items + cycle * laps + cycle[:rest]
 
 
 def concession_rates_from_imbalance(base: ConcessionRates, rho_buyer: float,
@@ -247,34 +265,38 @@ def run(cfg: NegotiationConfig) -> NegotiationTrace:
     still open after max_steps updates the negotiation breaks down.
 
     The update is a fixed function of the two offers.  So once the offers
-    at step n equal those at step n - 2 (a rest point or a 2-cycle), every
-    later row repeats rows n - 1 and n, none can close the gap, and the
-    run breaks down: the trace fills rows n + 1 to max_steps with those
-    two row objects instead of iterating.  The test needs equal bits, and
-    ``==`` equates 0.0 and -0.0, so offers of zero never take it.
+    at step n equal those at an earlier step n - p, the rows after n repeat
+    the last p rows, none can close the gap, and the run breaks down: the
+    trace states that cycle as its ``period`` instead of iterating it.
+
+    Each step's offers are compared with one saved pair, as in Brent's
+    cycle detection.  The k-th pair saved is that of step s = k(k + 1) / 2,
+    kept for k + 1 steps, so once s is past the step m where the cycle
+    starts, a period p <= k + 1 is found at step s + p: about sqrt(2m) + p
+    steps after m for a short cycle.  Saving at powers of two, as Brent
+    does, can take m steps more, and a slowly settling stall has m in the
+    thousands.  The test needs equal bits, and ``==`` equates 0.0 and
+    -0.0, so offers of zero never take it.
     """
     x_a, x_b = cfg.buyer_open, cfg.seller_open
-    # the buyer's offers two steps and one step back; the seller's offer
-    # two steps back is read from its row only when the buyer's repeats
-    back_a = last_a = math.nan
-    steps: list[tuple[float, float, float]] = []
+    saved_a, saved_b, saved_n, span = math.nan, math.nan, 0, 0
+    rows: list[tuple[float, float, float]] = []
     for n in range(cfg.max_steps + 1):
         gap = x_b - x_a
-        steps.append((x_a, x_b, gap))
+        rows.append((x_a, x_b, gap))
         if gap <= cfg.gap_epsilon:
             # halve first only if the sum overflows: halving is exact there
             total = x_a + x_b
             price = total / 2.0 if math.isfinite(total) else x_a / 2.0 + x_b / 2.0
-            return NegotiationTrace(tuple(steps), Agreement(price=price, step=n))
+            return NegotiationTrace(tuple(rows), Agreement(price=price, step=n))
         if n == cfg.max_steps:
             break
-        if x_a == back_a and x_b == steps[-3][1] and x_a and x_b:
-            rest, cycle = cfg.max_steps - n, tuple(steps[-2:])
-            return NegotiationTrace(tuple(steps) + cycle * (rest // 2) + cycle[:rest % 2],
-                                    Breakdown(at_step=cfg.max_steps))
-        back_a, last_a = last_a, x_a
+        if x_a == saved_a and x_b == saved_b and x_a and x_b:
+            return NegotiationTrace(tuple(rows), Breakdown(at_step=cfg.max_steps), n - saved_n)
+        if n == saved_n + span:
+            saved_a, saved_b, saved_n, span = x_a, x_b, n, span + 1
         x_a, x_b = step(x_a, x_b, cfg)
-    return NegotiationTrace(tuple(steps), Breakdown(at_step=cfg.max_steps))
+    return NegotiationTrace(tuple(rows), Breakdown(at_step=cfg.max_steps))
 
 
 def fixed_point(cfg: NegotiationConfig) -> tuple[float, float]:

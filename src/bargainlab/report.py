@@ -8,11 +8,11 @@ is asked for.  ``write_trace_csv`` is re-exported here.
 The JSON form is ``json.dumps(doc, indent=2, sort_keys=True)``, but
 ``indent`` turns off CPython's C encoder, and a negotiation's ``steps``
 can hold tens of thousands of rows.  So that array is rendered here
-straight from the trace, one string format per distinct row object (a
-stall's rows past a repeated state are shared), and spliced into the
-dump in place of a placeholder; the JSON form never reads ``outcome``'s
-lists.  ``test_json_report_bytes_are_the_canonical_encoding`` pins the
-result to the stdlib encoder's bytes.
+straight from the trace, one string format per row the run iterated (a
+stall's stated cycle repeats its strings by position), and spliced into
+the dump in place of a placeholder; the JSON form never reads
+``outcome``'s lists.  ``test_json_report_bytes_are_the_canonical_encoding``
+pins the result to the stdlib encoder's bytes.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Any
 
 from . import __version__
-from .kinds import render_rows, write_trace_csv
+from .kinds import write_trace_csv
 from .scenario import KINDS, Scenario, scenario_document
 
 __all__ = ["RunReport", "report_to_json", "run_scenario", "write_trace_csv"]
@@ -80,14 +80,10 @@ _CELLS = "%r,\n        %r,\n        %r"
 _ROW_SEP = "\n      ],\n      [\n        "
 
 
-def _json_cells(rows) -> list[str]:
-    return [_CELLS % row for row in rows]
-
-
 def report_to_json(report: RunReport) -> str:
     trace, negotiation = report.result, report.scenario.kind == "negotiation"
     if negotiation:  # the payload of the trace without its rows, which are spliced in below
-        outcome = KINDS["negotiation"].payload(report.scenario.body, replace(trace, steps=()))
+        outcome = KINDS["negotiation"].payload(report.scenario.body, replace(trace, rows=()))
     doc = {
         "scenario": scenario_document(report.scenario),
         "outcome": {**outcome, "steps": [[_STEPS]]} if negotiation else report.outcome,
@@ -99,7 +95,7 @@ def report_to_json(report: RunReport) -> str:
         return text
     head, tail = text.split(f'"{_STEPS}"', 1)
     rows = [f"{n},\n        {cells}"
-            for n, cells in enumerate(render_rows(trace.steps, _json_cells))]
+            for n, cells in enumerate(trace.expand([_CELLS % row for row in trace.rows]))]
     # the end rows carry the rest of the dump, so one join builds the
     # report and the rendered block is not copied a second time
     rows[0] = head + rows[0]

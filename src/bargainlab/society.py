@@ -353,7 +353,7 @@ def compare_regimes(cfg_a: SocietyConfig, cfg_b: SocietyConfig,
     Both regimes run as the rows of one batch.
     """
     if not isinstance(n_seeds, int) or n_seeds < 1:
-        raise InvalidConfig("n_seeds must be a positive integer")
+        raise InvalidConfig("must be a positive integer", field="n_seeds")
     if replace(cfg_a, regime=cfg_b.regime) != cfg_b:
         raise ConfigMismatch("configs may differ only in their regime rule")
     seeds = tuple(cfg_a.seed + i for i in range(n_seeds))

@@ -1,7 +1,7 @@
 """The negotiation loop as it ran before it stopped iterating a stall.
 
 This loop computes every step up to ``max_steps``, even after the offers
-have settled on a rest point or a 2-cycle, and stores a new row tuple for
+have settled on a rest point or a cycle, and stores a new row tuple for
 each.  ``bargainlab.negotiation.run`` must return the same trace, cell for
 cell and outcome for outcome, so this is its test oracle.
 """
@@ -42,13 +42,33 @@ def first_repeat(steps) -> tuple[int, int] | None:
     return None
 
 
-#: Stalls whose offers settle on a rest point (period 1) or a 2-cycle
-#: (period 2), with the step ``first_repeat`` finds in their traces.  They
-#: were found by a search over short decimal anchors and rates in a
-#: fig3-like range, with the buyer's reserve below the seller's.
+def cycle(steps) -> tuple[int, int] | None:
+    """``(start, period)`` of the cycle the offers settle on: the first
+    step whose offers have the same bits as those of an earlier step
+    ``start``, ``period`` steps back; None if no offers in the trace repeat.
+    ``repr`` tells -0.0 from 0.0."""
+    seen: dict[str, int] = {}
+    for n, row in enumerate(steps):
+        start = seen.setdefault(repr(row[:2]), n)
+        if start != n:
+            return start, n - start
+    return None
+
+
+#: Stalls whose offers settle on a cycle, by its period, with the step
+#: ``cycle`` finds it starts at.  Each was found by a seeded search over
+#: short decimal anchors and rates, with the buyer's reserve below the
+#: seller's: periods 1 and 2 in a fig3-like range, 3, 4 and 6 with
+#: anchors up to 1 000, where about 3 stalls in 1 000 settle on a period above 2.
 CYCLING_STALLS = {
-    1: (90, dict(buyer_open=5.6, seller_open=14.3, buyer_reserve_adj=8.0,
+    1: (88, dict(buyer_open=5.6, seller_open=14.3, buyer_reserve_adj=8.0,
                  seller_reserve_adj=11.0, rates=(0.3, 0.02, 0.3, 0.03), gap_epsilon=0.05)),
-    2: (103, dict(buyer_open=4.2, seller_open=10.4, buyer_reserve_adj=6.0,
+    2: (101, dict(buyer_open=4.2, seller_open=10.4, buyer_reserve_adj=6.0,
                   seller_reserve_adj=8.0, rates=(0.3, 0.02, 0.25, 0.05), gap_epsilon=0.05)),
+    3: (54, dict(buyer_open=40.9, seller_open=907.6, buyer_reserve_adj=34.6,
+                 seller_reserve_adj=892.8, rates=(0.72, 0.2, 0.3, 0.39), gap_epsilon=0.05)),
+    4: (92, dict(buyer_open=184.8, seller_open=429.0, buyer_reserve_adj=31.1,
+                 seller_reserve_adj=937.6, rates=(0.27, 0.55, 0.38, 0.48), gap_epsilon=0.05)),
+    6: (191, dict(buyer_open=209.3, seller_open=332.6, buyer_reserve_adj=764.0,
+                  seller_reserve_adj=942.2, rates=(0.03, 0.79, 0.32, 0.67), gap_epsilon=0.05)),
 }

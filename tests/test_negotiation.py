@@ -12,7 +12,7 @@ from bargainlab.negotiation import (RATE_MAX, Agreement, Breakdown,
                                     ConcessionRates, NegotiationConfig,
                                     concession_rates_from_imbalance,
                                     fixed_point, run, step)
-from negotiation_reference import CYCLING_STALLS, first_repeat
+from negotiation_reference import CYCLING_STALLS, cycle, first_repeat
 from negotiation_reference import run as reference_run
 
 FIG3_RATES = ConcessionRates(0.05, 0.02, 0.3, 0.2)
@@ -364,14 +364,10 @@ def test_iteration_converges_to_fixed_point(cfg):
 
 
 def cycling_stall(period, max_steps=30000):
-    """The pinned stall of ``period`` and the step its offers first repeat at."""
-    repeat, fields = CYCLING_STALLS[period]
-    return repeat, NegotiationConfig(**{**fields, "rates": ConcessionRates(*fields["rates"])},
-                                      max_steps=max_steps)
-
-
-def distinct_rows(trace):
-    return len({id(row) for row in trace.steps})
+    """The pinned stall of ``period`` and the step its cycle starts at."""
+    start, fields = CYCLING_STALLS[period]
+    return start, NegotiationConfig(**{**fields, "rates": ConcessionRates(*fields["rates"])},
+                                     max_steps=max_steps)
 
 
 def assert_same_trace(trace, expected):
@@ -401,27 +397,29 @@ class TestMatchesReferenceLoop:
                                 rates, gap_epsilon, max_steps)
         assert_same_trace(run(cfg), reference_run(cfg))
 
-    @pytest.mark.parametrize("period", [1, 2])
+    @pytest.mark.parametrize("period", CYCLING_STALLS)
     def test_pinned_cycling_stall(self, period):
-        repeat, cfg = cycling_stall(period)
+        start, cfg = cycling_stall(period)
         expected = reference_run(cfg)
-        assert first_repeat(expected.steps) == (repeat, period)
+        assert cycle(expected.steps) == (start, period)
         trace = run(cfg)
         assert_same_trace(trace, expected)
         assert trace.outcome == Breakdown(at_step=30000)
-        # rows past the repeat are the objects of rows repeat - 1 and repeat
-        assert distinct_rows(trace) == repeat + 1
+        assert trace.period == period
+        # the saved offers reach the cycle about sqrt(2 * start) steps after
+        # it starts; a detector that stops firing iterates all 30 001 rows
+        assert len(trace.rows) <= 2 * (start + period) + 1
 
-    @pytest.mark.parametrize("period", [1, 2])
-    @pytest.mark.parametrize("after", [0, 1, 2, 3])
+    @pytest.mark.parametrize("period", CYCLING_STALLS)
+    @pytest.mark.parametrize("after", [0, 1, 2, 3, 7])
     def test_cycle_seen_at_the_last_steps(self, period, after):
-        """The offers first repeat at max_steps - after: at max_steps itself
-        the run has nothing left to fill."""
-        repeat, _ = cycling_stall(period)
-        _, cfg = cycling_stall(period, max_steps=repeat + after)
+        """The run sees the repeat at step max_steps - after: at max_steps
+        itself it has nothing left to state."""
+        seen = len(run(cycling_stall(period)[1]).rows) - 1
+        _, cfg = cycling_stall(period, max_steps=seen + after)
         trace = run(cfg)
         assert_same_trace(trace, reference_run(cfg))
-        assert distinct_rows(trace) == repeat + 1
+        assert (len(trace.rows), trace.period) == (seen + 1, period if after else 0)
 
     @pytest.mark.parametrize("buyer_open", [0.0, -0.0])
     def test_cycle_through_a_zero_offer_iterates_in_full(self, buyer_open):
@@ -433,17 +431,17 @@ class TestMatchesReferenceLoop:
         assert first_repeat(expected.steps) is not None
         trace = run(cfg)
         assert_same_trace(trace, expected)
-        assert distinct_rows(trace) == len(trace.steps) == 501
+        assert (trace.period, len(trace.rows)) == (0, 501)
 
-    @pytest.mark.parametrize("period", [1, 2])
+    @pytest.mark.parametrize("period", CYCLING_STALLS)
     def test_cycling_stall_allocates_only_its_distinct_rows(self, period):
-        repeat, cfg = cycling_stall(period)
+        start, cfg = cycling_stall(period)
         tracemalloc.start()
         try:
             trace = run(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert distinct_rows(trace) <= repeat + 2
+        assert trace.period == period and len(trace.rows) <= 2 * (start + period) + 1
         # 30 001 row tuples of three floats would take about 4.3 MB
         assert peak < 1_000_000

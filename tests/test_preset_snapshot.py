@@ -94,9 +94,10 @@ TRACE_CASES = {
         rates={"r_a": 1e-7, "r_a_prime": 2e-7, "r_b": 3e-7, "r_b_prime": 0.0},
         gap_epsilon=1e-310, max_steps=300), 301),
     "stall-30000": (_stall(30000), 30001),
-    # offers repeat within ~100 steps: the rest of the rows are shared objects
+    # offers repeat within ~100 steps: the trace states its cycle for the rest
     "cycle-1-30000": (_cycling_stall(1, 30000), 30001),
     "cycle-2-30000": (_cycling_stall(2, 30000), 30001),
+    "cycle-3-30000": (_cycling_stall(3, 30000), 30001),
 }
 
 
@@ -123,7 +124,8 @@ def test_json_report_bytes_are_the_canonical_encoding(name):
     assert_canonical(report_to_json(report))
 
 
-@pytest.mark.parametrize("name", ["fig3", "stall-30000", "cycle-1-30000", "cycle-2-30000"])
+@pytest.mark.parametrize("name", ["fig3", "stall-30000", "cycle-1-30000", "cycle-2-30000",
+                                  "cycle-3-30000"])
 def test_json_report_bytes_do_not_depend_on_what_was_read_first(name):
     """The JSON form renders a negotiation's rows from its trace, never
     from ``outcome``, whether or not ``outcome`` and ``csv_text`` were read.
@@ -168,14 +170,15 @@ def test_json_report_of_any_negotiation_is_the_canonical_encoding(text):
     assert_canonical(report_to_json(run_scenario(scenario)))
 
 
-@pytest.mark.parametrize("name", ["cycle-1-30000", "cycle-2-30000"])
+@pytest.mark.parametrize("name", ["cycle-1-30000", "cycle-2-30000", "cycle-3-30000"])
 def test_cycling_stall_outputs_equal_those_of_the_reference_loop(name):
-    """Rows shared past a repeated state render as if each were computed.
+    """A stated cycle renders as if each of its rows were computed.
     Digests keep a failure's report short."""
     report = run_scenario(parse_scenario(json.dumps(TRACE_CASES[name][0])))
     expected = RunReport(report.scenario, reference_run(report.scenario.body.to_config()),
                          report.duration_s)
-    assert len({id(row) for row in report.result.steps}) < len(report.result.steps)
+    period = int(name.split("-")[1])
+    assert report.result.period == period and len(report.result.rows) < 300
     assert _digest(report_to_json(report)) == _digest(report_to_json(expected))
     assert _digest(report.csv_text) == _digest(expected.csv_text)
 

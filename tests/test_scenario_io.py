@@ -426,7 +426,7 @@ class TestTraceCsv:
         assert lines[-1].startswith("# outcome,agreement,2,")
 
     def test_zero_step_agreement(self):
-        trace = NegotiationTrace(steps=((3.0, 3.0, 0.0),),
+        trace = NegotiationTrace(rows=((3.0, 3.0, 0.0),),
                                  outcome=Agreement(price=3.0, step=0))
         lines = write_trace_csv(trace).splitlines()
         assert len(lines) == 3
@@ -434,7 +434,7 @@ class TestTraceCsv:
         assert lines[2] == "# outcome,agreement,0,3.0"
 
     def test_breakdown_line(self):
-        trace = NegotiationTrace(steps=((1.0, 9.0, 8.0),),
+        trace = NegotiationTrace(rows=((1.0, 9.0, 8.0),),
                                  outcome=Breakdown(at_step=7))
         assert write_trace_csv(trace).splitlines()[-1] == "# outcome,breakdown,7"
 

@@ -26,9 +26,10 @@ def test_script_runs_to_its_summary(script, args, summary):
 
 
 @pytest.mark.parametrize("args, message", [
-    (["--seeds", "0"], "n_seeds must be a positive integer"),
-    (["--agents", "1"], "n_agents: must be >= 2"),
-    (["--cap", "0.5"], "cap: must be >= 1"),
+    (["--seeds", "0"], "argument --seeds: must be a positive integer"),
+    (["--agents", "1"], "argument --agents: must be >= 2"),
+    (["--cap", "0.5"], "argument --cap: must be >= 1"),
+    (["--gamma", "-1"], "argument --gamma: must be >= 0"),
 ])
 def test_compare_regimes_reports_bad_arguments_as_usage_errors(args, message):
     proc = run_script("compare_regimes.py", args)
