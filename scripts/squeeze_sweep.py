@@ -10,6 +10,7 @@ from dataclasses import replace
 
 from bargainlab.chain import propagate, squeeze_report
 from bargainlab.core import PerceptionView, Role
+from bargainlab.errors import BargainError
 from bargainlab.scenario import load_preset
 
 
@@ -31,13 +32,19 @@ def main() -> None:
     args = parser.parse_args()
 
     body = load_preset(args.preset).body
+    sweep = []
+    for factor in args.factors:
+        try:
+            sweep.append((factor, propagate(boost_stage0_power(body.spec, factor),
+                                            body.gap_epsilon, body.max_steps)))
+        except BargainError as err:
+            parser.error(f"argument --factors: {factor!r} gives {err}")
+
     names = [stage.name for stage in body.spec.stages]
     print(f"preset {args.preset}, anchor price {body.spec.anchor_price}")
     header = f"{'power x':>8}  " + "  ".join(f"{n[:18]:>18}" for n in names)
     print(header)
-    for factor in args.factors:
-        results = propagate(boost_stage0_power(body.spec, factor),
-                            body.gap_epsilon, body.max_steps)
+    for factor, results in sweep:
         cells = [f"{r.settlement:>18.6f}" if r.settled else f"{'(breakdown)':>18}"
                  for r in results]
         print(f"{factor:>8.2f}  " + "  ".join(cells))

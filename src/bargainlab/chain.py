@@ -6,6 +6,12 @@ labor link.  Price pressure propagates backward: each stage's buyer will
 pay at most what it collects downstream minus the margin it insists on
 keeping, further shrunk by whatever perception advantage it holds.  A link
 that fails to settle starves every deeper link.
+
+A link needs only its outcome, so it settles through ``negotiation.settle``,
+not ``negotiation.run``: the same steps without the rows, and a stalled link
+ends as soon as a contraction bound, less a rounding slack, proves its gap
+stays open.  ``run`` remains the path of negotiation documents and the
+oracle ``settle`` is tested against.
 """
 
 from __future__ import annotations
@@ -126,7 +132,7 @@ def _settle_stage(stage: ChainStage, incoming: float,
     cfg = NegotiationConfig(min(buyer_reserve, seller_reserve), max(buyer_reserve, seller_reserve),
                             buyer_reserve, seller_reserve, stage.scaled_rates,
                             gap_epsilon, max_steps)
-    outcome = negotiation.run(cfg).outcome
+    outcome = negotiation.settle(cfg)
     return (outcome.price if isinstance(outcome, Agreement) else None), buyer_reserve
 
 

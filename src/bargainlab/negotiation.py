@@ -256,6 +256,14 @@ def step(x_a: float, x_b: float, cfg: NegotiationConfig) -> tuple[float, float]:
     return next_a, next_b
 
 
+def _agreement(x_a: float, x_b: float, n: int) -> Agreement:
+    """Agreement at step n, settled at the midpoint of the two offers."""
+    # halve first only if the sum overflows: halving is exact there
+    total = x_a + x_b
+    return Agreement(price=total / 2.0 if math.isfinite(total) else x_a / 2.0 + x_b / 2.0,
+                     step=n)
+
+
 def run(cfg: NegotiationConfig) -> NegotiationTrace:
     """Iterate the dance until the offers meet or max_steps is exhausted.
 
@@ -285,10 +293,7 @@ def run(cfg: NegotiationConfig) -> NegotiationTrace:
         gap = x_b - x_a
         rows.append((x_a, x_b, gap))
         if gap <= cfg.gap_epsilon:
-            # halve first only if the sum overflows: halving is exact there
-            total = x_a + x_b
-            price = total / 2.0 if math.isfinite(total) else x_a / 2.0 + x_b / 2.0
-            return NegotiationTrace(tuple(rows), Agreement(price=price, step=n))
+            return NegotiationTrace(tuple(rows), _agreement(x_a, x_b, n))
         if n == cfg.max_steps:
             break
         if x_a == saved_a and x_b == saved_b and x_a and x_b:
@@ -297,6 +302,70 @@ def run(cfg: NegotiationConfig) -> NegotiationTrace:
             saved_a, saved_b, saved_n, span = x_a, x_b, n, span + 1
         x_a, x_b = step(x_a, x_b, cfg)
     return NegotiationTrace(tuple(rows), Breakdown(at_step=cfg.max_steps))
+
+
+def settle(cfg: NegotiationConfig) -> Outcome:
+    """``run(cfg).outcome``, without the rows, ending a stall as soon as its
+    gap provably stays open.
+
+    The iteration, agreement test and price are ``run``'s.  The proof: the
+    update is x' = M x + k with M = [[1 - r_a - r_a', r_a'], [r_b', 1 - r_b
+    - r_b']].  M is non-negative and its row sums are 1 - r_a and 1 - r_b,
+    so it contracts the max norm by 1 - m, m = min(r_a, r_b), toward x* =
+    ``fixed_point(cfg)``.  Every later offer therefore stays within e =
+    max(|x_a - x*_a|, |x_b - x*_b|) of x*, and every later gap is at least
+    (x*_b - x*_a) - 2e.  The factor 2 is needed: a large r_a' can carry the
+    buyer past x*_a while a large r_b' carries the seller past x*_b.  Once
+    that bound, less twice ``slack``, exceeds gap_epsilon, no later step can
+    agree and the outcome is the breakdown at max_steps.
+
+    ``slack`` = c u S (1 + 1/m), with u = 2^-53, S the largest anchor
+    magnitude but at least 1, and c = 32.  Offers and rest point lie in
+    [-S, S] to first order, and a floating-point operation errs by at most
+    u times its result, plus u 2^-1022 for a product that underflows, which
+    S >= 1 absorbs.  Per coordinate, to first order in u:
+    - a step errs by at most 4u(r + r')S + 2uS + 2uS <= 8uS (two
+      differences, two products, two sums), and the contraction keeps the
+      errors of all later steps together below A = 8uS/m;
+    - ``fixed_point`` errs by F <= 15uS: the determinant's terms cannot
+      cancel (relative error 3u, plus 3u of underflow against a
+      determinant >= 2^-1022, less once rescaled), a numerator's terms sum
+      in size to at most S times it (4uS, plus 4uS of underflow), and the
+      division adds uS;
+    - e (counted twice), the test's three operations and a later step's
+      ``gap <= gap_epsilon`` err by 2uS, 6uS and 4uS.
+    So the gap stays open if 2 slack >= 4F + 2A + 14uS, that is if slack
+    >= 37uS + 8uS/m, which c (1 + 1/m) meets for every m < 1 once c >= 23.
+    c = 32 also covers the higher-order terms, among them the offers' hull
+    growing by a factor 1 + 8u per step.
+
+    A stall the bound cannot end, because its rates are too small for the
+    bound to pass or because it has no rest point (``SingularSystem``), may
+    still reach a step that leaves both offers as they were.  Every later
+    step would do the same, so the stall ends there, as ``run``'s repeat
+    test would end it.  The step has no division, so offers of equal value
+    evolve alike and, unlike ``run``, this test need not tell 0.0 from -0.0.
+    """
+    x_a, x_b = cfg.buyer_open, cfg.seller_open
+    try:
+        rest_a, rest_b = fixed_point(cfg)
+    except SingularSystem:
+        rest_a = rest_b = math.nan
+    scale = max(1.0, abs(cfg.buyer_open), abs(cfg.seller_open),
+                abs(cfg.buyer_reserve_adj), abs(cfg.seller_reserve_adj))
+    slack = 32.0 * 2.0 ** -53 * scale * (1.0 + 1.0 / min(cfg.rates.r_a, cfg.rates.r_b))
+    open_gap = (rest_b - rest_a) - 2.0 * slack
+    for n in range(cfg.max_steps + 1):
+        if x_b - x_a <= cfg.gap_epsilon:
+            return _agreement(x_a, x_b, n)
+        if n == cfg.max_steps or (
+                open_gap - 2.0 * max(abs(x_a - rest_a), abs(x_b - rest_b)) > cfg.gap_epsilon):
+            break
+        offers = step(x_a, x_b, cfg)
+        if offers == (x_a, x_b):
+            break
+        x_a, x_b = offers
+    return Breakdown(at_step=cfg.max_steps)
 
 
 def fixed_point(cfg: NegotiationConfig) -> tuple[float, float]:

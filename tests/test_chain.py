@@ -7,7 +7,8 @@ from bargainlab import negotiation
 from bargainlab.chain import (ChainSpec, ChainStage, propagate, squeeze_report)
 from bargainlab.core import PerceptionView, Role, adjust_reserve_full, imbalance_ratio
 from bargainlab.errors import InvalidConfig
-from bargainlab.negotiation import ConcessionRates, NegotiationConfig
+from bargainlab.negotiation import Breakdown, ConcessionRates, NegotiationConfig
+from bargainlab.scenario import load_preset
 
 B, S = Role.BUYER, Role.SELLER
 SYM = ConcessionRates(0.1, 0.05, 0.1, 0.05)
@@ -70,6 +71,20 @@ def test_single_stage_reduces_to_one_negotiation():
     assert results[0].buyer_reserve_effective == buyer_reserve == 90.0
     assert results[0].settlement == expected
     assert results[0].margin == 100.0 - expected
+
+
+def test_single_stage_breakdown_reduces_to_one_negotiation():
+    # the seller's minimum lies above the buyer's maximum: the link stalls
+    link = stage(base=120.0, floor=10.0)
+    spec = ChainSpec(stages=(link,), anchor_price=100.0)
+    results = propagate(spec, gap_epsilon=1e-4, max_steps=5000)
+
+    cfg = NegotiationConfig(buyer_open=90.0, seller_open=120.0, buyer_reserve_adj=90.0,
+                            seller_reserve_adj=120.0, rates=link.scaled_rates,
+                            gap_epsilon=1e-4, max_steps=5000)
+    assert negotiation.run(cfg).outcome == Breakdown(at_step=5000)
+    assert results[0].buyer_reserve_effective == 90.0
+    assert (results[0].settlement, results[0].margin) == (None, None)
 
 
 def test_two_stage_symmetric_settles_at_midpoints():
@@ -164,3 +179,50 @@ def test_random_chains_conserve_and_squeeze_monotonically():
             if weak.settled and strong.settled:
                 assert strong.settlement <= weak.settlement + 1e-9
     assert checked >= 10  # the generator must exercise the conservation branch
+
+
+#: The chain presets under the squeeze sweep's power grid: the market-facing
+#: buyer's power times 100 factors over [1, 3).
+SWEEP_PRESETS = ("tomato-south", "baterias", "kilns")
+SWEEP_FACTORS = [1.0 + 2.0 * i / 100 for i in range(100)]
+
+
+def squeeze_sweep():
+    for name in SWEEP_PRESETS:
+        body = load_preset(name).body
+        for factor in SWEEP_FACTORS:
+            yield body, raise_buyer_power(body.spec, 0, factor)
+
+
+def test_squeeze_sweep_links_settle_as_run_does(monkeypatch):
+    """Every link of the sweep settles as ``negotiation.run`` would."""
+    sweep = list(squeeze_sweep())
+    settled = [propagate(spec, body.gap_epsilon, body.max_steps) for body, spec in sweep]
+    monkeypatch.setattr(negotiation, "settle", lambda cfg: negotiation.run(cfg).outcome)
+    assert settled == [propagate(spec, body.gap_epsilon, body.max_steps) for body, spec in sweep]
+    assert sum(not r.settled and r.buyer_reserve_effective is not None
+               for results in settled for r in results) >= 100
+
+
+def test_squeeze_sweep_stalls_end_early(monkeypatch):
+    """A stalled link ends once its gap provably stays open: iterating to
+    the repeat of its offers took 114 104 steps over the sweep's stalls."""
+    steps, stalls = [0], []
+    step, settle = negotiation.step, negotiation.settle
+
+    def counted_step(x_a, x_b, cfg):
+        steps[0] += 1
+        return step(x_a, x_b, cfg)
+
+    def counted_settle(cfg):
+        before = steps[0]
+        outcome = settle(cfg)
+        if isinstance(outcome, Breakdown):
+            stalls.append(steps[0] - before)
+        return outcome
+    monkeypatch.setattr(negotiation, "step", counted_step)
+    monkeypatch.setattr(negotiation, "settle", counted_settle)
+    for body, spec in squeeze_sweep():
+        propagate(spec, body.gap_epsilon, body.max_steps)
+    assert len(stalls) >= 100
+    assert sum(stalls) <= 2 * len(stalls)

@@ -1,17 +1,19 @@
 import math
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bargainlab import negotiation
 from bargainlab.errors import DegenerateRatio, InvalidConfig, SingularSystem
 from bargainlab.negotiation import (RATE_MAX, Agreement, Breakdown,
                                     ConcessionRates, NegotiationConfig,
                                     concession_rates_from_imbalance,
-                                    fixed_point, run, step)
+                                    fixed_point, run, settle, step)
 from negotiation_reference import CYCLING_STALLS, cycle, first_repeat
 from negotiation_reference import run as reference_run
 
@@ -445,3 +447,106 @@ class TestMatchesReferenceLoop:
         assert trace.period == period and len(trace.rows) <= 2 * (start + period) + 1
         # 30 001 row tuples of three floats would take about 4.3 MB
         assert peak < 1_000_000
+
+
+def ulps_away(value, ulps):
+    """``value`` moved ``ulps`` floats up (down if negative)."""
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.copysign(math.inf, ulps))
+    return value
+
+
+@st.composite
+def edge_configs(draw):
+    """Configs at the edges of ``settle``'s proof: anchors of either sign up
+    to 1e300, rates small enough that ``fixed_point`` raises, a single step,
+    and gap_epsilon a few ulps either side of the rest gap."""
+    scale = draw(st.sampled_from([1.0, 100.0, 1e16, 1e300]))
+    anchors = [scale * draw(st.floats(-1.0, 1.0)) for _ in range(4)]
+    rates = draw(st.one_of(rates_strategy(), st.builds(
+        ConcessionRates, small_rate, st.one_of(st.just(0.0), small_rate),
+        small_rate, st.one_of(st.just(0.0), small_rate))))
+    max_steps = draw(st.one_of(st.just(1), st.integers(1, 3000)))
+    buyer_open, seller_open = sorted(anchors[:2])
+    cfg = NegotiationConfig(buyer_open, seller_open, anchors[2], anchors[3], rates, 1.0, max_steps)
+    try:
+        rest_a, rest_b = fixed_point(cfg)
+        rest_gap = rest_b - rest_a
+    except SingularSystem:
+        rest_gap = seller_open - buyer_open
+    gap_epsilon = ulps_away(abs(rest_gap), draw(st.integers(-4, 4)))
+    assume(0.0 < gap_epsilon < math.inf)
+    return NegotiationConfig(buyer_open, seller_open, anchors[2], anchors[3], rates,
+                             gap_epsilon, max_steps)
+
+
+def count_steps(monkeypatch):
+    """Count the calls ``settle`` and ``run`` make to ``step``."""
+    calls = [0]
+
+    def counted(x_a, x_b, cfg):
+        calls[0] += 1
+        return step(x_a, x_b, cfg)
+    monkeypatch.setattr(negotiation, "step", counted)
+    return calls
+
+
+class TestSettle:
+    """``settle`` is ``run``'s outcome without its rows, ended once a stall's
+    gap provably stays open; ``run`` is its oracle."""
+
+    @given(cfg=config_strategy)
+    def test_matches_run(self, cfg):
+        assert repr(settle(cfg)) == repr(run(cfg).outcome)
+
+    @given(cfg=edge_configs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_run_at_the_edges(self, cfg):
+        assert repr(settle(cfg)) == repr(run(cfg).outcome)
+
+    @pytest.mark.parametrize("period", CYCLING_STALLS)
+    def test_ends_a_pinned_stall_before_its_cycle(self, period, monkeypatch):
+        start, cfg = cycling_stall(period)
+        calls = count_steps(monkeypatch)
+        outcome = settle(cfg)
+        assert calls[0] < start
+        assert outcome == run(cfg).outcome == Breakdown(at_step=30000)
+
+    def test_gap_epsilon_an_ulp_below_the_rest_gap(self):
+        """The offers settle a few ulps inside the computed rest gap, so an
+        epsilon just below it is still reached: the slack must stop the
+        proof from calling this a stall."""
+        cfg = NegotiationConfig(52.6, 74.9, 54.7, 58.9, ConcessionRates(0.29, 0.07, 0.07, 0.37),
+                                1.0, 1000)
+        rest_a, rest_b = fixed_point(cfg)
+        cfg = replace(cfg, gap_epsilon=math.nextafter(rest_b - rest_a, 0.0))
+        assert run(cfg).outcome == settle(cfg) == Agreement(price=55.177056603773586, step=128)
+
+    def test_offers_that_cross_the_rest_point(self):
+        """Large cross-rates carry each offer past its rest point, so a gap
+        can close by nearly twice the offers' distance from it."""
+        rates = ConcessionRates(0.05, 0.9, 0.05, 0.9)
+        rest_a, rest_b = fixed_point(NegotiationConfig(0.0, 100.0, 0.0, 100.0, rates, 1.0, 10))
+        assert rest_b - rest_a == pytest.approx(2.7, abs=0.01)
+        # 2 from each rest point: less than the rest gap, more than half of it
+        cfg = NegotiationConfig(rest_a - 2.0, rest_b + 2.0, 0.0, 100.0, rates, 0.5, 10)
+        assert run(cfg).outcome == settle(cfg) == Agreement(price=50.0, step=1)
+
+    @pytest.mark.parametrize("rates, steps", [
+        # the bound cannot pass, but the offers never move
+        ((1e-150, 0.0, 1e-150, 0.0), 1),
+        # no rest point: the buyer halves its distance to its reserve until
+        # its offer stops changing
+        ((0.5, 0.0, 5e-324, 0.0), 54),
+    ])
+    def test_ends_once_the_offers_stop_moving(self, rates, steps, monkeypatch):
+        cfg = NegotiationConfig(2.0, 9.0, 5.0, 8.0, ConcessionRates(*rates), 0.05, 5000)
+        calls = count_steps(monkeypatch)
+        outcome = settle(cfg)
+        assert calls[0] == steps
+        assert outcome == run(cfg).outcome == Breakdown(at_step=5000)
+
+    def test_singular_rates_have_no_rest_point(self):
+        with pytest.raises(SingularSystem):
+            fixed_point(NegotiationConfig(2.0, 9.0, 5.0, 8.0, ConcessionRates(0.5, 0.0, 5e-324, 0.0),
+                                          0.05, 5000))

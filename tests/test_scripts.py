@@ -38,6 +38,21 @@ def test_compare_regimes_reports_bad_arguments_as_usage_errors(args, message):
     assert proc.stderr.splitlines()[-1] == f"compare_regimes.py: error: {message}"
 
 
+@pytest.mark.parametrize("factor, message", [
+    ("0", "0.0 gives own_power: must be > 0"),
+    ("-1", "-1.0 gives own_power: must be > 0"),
+    ("nan", "nan gives own_power: must be a finite number"),
+    ("inf", "inf gives own_power: must be a finite number"),
+    ("1e308", "1e+308 gives own_power: must be a finite number"),
+    ("1e-300", "1e-300 gives own_power: must be >= the epsilon floor 1e-09, got 2e-300"),
+])
+def test_squeeze_sweep_reports_bad_factors_as_usage_errors(factor, message):
+    proc = run_script("squeeze_sweep.py", ["--factors", "1.5", factor])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == f"squeeze_sweep.py: error: argument --factors: {message}"
+
+
 def run_script(script, args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
