@@ -381,7 +381,12 @@ def fixed_point(cfg: NegotiationConfig) -> tuple[float, float]:
     non-negative rate products that cannot cancel, so the system is
     singular only when it underflows to zero.  A subnormal determinant
     has lost precision, so the rates are first scaled by a power of two,
-    which is exact and leaves the rest point unchanged.
+    which is exact and leaves the rest point unchanged.  Likewise the
+    numerators' products can underflow when both reserves lie in (-1, 1),
+    so the reserves are then scaled by a power of two that brings the
+    larger magnitude into [0.5, 1), and the result is scaled back.  Every
+    product grows by that exact factor, so wherever nothing underflowed
+    the result keeps its bits.
 
     With nonzero cross-rates this rest point differs from the pair of
     reserves: each side is pulled off its reserve by its eagerness to
@@ -399,6 +404,12 @@ def fixed_point(cfg: NegotiationConfig) -> tuple[float, float]:
         r_a, r_a_prime, r_b, r_b_prime = (math.ldexp(x, exponent)
                                           for x in (r_a, r_a_prime, r_b, r_b_prime))
         det = r_a * r_b + r_a * r_b_prime + r_a_prime * r_b
+    shift = 0
+    if -1.0 < buyer < 1.0 and -1.0 < seller < 1.0:
+        shift = -math.frexp(max(abs(buyer), abs(seller)))[1]
+        buyer, seller = math.ldexp(buyer, shift), math.ldexp(seller, shift)
     x_a = (r_a * buyer * (r_b + r_b_prime) + r_a_prime * r_b * seller) / det
     x_b = (r_b * seller * (r_a + r_a_prime) + r_b_prime * r_a * buyer) / det
+    if shift:
+        return math.ldexp(x_a, -shift), math.ldexp(x_b, -shift)
     return x_a, x_b

@@ -18,8 +18,11 @@ inequality is tracked with the Gini coefficient.
 A round's pairs are disjoint, so the kernel applies a whole round as one
 array update, which gives the same floats as taking its pairs one at a
 time.  ``compare_regimes`` runs both regimes over all its seeds as the rows
-of one wealth array, and the Ginis of every row over a block of epochs are
-taken in one pass.
+of one wealth array.  The regime never touches the generator, so the rows
+of one seed share their draws: its initial wealth and pairings are drawn
+once for both regimes.  A comparison measures only the first and the last
+epoch, the ones it reads; a full run takes the Ginis of a block of epochs
+in one pass.
 """
 
 from __future__ import annotations
@@ -227,41 +230,46 @@ def run_society(cfg: SocietyConfig) -> WealthTrace:
     return _run_batch([cfg])[0]
 
 
-#: Permutation indices drawn at a time across a batch; rounds are drawn in
-#: chunks of this size, so memory does not grow with the number of rounds.
+#: Permutation indices held at a time across a batch's rows; rounds are
+#: drawn in chunks of this size, so memory does not grow with the number of
+#: rounds.
 _PERM_INDICES = 1 << 16
 #: Wealth values measured in one Gini pass: a block of epochs' snapshots,
 #: small enough that the pass works in cache.
 _GINI_VALUES = 1 << 14
 
 
-def _run_batch(cfgs: list[SocietyConfig]) -> list[WealthTrace]:
+def _run_batch(cfgs: list[SocietyConfig],
+               series: bool = True) -> list[WealthTrace] | list[float]:
     """Run configs that differ only in their seed and regime as the rows of
     one (rows, n) wealth array, one update per round over every row's pairs.
 
-    Each row draws from its own generator in the order a lone run does, and
-    each pair's power ratio follows its own row's regime, so row s is
+    The regime never touches the generator, so rows that share a seed share
+    one: that seed's initial wealth and per-round permutations are drawn
+    once, in the order a lone run draws them, and used by each of its rows.
+    Each pair's power ratio follows its own row's regime, so row s is
     bitwise the run of ``cfgs[s]`` by itself.
+
+    With ``series`` false only epoch 0 and the last epoch are measured, and
+    the rows' final Ginis are returned instead of their traces.  That still
+    rejects every row a lone run rejects, with the same error: every share
+    is >= 0 and the surplus > 0, so no wealth ever decreases.  A row's
+    sorted values, and so its largest value and its total, are then
+    monotone over the epochs, and an inf or NaN wealth never becomes finite
+    again, so a row that leaves the float range at some epoch is still out
+    of it at the last.
     """
     cfg, rows = cfgs[0], len(cfgs)
     n, n_pairs, pairings = cfg.n_agents, cfg.n_agents // 2, cfg.pairings_per_epoch
-    rngs = [np.random.default_rng(c.seed) for c in cfgs]
-    wealth = np.stack([_sample_initial(cfg.initial_wealth, n, rng) for rng in rngs])
+    streams: dict[int, int] = {}  # each distinct seed's index, in order of first use
+    which = [streams.setdefault(c.seed, len(streams)) for c in cfgs]  # each row's stream
+    rngs = [np.random.default_rng(seed) for seed in streams]
+    wealth = np.stack([_sample_initial(cfg.initial_wealth, n, rng) for rng in rngs])[which]
     if np.any(wealth == 0.0):  # an exchange divides by the poorer side's wealth
         raise InvalidConfig("sampled wealth underflows to 0", field="initial_wealth")
 
-    gini_series = np.empty((rows, cfg.epochs + 1))
-    totals = np.empty((rows, cfg.epochs + 1))
-
-    # each epoch's wealth is held here and a block of epochs is measured in
-    # one pass, so a small population does not pay numpy's per-call cost
-    # every epoch
-    held = np.empty((min(cfg.epochs, max(1, _GINI_VALUES // (rows * n))), rows, n))
-
-    def measure(first: int, snapshots: np.ndarray, field: str) -> None:
-        """Record the Ginis and totals of epochs first, first + 1, ... from
-        their (epochs, rows, n) wealth snapshots."""
-        span = slice(first, first + len(snapshots))
+    def measure(snapshots: np.ndarray, field: str) -> np.ndarray:
+        """The (rows, epochs) Ginis of (epochs, rows, n) wealth snapshots."""
         # gini rejects positive wealth only when it leaves the float range;
         # report that at the config field that drove it there
         try:
@@ -269,12 +277,27 @@ def _run_batch(cfgs: list[SocietyConfig]) -> list[WealthTrace]:
         except InvalidInput:
             raise InvalidConfig("total wealth overflows the float range",
                                 field=field) from None
-        gini_series[:, span] = np.reshape(ginis, snapshots.shape[:2]).T
+        return np.reshape(ginis, snapshots.shape[:2]).T
+
+    def record(first: int, snapshots: np.ndarray, field: str) -> None:
+        """Record the Ginis and totals of epochs first, first + 1, ... from
+        their (epochs, rows, n) wealth snapshots."""
+        span = slice(first, first + len(snapshots))
+        gini_series[:, span] = measure(snapshots, field)
         # a running sum adds left to right like Python's sum(), where numpy's
         # sum() adds pairwise and rounds differently
         totals[:, span] = np.add.accumulate(snapshots, axis=2)[..., -1].T
 
-    measure(0, wealth[None], "initial_wealth")
+    if series:
+        gini_series = np.empty((rows, cfg.epochs + 1))
+        totals = np.empty((rows, cfg.epochs + 1))
+        # each epoch's wealth is held here and a block of epochs is measured
+        # in one pass, so a small population does not pay numpy's per-call
+        # cost every epoch
+        held = np.empty((min(cfg.epochs, max(1, _GINI_VALUES // (rows * n))), rows, n))
+        record(0, wealth[None], "initial_wealth")
+    else:
+        measure(wealth[None], "initial_wealth")
 
     # a round's pairs are laid out row after row, so each run of consecutive
     # rows that share a regime owns one slice of them
@@ -286,7 +309,11 @@ def _run_batch(cfgs: list[SocietyConfig]) -> list[WealthTrace]:
     flat = wealth.reshape(-1)  # a view: pairs index agents across all rows
     rounds = cfg.epochs * pairings
     chunk = min(rounds, max(1, _PERM_INDICES // (rows * n)))
-    orders = np.empty((rows, chunk, n), dtype=np.intp)
+    orders = np.empty((len(rngs), chunk, n), dtype=np.intp)
+    # (chunk, rows * n_pairs): each round's first and second sides as
+    # indices into flat, row after row
+    firsts = np.empty((chunk, rows * n_pairs), dtype=np.intp)
+    seconds = np.empty((chunk, rows * n_pairs), dtype=np.intp)
     row_offsets = (np.arange(rows) * n)[:, None]
     # inf and nan wealth are reported by measure(); numpy need not warn first
     with np.errstate(over="ignore", invalid="ignore"):
@@ -297,16 +324,17 @@ def _run_batch(cfgs: list[SocietyConfig]) -> list[WealthTrace]:
                 block[...] = np.arange(n)
                 for rng, perms in zip(rngs, block):  # the stream of per-round rng.permutation(n)
                     rng.permuted(perms, axis=1, out=perms)
-                # (rounds, rows * n_pairs): each round's first and second
-                # sides as contiguous arrays of indices into flat
-                pairs = block[..., :2 * n_pairs].swapaxes(0, 1)
-                firsts = (pairs[..., 0::2] + row_offsets).reshape(len(pairs), -1)
-                seconds = (pairs[..., 1::2] + row_offsets).reshape(len(pairs), -1)
+                pairs = block.swapaxes(0, 1)
+                shape = (len(pairs), rows, n_pairs)
+                np.add(pairs[:, which, 0:2 * n_pairs:2], row_offsets,
+                       out=firsts[:len(pairs)].reshape(shape))
+                np.add(pairs[:, which, 1:2 * n_pairs:2], row_offsets,
+                       out=seconds[:len(pairs)].reshape(shape))
             first, second = firsts[k], seconds[k]
             w_first, w_second = flat[first], flat[second]
             first_rich = w_first >= w_second
-            w_rich = np.where(first_rich, w_first, w_second)
-            rho = w_rich / np.where(first_rich, w_second, w_first)
+            rho = np.maximum(w_first, w_second)
+            rho /= np.minimum(w_first, w_second)
             for regime, span in spans:
                 _power_ratio(rho[span], regime)
             share_rich = rho / (1.0 + rho)
@@ -314,13 +342,15 @@ def _run_batch(cfgs: list[SocietyConfig]) -> list[WealthTrace]:
             share_poor = 1.0 - share_rich
             flat[first] = w_first + surplus * np.where(first_rich, share_rich, share_poor)
             flat[second] = w_second + surplus * np.where(first_rich, share_poor, share_rich)
-            if (t + 1) % pairings == 0:
+            if series and (t + 1) % pairings == 0:
                 epoch = (t + 1) // pairings
                 slot = (epoch - 1) % len(held)
                 held[slot] = wealth
                 if slot + 1 == len(held) or epoch == cfg.epochs:
-                    measure(epoch - slot, held[:slot + 1], "unit_surplus")
+                    record(epoch - slot, held[:slot + 1], "unit_surplus")
 
+    if not series:
+        return measure(wealth[None], "unit_surplus")[:, 0].tolist()
     injected = pairings * n_pairs * surplus
     return [WealthTrace(gini_series=gini_series[s], totals=totals[s],
                         injected_per_epoch=injected, final_wealth=wealth[s])
@@ -350,15 +380,16 @@ def compare_regimes(cfg_a: SocietyConfig, cfg_b: SocietyConfig,
 
     The configs must be identical except (possibly) for the regime; seeds
     are cfg.seed, cfg.seed + 1, ... so replicate sweeps stay reproducible.
-    Both regimes run as the rows of one batch.
+    Both regimes run as the rows of one batch, which draws each seed's
+    stream once for both and measures only the first and last epochs.
     """
     if not isinstance(n_seeds, int) or n_seeds < 1:
         raise InvalidConfig("must be a positive integer", field="n_seeds")
     if replace(cfg_a, regime=cfg_b.regime) != cfg_b:
         raise ConfigMismatch("configs may differ only in their regime rule")
     seeds = tuple(cfg_a.seed + i for i in range(n_seeds))
-    traces = _run_batch([replace(cfg, seed=s) for cfg in (cfg_a, cfg_b) for s in seeds])
-    finals = tuple(t.final_gini for t in traces)
+    finals = tuple(_run_batch([replace(cfg, seed=s) for cfg in (cfg_a, cfg_b) for s in seeds],
+                              series=False))
     final_a, final_b = finals[:n_seeds], finals[n_seeds:]
     mean_a = sum(final_a) / n_seeds
     mean_b = sum(final_b) / n_seeds

@@ -2,6 +2,7 @@ import math
 import sys
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -234,6 +235,38 @@ class TestRun:
         assert settlements == sorted(settlements)
 
 
+def exact_fixed_point(cfg):
+    """The rest point by Cramer's rule on the 2x2 system, in rationals."""
+    r = cfg.rates
+    r_a, r_a_prime, r_b, r_b_prime = map(Fraction, (r.r_a, r.r_a_prime, r.r_b, r.r_b_prime))
+    buyer, seller = Fraction(cfg.buyer_reserve_adj), Fraction(cfg.seller_reserve_adj)
+    # (r_a + r_a') x_a - r_a' x_b = r_a buyer, -r_b' x_a + (r_b + r_b') x_b = r_b seller
+    det = (r_a + r_a_prime) * (r_b + r_b_prime) - r_a_prime * r_b_prime
+    x_a = (r_a * buyer * (r_b + r_b_prime) + r_a_prime * r_b * seller) / det
+    x_b = ((r_a + r_a_prime) * r_b * seller + r_b_prime * r_a * buyer) / det
+    return x_a, x_b
+
+
+#: With reserves of one sign each coordinate of the rest point is a convex
+#: combination of them, so its terms cannot cancel: three roundings in a
+#: numerator's larger term and one in its sum, three in the determinant
+#: and one in the division leave it within 8u of exact, under 8 ulps.
+FIXED_POINT_ULPS = 8
+
+
+def assert_near_exact_fixed_point(cfg):
+    for got, exact in zip(fixed_point(cfg), exact_fixed_point(cfg)):
+        assert abs(Fraction(got) - exact) <= FIXED_POINT_ULPS * Fraction(math.ulp(float(exact)))
+
+
+# reserves down to the smallest subnormal, with rates whose products stay
+# normal even against the smaller reserve scaled up
+tiny_reserve = st.floats(min_value=0.0, max_value=1e-290)
+moderate_rate = st.floats(min_value=1e-6, max_value=0.49)
+moderate_rates = st.builds(ConcessionRates, moderate_rate, st.one_of(st.just(0.0), moderate_rate),
+                           moderate_rate, st.one_of(st.just(0.0), moderate_rate))
+
+
 class TestFixedPoint:
     def test_reference_values(self):
         x_a, x_b = fixed_point(fig3_config())
@@ -282,11 +315,33 @@ class TestFixedPoint:
                                                 buyer, seller):
         det = r_a * r_b + r_a * r_b_prime + r_a_prime * r_b
         assume(det >= sys.float_info.min)
+        # with both reserves below 1 a numerator product that underflows has
+        # lost bits, which scaling the reserves restores; the formula below
+        # is exact there only without such a product
+        products = [(r_a, buyer, r_b + r_b_prime), (r_a_prime, r_b, seller),
+                    (r_b, seller, r_a + r_a_prime), (r_b_prime, r_a, buyer)]
+        assume(not (buyer < 1.0 and seller < 1.0)
+               or all(0.0 in factors or min(factors[0] * factors[1],
+                                            factors[0] * factors[1] * factors[2])
+                      >= sys.float_info.min for factors in products))
         cfg = fig3_config(rates=ConcessionRates(r_a, r_a_prime, r_b, r_b_prime),
                           buyer_reserve_adj=buyer, seller_reserve_adj=seller)
         assert fixed_point(cfg) == (
             (r_a * buyer * (r_b + r_b_prime) + r_a_prime * r_b * seller) / det,
             (r_b * seller * (r_a + r_a_prime) + r_b_prime * r_a * buyer) / det)
+
+    @pytest.mark.parametrize("buyer, seller, rates", [
+        (1e-300, 3e-300, ConcessionRates(1e-150, 0.0, 1e-150, 0.0)),  # products give 0
+        (1e-308, 3e-308, ConcessionRates(1e-5, 0.0, 1e-5, 0.0)),  # subnormal products
+        (1e-308, 3e-308, ConcessionRates(1e-5, 1e-5, 1e-5, 1e-5)),
+    ])
+    def test_underflowing_products_keep_the_rest_point(self, buyer, seller, rates):
+        cfg = NegotiationConfig(0.0, 0.0, buyer, seller, rates, 1.0, 10)
+        assert_near_exact_fixed_point(cfg)
+
+    @given(buyer=tiny_reserve, seller=tiny_reserve, rates=moderate_rates)
+    def test_tiny_reserves_keep_the_rest_point(self, buyer, seller, rates):
+        assert_near_exact_fixed_point(NegotiationConfig(0.0, 0.0, buyer, seller, rates, 1.0, 10))
 
     def test_fixed_point_is_invariant_under_step(self):
         cfg = fig3_config()

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -278,6 +279,80 @@ class TestCompareRegimes:
 
 REGIMES = [Authoritarian(0.0), Authoritarian(0.7), Authoritarian(2.0), Authoritarian(3.0),
            Authoritarian(400.0), Institutional(1.0), Institutional(1.2), Institutional(3.0)]
+
+
+def assert_finals_are_lone_runs(result, a, b):
+    for cfg, finals in ((a, result.final_gini_a), (b, result.final_gini_b)):
+        assert finals == tuple(run_society(replace(cfg, seed=s)).final_gini for s in result.seeds)
+
+
+class TestSharedDraws:
+    """A comparison draws each seed's stream once for both regimes and
+    measures only the epochs it reads, yet every row is its lone run."""
+
+    def test_each_seed_is_shuffled_from_one_stream(self, monkeypatch):
+        real_rng = np.random.default_rng
+        made, shuffled = [], []
+
+        class CountingGenerator:
+            def __init__(self, seed):
+                self.rng = real_rng(seed)
+                made.append(self)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def permuted(self, *args, **kwargs):
+                shuffled.append(self)
+                return self.rng.permuted(*args, **kwargs)
+
+        a = config(regime=Authoritarian(2.0), epochs=20, pairings_per_epoch=2)
+        b = replace(a, regime=Institutional(1.2))
+        monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+        result = compare_regimes(a, b, n_seeds=4)
+        monkeypatch.undo()
+        assert len(made) == 4
+        assert len(set(map(id, shuffled))) == 4
+        assert_finals_are_lone_runs(result, a, b)
+
+    def test_a_late_overflow_fails_as_lone_runs_do(self):
+        # 2n * total passes the float range at epoch 25 of 30, while every
+        # wealth, being at most the total, stays finite
+        a = config(regime=Authoritarian(2.0), unit_surplus=4.5e303)
+        b = replace(a, regime=Institutional(1.2))
+        n_pairs = a.n_agents // 2
+        assert 2.0 * a.n_agents + a.epochs * n_pairs * a.unit_surplus < sys.float_info.max
+        for cfg in (a, b):
+            early = run_society(replace(cfg, epochs=24))
+            assert math.isfinite(2 * cfg.n_agents * early.totals[-1])
+            with pytest.raises(InvalidConfig):
+                run_society(replace(cfg, epochs=25))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lone = []
+            for cfg in (a, b):
+                with pytest.raises(InvalidConfig) as raised:
+                    run_society(cfg)
+                lone.append(raised.value)
+            with pytest.raises(InvalidConfig) as raised:
+                compare_regimes(a, b, n_seeds=3)
+        expected = ("unit_surplus", "total wealth overflows the float range")
+        assert [(e.field, e.rule) for e in lone] == [expected] * 2
+        assert (raised.value.field, raised.value.rule) == expected
+
+    @pytest.mark.parametrize("regime_b", REGIMES, ids=repr)
+    @pytest.mark.parametrize("regime_a", REGIMES, ids=repr)
+    @settings(max_examples=5, deadline=None)
+    @given(n_agents=st.integers(2, 60), epochs=st.integers(1, 6),
+           pairings=st.integers(1, 4), seed=st.integers(0, 2 ** 32), n_seeds=st.integers(1, 3),
+           wealth=st.sampled_from([Uniform(1.0, 2.0), Lognormal(0.0, 1.0), Lognormal(0.0, 3.0)]))
+    def test_final_ginis_are_the_lone_runs(self, regime_a, regime_b, n_agents, epochs, pairings,
+                                           seed, n_seeds, wealth):
+        a = config(n_agents=n_agents, initial_wealth=wealth, regime=regime_a, epochs=epochs,
+                   pairings_per_epoch=pairings, seed=seed)
+        b = replace(a, regime=regime_b)
+        result = compare_regimes(a, b, n_seeds=n_seeds)
+        assert_finals_are_lone_runs(result, a, b)
 
 
 def assert_matches_reference(cfg, trace):
