@@ -8,6 +8,7 @@ Defaults reproduce the pre-registered comparison: 200 agents, 500 epochs,
 import argparse
 
 from bargainlab.errors import BargainError
+from bargainlab.scenario import KINDS
 from bargainlab.society import (Authoritarian, Institutional, SocietyConfig,
                                 Uniform, compare_regimes)
 
@@ -39,6 +40,7 @@ def main() -> None:
     try:
         cfg_auth = SocietyConfig(regime=Authoritarian(args.gamma), **base)
         cfg_inst = SocietyConfig(regime=Institutional(args.cap), **base)
+        KINDS["society"].check(cfg_auth)  # the work budget a society document gets
         result = compare_regimes(cfg_auth, cfg_inst, n_seeds=args.seeds)
     except BargainError as err:
         parser.error(f"argument {OPTIONS[err.field]}: {err.rule}" if err.field in OPTIONS

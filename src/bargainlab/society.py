@@ -17,17 +17,20 @@ inequality is tracked with the Gini coefficient.
 
 A round's pairs are disjoint, so the kernel applies a whole round as one
 array update, which gives the same floats as taking its pairs one at a
-time.  ``compare_regimes`` runs both regimes over all its seeds as the rows
-of one wealth array.  The regime never touches the generator, so the rows
-of one seed share their draws: its initial wealth and pairings are drawn
-once for both regimes.  A comparison measures only the first and the last
-epoch, the ones it reads; a full run takes the Ginis of a block of epochs
-in one pass.
+time.  One kernel, ``_epochs``, runs one config under a tuple of regimes
+from a tuple of seeds as the rows of one wealth array and yields that
+array after each epoch; its callers measure what they read.
+``run_society`` is its one-row case and takes the Ginis of a block of
+epochs in one pass.  ``compare_regimes`` runs both regimes over a block of
+seeds at a time and measures only the first and the last epoch.  The
+regime never touches the generator, so the rows of one seed share their
+draws: its initial wealth and pairings are drawn once for both regimes.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -227,84 +230,82 @@ def run_society(cfg: SocietyConfig) -> WealthTrace:
     regime rule.  Because every agent trades exactly once per round, exact
     power parity preserves a flat wealth distribution exactly.
     """
-    return _run_batch([cfg])[0]
+    n = cfg.n_agents
+    gini_series = np.empty(cfg.epochs + 1)
+    totals = np.empty(cfg.epochs + 1)
+    # each epoch's wealth is held here and a block of epochs is measured in
+    # one pass, so a small population does not pay numpy's per-call cost
+    # every epoch
+    held = np.empty((min(cfg.epochs, max(1, _GINI_VALUES // n)), n))
+
+    def record(first: int, snapshots: np.ndarray, field: str) -> None:
+        """Record the Ginis and totals of epochs first, first + 1, ... from
+        their (epochs, n) wealth snapshots."""
+        span = slice(first, first + len(snapshots))
+        gini_series[span] = _ginis(snapshots, field)
+        # a running sum adds left to right like Python's sum(), where numpy's
+        # sum() adds pairwise and rounds differently
+        totals[span] = np.add.accumulate(snapshots, axis=1)[:, -1]
+
+    epochs = _epochs(cfg, (cfg.regime,), (cfg.seed,))
+    wealth = next(epochs)[0]
+    record(0, wealth[None], "initial_wealth")
+    for epoch, _ in enumerate(epochs, start=1):
+        slot = (epoch - 1) % len(held)
+        held[slot] = wealth
+        if slot + 1 == len(held) or epoch == cfg.epochs:
+            record(epoch - slot, held[:slot + 1], "unit_surplus")
+    return WealthTrace(gini_series=gini_series, totals=totals, final_wealth=wealth,
+                       injected_per_epoch=cfg.pairings_per_epoch * (n // 2) * cfg.unit_surplus)
 
 
-#: Permutation indices held at a time across a batch's rows; rounds are
+#: Permutation indices held at a time across the kernel's rows; rounds are
 #: drawn in chunks of this size, so memory does not grow with the number of
 #: rounds.
 _PERM_INDICES = 1 << 16
 #: Wealth values measured in one Gini pass: a block of epochs' snapshots,
 #: small enough that the pass works in cache.
 _GINI_VALUES = 1 << 14
+#: Wealth values a regime comparison holds at a time: it runs its seeds in
+#: blocks of whole seeds (both regimes of each), so its memory does not
+#: grow with the number of seeds.
+_BLOCK_VALUES = 1 << 18
 
 
-def _run_batch(cfgs: list[SocietyConfig],
-               series: bool = True) -> list[WealthTrace] | list[float]:
-    """Run configs that differ only in their seed and regime as the rows of
-    one (rows, n) wealth array, one update per round over every row's pairs.
+def _ginis(wealth: np.ndarray, field: str) -> list[float]:
+    """``gini`` of each row of a (rows, n) wealth array.  Positive wealth is
+    rejected only when it leaves the float range; that is reported at the
+    config field that drove it there."""
+    try:
+        return _gini_rows(np.sort(wealth, axis=1))
+    except InvalidInput:
+        raise InvalidConfig("total wealth overflows the float range", field=field) from None
 
-    The regime never touches the generator, so rows that share a seed share
-    one: that seed's initial wealth and per-round permutations are drawn
-    once, in the order a lone run draws them, and used by each of its rows.
-    Each pair's power ratio follows its own row's regime, so row s is
-    bitwise the run of ``cfgs[s]`` by itself.
 
-    With ``series`` false only epoch 0 and the last epoch are measured, and
-    the rows' final Ginis are returned instead of their traces.  That still
-    rejects every row a lone run rejects, with the same error: every share
-    is >= 0 and the surplus > 0, so no wealth ever decreases.  A row's
-    sorted values, and so its largest value and its total, are then
-    monotone over the epochs, and an inf or NaN wealth never becomes finite
-    again, so a row that leaves the float range at some epoch is still out
-    of it at the last.
+def _epochs(cfg: SocietyConfig, regimes: tuple[RegimeRule, ...],
+            seeds: tuple[int, ...]) -> Iterator[np.ndarray]:
+    """Run ``cfg`` under each regime from each seed as the rows of one
+    (rows, n) wealth array, one update per round over every row's pairs.
+    Rows are regime-major: row r * len(seeds) + s runs ``regimes[r]`` from
+    ``seeds[s]``; ``cfg``'s own regime and seed are not read.  The array is
+    yielded at epoch 0 and after each epoch, and updated in place between
+    yields.
+
+    The regime never touches the generator, so the rows of one seed share
+    one: its initial wealth and per-round permutations are drawn once, in
+    the order a lone run draws them, and used by each of its rows.  Each
+    pair's power ratio follows its own row's regime, so every row is
+    bitwise the lone run of its regime and seed.
     """
-    cfg, rows = cfgs[0], len(cfgs)
     n, n_pairs, pairings = cfg.n_agents, cfg.n_agents // 2, cfg.pairings_per_epoch
-    streams: dict[int, int] = {}  # each distinct seed's index, in order of first use
-    which = [streams.setdefault(c.seed, len(streams)) for c in cfgs]  # each row's stream
-    rngs = [np.random.default_rng(seed) for seed in streams]
-    wealth = np.stack([_sample_initial(cfg.initial_wealth, n, rng) for rng in rngs])[which]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    wealth = np.tile(np.stack([_sample_initial(cfg.initial_wealth, n, rng) for rng in rngs]),
+                     (len(regimes), 1))
     if np.any(wealth == 0.0):  # an exchange divides by the poorer side's wealth
         raise InvalidConfig("sampled wealth underflows to 0", field="initial_wealth")
+    yield wealth
 
-    def measure(snapshots: np.ndarray, field: str) -> np.ndarray:
-        """The (rows, epochs) Ginis of (epochs, rows, n) wealth snapshots."""
-        # gini rejects positive wealth only when it leaves the float range;
-        # report that at the config field that drove it there
-        try:
-            ginis = _gini_rows(np.sort(snapshots, axis=2).reshape(-1, n))
-        except InvalidInput:
-            raise InvalidConfig("total wealth overflows the float range",
-                                field=field) from None
-        return np.reshape(ginis, snapshots.shape[:2]).T
-
-    def record(first: int, snapshots: np.ndarray, field: str) -> None:
-        """Record the Ginis and totals of epochs first, first + 1, ... from
-        their (epochs, rows, n) wealth snapshots."""
-        span = slice(first, first + len(snapshots))
-        gini_series[:, span] = measure(snapshots, field)
-        # a running sum adds left to right like Python's sum(), where numpy's
-        # sum() adds pairwise and rounds differently
-        totals[:, span] = np.add.accumulate(snapshots, axis=2)[..., -1].T
-
-    if series:
-        gini_series = np.empty((rows, cfg.epochs + 1))
-        totals = np.empty((rows, cfg.epochs + 1))
-        # each epoch's wealth is held here and a block of epochs is measured
-        # in one pass, so a small population does not pay numpy's per-call
-        # cost every epoch
-        held = np.empty((min(cfg.epochs, max(1, _GINI_VALUES // (rows * n))), rows, n))
-        record(0, wealth[None], "initial_wealth")
-    else:
-        measure(wealth[None], "initial_wealth")
-
-    # a round's pairs are laid out row after row, so each run of consecutive
-    # rows that share a regime owns one slice of them
-    starts = [s for s in range(rows) if s == 0 or cfgs[s].regime != cfgs[s - 1].regime]
-    spans = [(cfgs[a].regime, slice(a * n_pairs, b * n_pairs))
-             for a, b in zip(starts, starts[1:] + [rows])]
-
+    rows, per_regime = len(wealth), len(seeds) * n_pairs
     surplus = cfg.unit_surplus
     flat = wealth.reshape(-1)  # a view: pairs index agents across all rows
     rounds = cfg.epochs * pairings
@@ -314,47 +315,38 @@ def _run_batch(cfgs: list[SocietyConfig],
     # indices into flat, row after row
     firsts = np.empty((chunk, rows * n_pairs), dtype=np.intp)
     seconds = np.empty((chunk, rows * n_pairs), dtype=np.intp)
-    row_offsets = (np.arange(rows) * n)[:, None]
-    # inf and nan wealth are reported by measure(); numpy need not warn first
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(rounds):
-            k = t % chunk
-            if k == 0:
-                block = orders[:, :min(chunk, rounds - t)]
-                block[...] = np.arange(n)
-                for rng, perms in zip(rngs, block):  # the stream of per-round rng.permutation(n)
-                    rng.permuted(perms, axis=1, out=perms)
-                pairs = block.swapaxes(0, 1)
-                shape = (len(pairs), rows, n_pairs)
-                np.add(pairs[:, which, 0:2 * n_pairs:2], row_offsets,
-                       out=firsts[:len(pairs)].reshape(shape))
-                np.add(pairs[:, which, 1:2 * n_pairs:2], row_offsets,
-                       out=seconds[:len(pairs)].reshape(shape))
-            first, second = firsts[k], seconds[k]
-            w_first, w_second = flat[first], flat[second]
-            first_rich = w_first >= w_second
-            rho = np.maximum(w_first, w_second)
-            rho /= np.minimum(w_first, w_second)
-            for regime, span in spans:
-                _power_ratio(rho[span], regime)
-            share_rich = rho / (1.0 + rho)
-            share_rich[np.isinf(rho)] = 1.0
-            share_poor = 1.0 - share_rich
-            flat[first] = w_first + surplus * np.where(first_rich, share_rich, share_poor)
-            flat[second] = w_second + surplus * np.where(first_rich, share_poor, share_rich)
-            if series and (t + 1) % pairings == 0:
-                epoch = (t + 1) // pairings
-                slot = (epoch - 1) % len(held)
-                held[slot] = wealth
-                if slot + 1 == len(held) or epoch == cfg.epochs:
-                    record(epoch - slot, held[:slot + 1], "unit_surplus")
-
-    if not series:
-        return measure(wealth[None], "unit_surplus")[:, 0].tolist()
-    injected = pairings * n_pairs * surplus
-    return [WealthTrace(gini_series=gini_series[s], totals=totals[s],
-                        injected_per_epoch=injected, final_wealth=wealth[s])
-            for s in range(rows)]
+    row_offsets = (np.arange(rows) * n).reshape(len(regimes), len(seeds), 1)
+    for epoch in range(cfg.epochs):
+        # inf and nan wealth are reported by the caller's Ginis; numpy need
+        # not warn first.  No yield sits inside: a suspended generator would
+        # leave this state set in its caller
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(epoch * pairings, (epoch + 1) * pairings):
+                k = t % chunk
+                if k == 0:
+                    block = orders[:, :min(chunk, rounds - t)]
+                    block[...] = np.arange(n)
+                    for rng, perms in zip(rngs, block):  # the stream of per-round rng.permutation(n)
+                        rng.permuted(perms, axis=1, out=perms)
+                    pairs = block.swapaxes(0, 1)[:, None]  # (rounds, 1, seeds, n)
+                    shape = (len(pairs), len(regimes), len(seeds), n_pairs)
+                    np.add(pairs[..., 0:2 * n_pairs:2], row_offsets,
+                           out=firsts[:len(pairs)].reshape(shape))
+                    np.add(pairs[..., 1:2 * n_pairs:2], row_offsets,
+                           out=seconds[:len(pairs)].reshape(shape))
+                first, second = firsts[k], seconds[k]
+                w_first, w_second = flat[first], flat[second]
+                first_rich = w_first >= w_second
+                rho = np.maximum(w_first, w_second)
+                rho /= np.minimum(w_first, w_second)
+                for r, regime in enumerate(regimes):  # regime r owns its rows' pairs
+                    _power_ratio(rho[r * per_regime:(r + 1) * per_regime], regime)
+                share_rich = rho / (1.0 + rho)
+                share_rich[np.isinf(rho)] = 1.0
+                share_poor = 1.0 - share_rich
+                flat[first] = w_first + surplus * np.where(first_rich, share_rich, share_poor)
+                flat[second] = w_second + surplus * np.where(first_rich, share_poor, share_rich)
+        yield wealth
 
 
 @dataclass(frozen=True)
@@ -380,23 +372,43 @@ def compare_regimes(cfg_a: SocietyConfig, cfg_b: SocietyConfig,
 
     The configs must be identical except (possibly) for the regime; seeds
     are cfg.seed, cfg.seed + 1, ... so replicate sweeps stay reproducible.
-    Both regimes run as the rows of one batch, which draws each seed's
-    stream once for both and measures only the first and last epochs.
+    The seeds run in blocks of whole seeds, each holding at most
+    ``_BLOCK_VALUES`` wealth values (or one seed), so memory does not grow
+    with ``n_seeds``.  Within a block both regimes run as the rows of one
+    array, which draws each seed's stream once for both.  Blocks run in
+    seed order, so the error raised is the one of the first block that has
+    a row a lone run rejects.
+
+    Only epoch 0 and the last epoch are measured, yet every row a lone run
+    rejects is rejected with the same error: every share is >= 0 and the
+    surplus > 0, so no wealth ever decreases.  A row's sorted values, and so
+    its largest value and its total, are then monotone over the epochs, and
+    an inf or NaN wealth never becomes finite again, so a row that leaves
+    the float range at some epoch is still out of it at the last.
     """
     if not isinstance(n_seeds, int) or n_seeds < 1:
         raise InvalidConfig("must be a positive integer", field="n_seeds")
     if replace(cfg_a, regime=cfg_b.regime) != cfg_b:
         raise ConfigMismatch("configs may differ only in their regime rule")
     seeds = tuple(cfg_a.seed + i for i in range(n_seeds))
-    finals = tuple(_run_batch([replace(cfg, seed=s) for cfg in (cfg_a, cfg_b) for s in seeds],
-                              series=False))
-    final_a, final_b = finals[:n_seeds], finals[n_seeds:]
+    replace(cfg_a, seed=seeds[-1])  # the largest seed must be one a lone run takes
+    final_a, final_b = [], []
+    per_block = max(1, _BLOCK_VALUES // (2 * cfg_a.n_agents))
+    for first in range(0, n_seeds, per_block):
+        block = seeds[first:first + per_block]
+        epochs = _epochs(cfg_a, (cfg_a.regime, cfg_b.regime), block)
+        _ginis(next(epochs), "initial_wealth")
+        for wealth in epochs:  # to the last epoch; the array is updated in place
+            pass
+        finals = _ginis(wealth, "unit_surplus")
+        final_a += finals[:len(block)]
+        final_b += finals[len(block):]
     mean_a = sum(final_a) / n_seeds
     mean_b = sum(final_b) / n_seeds
     return RegimeComparison(
         seeds=seeds,
-        final_gini_a=final_a,
-        final_gini_b=final_b,
+        final_gini_a=tuple(final_a),
+        final_gini_b=tuple(final_b),
         mean_a=mean_a,
         mean_b=mean_b,
         mean_diff=mean_a - mean_b,

@@ -30,6 +30,9 @@ def test_script_runs_to_its_summary(script, args, summary):
     (["--agents", "1"], "argument --agents: must be >= 2"),
     (["--cap", "0.5"], "argument --cap: must be >= 1"),
     (["--gamma", "-1"], "argument --gamma: must be >= 0"),
+    (["--agents", "1000001"], "argument --agents: must be <= 1000000"),
+    (["--epochs", "100001"], "argument --epochs: (n_agents // 2) * epochs * pairings_per_epoch "
+                             "must be <= 10000000"),
 ])
 def test_compare_regimes_reports_bad_arguments_as_usage_errors(args, message):
     proc = run_script("compare_regimes.py", args)

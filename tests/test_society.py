@@ -340,6 +340,28 @@ class TestSharedDraws:
         assert [(e.field, e.rule) for e in lone] == [expected] * 2
         assert (raised.value.field, raised.value.rule) == expected
 
+    def test_a_raised_run_leaves_the_error_state_as_it_was(self):
+        # the kernel ignores overflow only while it updates wealth; a raise
+        # in the caller's measurement must not leave that setting behind
+        a = config(regime=Authoritarian(2.0), unit_surplus=4.5e303)
+        b = replace(a, regime=Institutional(1.2))
+        for run in (lambda: run_society(a), lambda: compare_regimes(a, b, n_seeds=3)):
+            # numpy's default, set here so that no earlier test can change it
+            with np.errstate(divide="warn", over="warn", under="ignore", invalid="warn"):
+                before = np.geterr()
+                with pytest.raises(InvalidConfig) as raised:
+                    run()
+                assert raised.value.field == "unit_surplus"
+                assert np.geterr() == before  # with the traceback still alive
+
+    def test_the_largest_seed_must_be_a_valid_seed(self):
+        a = config(seed=2 ** 64 - 2)
+        b = replace(a, regime=Institutional(1.2))
+        assert compare_regimes(a, b, n_seeds=2).seeds == (2 ** 64 - 2, 2 ** 64 - 1)
+        with pytest.raises(InvalidConfig) as raised:
+            compare_regimes(a, b, n_seeds=3)
+        assert raised.value.field == "seed"
+
     @pytest.mark.parametrize("regime_b", REGIMES, ids=repr)
     @pytest.mark.parametrize("regime_a", REGIMES, ids=repr)
     @settings(max_examples=5, deadline=None)
@@ -352,6 +374,48 @@ class TestSharedDraws:
                    pairings_per_epoch=pairings, seed=seed)
         b = replace(a, regime=regime_b)
         result = compare_regimes(a, b, n_seeds=n_seeds)
+        assert_finals_are_lone_runs(result, a, b)
+
+
+class TestSeedBlocks:
+    """A comparison runs its seeds in blocks of whole seeds, so its memory
+    does not grow with the seed count and every row is still its lone run."""
+
+    def test_peak_memory_does_not_grow_with_the_seed_count(self):
+        n = 20_000
+        a = config(n_agents=n, regime=Authoritarian(2.0), epochs=2, pairings_per_epoch=2)
+        b = replace(a, regime=Institutional(1.2))
+        peaks = []
+        for n_seeds in (20, 80):
+            # both counts span several blocks of the 2 * n values a seed holds
+            assert n_seeds > 2 * society._BLOCK_VALUES // (2 * n)
+            tracemalloc.start()
+            try:
+                compare_regimes(a, b, n_seeds=n_seeds)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # about 6.5 * 8 bytes per value of a block; all 20 seeds in one array
+        # peaked at 52 MB.  Past one block, a seed adds only its seed and its
+        # two final Ginis, not its 2 * n * 8 bytes of wealth
+        assert peaks[0] < 8 * 8 * society._BLOCK_VALUES
+        assert peaks[1] <= peaks[0] + (80 - 20) * 1024
+
+    def test_blocks_of_seeds_give_the_lone_runs(self, monkeypatch):
+        a = config(regime=Authoritarian(2.0), epochs=20, pairings_per_epoch=2)
+        b = replace(a, regime=Institutional(1.2))
+        monkeypatch.setattr(society, "_BLOCK_VALUES", 3 * 2 * a.n_agents)
+        blocks = []
+        real_epochs = society._epochs
+
+        def recording_epochs(cfg, regimes, seeds):
+            blocks.append(seeds)
+            return real_epochs(cfg, regimes, seeds)
+
+        monkeypatch.setattr(society, "_epochs", recording_epochs)
+        result = compare_regimes(a, b, n_seeds=7)
+        assert [len(seeds) for seeds in blocks] == [3, 3, 1]
+        assert sum(blocks, ()) == result.seeds
         assert_finals_are_lone_runs(result, a, b)
 
 
@@ -455,11 +519,18 @@ class TestMatchesScalarLoop:
         # sigma 1 spreads wealth ratios past 6, where ratio ** 400 overflows
         base = config(n_agents=201, initial_wealth=Lognormal(0.0, 1.0), epochs=50,
                       pairings_per_epoch=2)
-        cfgs = [replace(base, regime=r, seed=s) for r in regimes for s in (11, 12)]
+        seeds = (11, 12)
         rounds = base.epochs * base.pairings_per_epoch
-        assert rounds > society._PERM_INDICES // (len(cfgs) * base.n_agents)
-        for cfg, trace in zip(cfgs, society._run_batch(cfgs)):
-            lone = run_society(cfg)
-            assert np.array_equal(trace.final_wealth, lone.final_wealth)
-            assert np.array_equal(trace.gini_series, lone.gini_series)
-            assert np.array_equal(trace.totals, lone.totals)
+        assert rounds > society._PERM_INDICES // (len(regimes) * len(seeds) * base.n_agents)
+        lone = [society._epochs(base, (r,), (s,)) for r in regimes for s in seeds]
+        epochs = 0
+        for wealth in society._epochs(base, tuple(regimes), seeds):
+            assert wealth.shape == (len(lone), base.n_agents)
+            for row, run in zip(wealth, lone):
+                assert np.array_equal(row, next(run)[0])
+            epochs += 1
+        assert epochs == base.epochs + 1
+        assert all(next(run, None) is None for run in lone)
+        cfgs = [replace(base, regime=r, seed=s) for r in regimes for s in seeds]
+        for cfg, row in zip(cfgs, wealth):
+            assert np.array_equal(row, run_society(cfg).final_wealth)
