@@ -27,10 +27,6 @@ class InvalidConfig(BargainError):
     """A configuration object violates one of its invariants."""
 
 
-class SingularSystem(BargainError):
-    """The fixed-point linear system is numerically singular."""
-
-
 class NoChain(BargainError):
     """No qualifying power chain connects the requester to a helper."""
 

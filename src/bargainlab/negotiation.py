@@ -18,13 +18,12 @@ contraction, so the coupled system has a unique rest point.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .core import (PerceptionView, adjust_reserve_full, imbalance_ratio, require_finite,
                    require_ratio, require_reserve)
-from .errors import InvalidConfig, SingularSystem
+from .errors import InvalidConfig
 
 #: Clamp bounds used when imbalance scaling pushes a rate out of range.
 RATE_MIN = 1e-9
@@ -327,30 +326,29 @@ def settle(cfg: NegotiationConfig) -> Outcome:
     - a step errs by at most 4u(r + r')S + 2uS + 2uS <= 8uS (two
       differences, two products, two sums), and the contraction keeps the
       errors of all later steps together below A = 8uS/m;
-    - ``fixed_point`` errs by F <= 15uS: the determinant's terms cannot
-      cancel (relative error 3u, plus 3u of underflow against a
-      determinant >= 2^-1022, less once rescaled), a numerator's terms sum
-      in size to at most S times it (4uS, plus 4uS of underflow), and the
-      division adds uS;
+    - ``fixed_point`` errs by F <= 6uS.  A side's odds t carry a relative
+      error of at most 4u (a sum, two quotients and a product).  That
+      moves its two weights, whose exact sum is 1, by at most 4u t/(1 +
+      t)^2 <= u in opposite directions, against reserves at most 2S apart:
+      2uS.  Each weight's own two roundings add 2uS, the two products uS
+      and their sum uS.  A quotient that leaves the float range, or a
+      product that underflows, errs by far less than uS;
     - e (counted twice), the test's three operations and a later step's
       ``gap <= gap_epsilon`` err by 2uS, 6uS and 4uS.
     So the gap stays open if 2 slack >= 4F + 2A + 14uS, that is if slack
-    >= 37uS + 8uS/m, which c (1 + 1/m) meets for every m < 1 once c >= 23.
+    >= 19uS + 8uS/m, which c (1 + 1/m) meets for every m < 1 once c >= 19.
     c = 32 also covers the higher-order terms, among them the offers' hull
     growing by a factor 1 + 8u per step.
 
     A stall the bound cannot end, because its rates are too small for the
-    bound to pass or because it has no rest point (``SingularSystem``), may
-    still reach a step that leaves both offers as they were.  Every later
-    step would do the same, so the stall ends there, as ``run``'s repeat
-    test would end it.  The step has no division, so offers of equal value
-    evolve alike and, unlike ``run``, this test need not tell 0.0 from -0.0.
+    bound to pass, may still reach a step that leaves both offers as they
+    were.  Every later step would do the same, so the stall ends there, as
+    ``run``'s repeat test would end it.  The step has no division, so
+    offers of equal value evolve alike and, unlike ``run``, this test need
+    not tell 0.0 from -0.0.
     """
     x_a, x_b = cfg.buyer_open, cfg.seller_open
-    try:
-        rest_a, rest_b = fixed_point(cfg)
-    except SingularSystem:
-        rest_a = rest_b = math.nan
+    rest_a, rest_b = fixed_point(cfg)
     scale = max(1.0, abs(cfg.buyer_open), abs(cfg.seller_open),
                 abs(cfg.buyer_reserve_adj), abs(cfg.seller_reserve_adj))
     slack = 32.0 * 2.0 ** -53 * scale * (1.0 + 1.0 / min(cfg.rates.r_a, cfg.rates.r_b))
@@ -369,47 +367,55 @@ def settle(cfg: NegotiationConfig) -> Outcome:
 
 
 def fixed_point(cfg: NegotiationConfig) -> tuple[float, float]:
-    """Rest point of the coupled update, solved in closed form.
+    """Rest point of the coupled update, in closed form.
 
-    Solves the 2x2 linear system obtained by zeroing both increments:
+    At rest each offer is a convex combination of the two reserves:
 
-        (r_a + r_a') x_a - r_a' x_b        = r_a * buyer_reserve
-        -r_b' x_a + (r_b + r_b') x_b       = r_b * seller_reserve
+        x_a = w_a * buyer_reserve + v_a * seller_reserve
+        x_b = v_b * buyer_reserve + w_b * seller_reserve
 
-    by Cramer's rule, with the determinant and both numerators expanded
-    so that no term is subtracted.  The determinant is then a sum of
-    non-negative rate products that cannot cancel, so the system is
-    singular only when it underflows to zero.  A subnormal determinant
-    has lost precision, so the rates are first scaled by a power of two,
-    which is exact and leaves the rest point unchanged.  Likewise the
-    numerators' products can underflow when both reserves lie in (-1, 1),
-    so the reserves are then scaled by a power of two that brings the
-    larger magnitude into [0.5, 1), and the result is scaled back.  Every
-    product grows by that exact factor, so wherever nothing underflowed
-    the result keeps its bits.
+    with (w, v) = (1 / (1 + t), t / (1 + t)) for each side's odds t, the
+    weight it puts on the opponent's reserve over the weight on its own:
+
+        t_a = (r_a' / r_a) * (r_b / (r_b + r_b'))
+        t_b = (r_b' / r_b) * (r_a / (r_a + r_a'))
+
+    Cramer's rule on the 2x2 system that zeroes both increments, divided
+    through by r_a (r_b + r_b'), gives x_a = (buyer_reserve + t_a *
+    seller_reserve) / (1 + t_a), and x_b likewise.  Since r_a, r_b > 0
+    every divisor is positive, so there is always a rest point.  t lies in
+    [0, inf]; t = inf gives (0, 1), so no inf / inf can occur.  A zero
+    cross-rate gives t = 0, which puts that side's offer exactly on its
+    own reserve.
+
+    Only a tiny r_a or r_b can take a quotient out of the float range.
+    When both lie below 2^-512, t_a is formed as (r_a' / (r_b + r_b')) *
+    (r_b / r_a), whose second quotient then lies within a factor 2^562 of
+    1, and t_b likewise.  Either way a quotient that overflows or
+    underflows implies odds, or their reciprocal, below 2^-460, which
+    moves a weight by less than that.  ``settle``'s docstring bounds the
+    rounding error.
 
     With nonzero cross-rates this rest point differs from the pair of
     reserves: each side is pulled off its reserve by its eagerness to
     close the gap.
     """
-    r_a, r_a_prime, r_b, r_b_prime = (cfg.rates.r_a, cfg.rates.r_a_prime,
-                                      cfg.rates.r_b, cfg.rates.r_b_prime)
+    r = cfg.rates
+    w_a, v_a = _rest_weights(r.r_a, r.r_a_prime, r.r_b, r.r_b_prime)
+    w_b, v_b = _rest_weights(r.r_b, r.r_b_prime, r.r_a, r.r_a_prime)
     buyer, seller = cfg.buyer_reserve_adj, cfg.seller_reserve_adj
-    det = r_a * r_b + r_a * r_b_prime + r_a_prime * r_b
-    if det == 0.0:
-        raise SingularSystem("fixed-point system determinant underflows to 0")
-    if det < sys.float_info.min:
-        # bring the largest rate into [0.5, 1): the others cannot overflow
-        exponent = -math.frexp(max(r_a, r_a_prime, r_b, r_b_prime))[1]
-        r_a, r_a_prime, r_b, r_b_prime = (math.ldexp(x, exponent)
-                                          for x in (r_a, r_a_prime, r_b, r_b_prime))
-        det = r_a * r_b + r_a * r_b_prime + r_a_prime * r_b
-    shift = 0
-    if -1.0 < buyer < 1.0 and -1.0 < seller < 1.0:
-        shift = -math.frexp(max(abs(buyer), abs(seller)))[1]
-        buyer, seller = math.ldexp(buyer, shift), math.ldexp(seller, shift)
-    x_a = (r_a * buyer * (r_b + r_b_prime) + r_a_prime * r_b * seller) / det
-    x_b = (r_b * seller * (r_a + r_a_prime) + r_b_prime * r_a * buyer) / det
-    if shift:
-        return math.ldexp(x_a, -shift), math.ldexp(x_b, -shift)
-    return x_a, x_b
+    return w_a * buyer + v_a * seller, v_b * buyer + w_b * seller
+
+
+def _rest_weights(r: float, r_prime: float, other: float,
+                  other_prime: float) -> tuple[float, float]:
+    """One side's rest weights (w, v) on its own and the opponent's reserve,
+    from its rates ``r``, ``r_prime`` and the opponent's."""
+    total = other + other_prime
+    if max(r, other) < 2.0 ** -512:
+        odds = r_prime / total * (other / r)
+    else:
+        odds = r_prime / r * (other / total)
+    if odds == math.inf:
+        return 0.0, 1.0
+    return 1.0 / (1.0 + odds), odds / (1.0 + odds)

@@ -108,11 +108,12 @@ class SocietyConfig:
     def __post_init__(self):
         for name, least in (("n_agents", 2), ("epochs", 1), ("pairings_per_epoch", 1)):
             value = getattr(self, name)
-            if not isinstance(value, int):
+            if not isinstance(value, int) or isinstance(value, bool):
                 raise InvalidConfig("must be an integer", field=name)
             if value < least:
                 raise InvalidConfig(f"must be >= {least}", field=name)
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not (
+                0 <= self.seed < 2 ** 64):
             raise InvalidConfig("must be a 64-bit unsigned integer", field="seed")
         if require_finite("unit_surplus", self.unit_surplus, InvalidConfig) <= 0.0:
             raise InvalidConfig("must be > 0", field="unit_surplus")
@@ -247,14 +248,15 @@ def run_society(cfg: SocietyConfig) -> WealthTrace:
         # sum() adds pairwise and rounds differently
         totals[span] = np.add.accumulate(snapshots, axis=1)[:, -1]
 
-    epochs = _epochs(cfg, (cfg.regime,), (cfg.seed,))
-    wealth = next(epochs)[0]
-    record(0, wealth[None], "initial_wealth")
-    for epoch, _ in enumerate(epochs, start=1):
-        slot = (epoch - 1) % len(held)
-        held[slot] = wealth
-        if slot + 1 == len(held) or epoch == cfg.epochs:
-            record(epoch - slot, held[:slot + 1], "unit_surplus")
+    with np.errstate(over="ignore", invalid="ignore"):  # see _epochs
+        epochs = _epochs(cfg, (cfg.regime,), (cfg.seed,))
+        wealth = next(epochs)[0]
+        record(0, wealth[None], "initial_wealth")
+        for epoch, _ in enumerate(epochs, start=1):
+            slot = (epoch - 1) % len(held)
+            held[slot] = wealth
+            if slot + 1 == len(held) or epoch == cfg.epochs:
+                record(epoch - slot, held[:slot + 1], "unit_surplus")
     return WealthTrace(gini_series=gini_series, totals=totals, final_wealth=wealth,
                        injected_per_epoch=cfg.pairings_per_epoch * (n // 2) * cfg.unit_surplus)
 
@@ -270,6 +272,10 @@ _GINI_VALUES = 1 << 14
 #: blocks of whole seeds (both regimes of each), so its memory does not
 #: grow with the number of seeds.
 _BLOCK_VALUES = 1 << 18
+#: What a seed of a block holds besides its wealth, counted in wealth
+#: values: its generator and its sampled initial wealth take about 1.3 KB
+#: whatever the population.
+_SEED_VALUES = 160
 
 
 def _ginis(wealth: np.ndarray, field: str) -> list[float]:
@@ -296,6 +302,10 @@ def _epochs(cfg: SocietyConfig, regimes: tuple[RegimeRule, ...],
     the order a lone run draws them, and used by each of its rows.  Each
     pair's power ratio follows its own row's regime, so every row is
     bitwise the lone run of its regime and seed.
+
+    Its callers set numpy's error state, once per call, to ignore overflow
+    and invalid results: inf and nan wealth are reported by their Ginis, so
+    numpy need not warn first.
     """
     n, n_pairs, pairings = cfg.n_agents, cfg.n_agents // 2, cfg.pairings_per_epoch
     rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -317,35 +327,31 @@ def _epochs(cfg: SocietyConfig, regimes: tuple[RegimeRule, ...],
     seconds = np.empty((chunk, rows * n_pairs), dtype=np.intp)
     row_offsets = (np.arange(rows) * n).reshape(len(regimes), len(seeds), 1)
     for epoch in range(cfg.epochs):
-        # inf and nan wealth are reported by the caller's Ginis; numpy need
-        # not warn first.  No yield sits inside: a suspended generator would
-        # leave this state set in its caller
-        with np.errstate(over="ignore", invalid="ignore"):
-            for t in range(epoch * pairings, (epoch + 1) * pairings):
-                k = t % chunk
-                if k == 0:
-                    block = orders[:, :min(chunk, rounds - t)]
-                    block[...] = np.arange(n)
-                    for rng, perms in zip(rngs, block):  # the stream of per-round rng.permutation(n)
-                        rng.permuted(perms, axis=1, out=perms)
-                    pairs = block.swapaxes(0, 1)[:, None]  # (rounds, 1, seeds, n)
-                    shape = (len(pairs), len(regimes), len(seeds), n_pairs)
-                    np.add(pairs[..., 0:2 * n_pairs:2], row_offsets,
-                           out=firsts[:len(pairs)].reshape(shape))
-                    np.add(pairs[..., 1:2 * n_pairs:2], row_offsets,
-                           out=seconds[:len(pairs)].reshape(shape))
-                first, second = firsts[k], seconds[k]
-                w_first, w_second = flat[first], flat[second]
-                first_rich = w_first >= w_second
-                rho = np.maximum(w_first, w_second)
-                rho /= np.minimum(w_first, w_second)
-                for r, regime in enumerate(regimes):  # regime r owns its rows' pairs
-                    _power_ratio(rho[r * per_regime:(r + 1) * per_regime], regime)
-                share_rich = rho / (1.0 + rho)
-                share_rich[np.isinf(rho)] = 1.0
-                share_poor = 1.0 - share_rich
-                flat[first] = w_first + surplus * np.where(first_rich, share_rich, share_poor)
-                flat[second] = w_second + surplus * np.where(first_rich, share_poor, share_rich)
+        for t in range(epoch * pairings, (epoch + 1) * pairings):
+            k = t % chunk
+            if k == 0:
+                block = orders[:, :min(chunk, rounds - t)]
+                block[...] = np.arange(n)
+                for rng, perms in zip(rngs, block):  # the stream of per-round rng.permutation(n)
+                    rng.permuted(perms, axis=1, out=perms)
+                pairs = block.swapaxes(0, 1)[:, None]  # (rounds, 1, seeds, n)
+                shape = (len(pairs), len(regimes), len(seeds), n_pairs)
+                np.add(pairs[..., 0:2 * n_pairs:2], row_offsets,
+                       out=firsts[:len(pairs)].reshape(shape))
+                np.add(pairs[..., 1:2 * n_pairs:2], row_offsets,
+                       out=seconds[:len(pairs)].reshape(shape))
+            first, second = firsts[k], seconds[k]
+            w_first, w_second = flat[first], flat[second]
+            first_rich = w_first >= w_second
+            rho = np.maximum(w_first, w_second)
+            rho /= np.minimum(w_first, w_second)
+            for r, regime in enumerate(regimes):  # regime r owns its rows' pairs
+                _power_ratio(rho[r * per_regime:(r + 1) * per_regime], regime)
+            share_rich = rho / (1.0 + rho)
+            share_rich[np.isinf(rho)] = 1.0
+            share_poor = 1.0 - share_rich
+            flat[first] = w_first + surplus * np.where(first_rich, share_rich, share_poor)
+            flat[second] = w_second + surplus * np.where(first_rich, share_poor, share_rich)
         yield wealth
 
 
@@ -373,8 +379,9 @@ def compare_regimes(cfg_a: SocietyConfig, cfg_b: SocietyConfig,
     The configs must be identical except (possibly) for the regime; seeds
     are cfg.seed, cfg.seed + 1, ... so replicate sweeps stay reproducible.
     The seeds run in blocks of whole seeds, each holding at most
-    ``_BLOCK_VALUES`` wealth values (or one seed), so memory does not grow
-    with ``n_seeds``.  Within a block both regimes run as the rows of one
+    ``_BLOCK_VALUES`` wealth values (or one seed), a seed counting as its
+    2n values plus ``_SEED_VALUES``, so memory does not grow with
+    ``n_seeds``.  Within a block both regimes run as the rows of one
     array, which draws each seed's stream once for both.  Blocks run in
     seed order, so the error raised is the one of the first block that has
     a row a lone run rejects.
@@ -386,23 +393,24 @@ def compare_regimes(cfg_a: SocietyConfig, cfg_b: SocietyConfig,
     an inf or NaN wealth never becomes finite again, so a row that leaves
     the float range at some epoch is still out of it at the last.
     """
-    if not isinstance(n_seeds, int) or n_seeds < 1:
+    if not isinstance(n_seeds, int) or isinstance(n_seeds, bool) or n_seeds < 1:
         raise InvalidConfig("must be a positive integer", field="n_seeds")
     if replace(cfg_a, regime=cfg_b.regime) != cfg_b:
         raise ConfigMismatch("configs may differ only in their regime rule")
     seeds = tuple(cfg_a.seed + i for i in range(n_seeds))
     replace(cfg_a, seed=seeds[-1])  # the largest seed must be one a lone run takes
     final_a, final_b = [], []
-    per_block = max(1, _BLOCK_VALUES // (2 * cfg_a.n_agents))
-    for first in range(0, n_seeds, per_block):
-        block = seeds[first:first + per_block]
-        epochs = _epochs(cfg_a, (cfg_a.regime, cfg_b.regime), block)
-        _ginis(next(epochs), "initial_wealth")
-        for wealth in epochs:  # to the last epoch; the array is updated in place
-            pass
-        finals = _ginis(wealth, "unit_surplus")
-        final_a += finals[:len(block)]
-        final_b += finals[len(block):]
+    per_block = max(1, _BLOCK_VALUES // (2 * cfg_a.n_agents + _SEED_VALUES))
+    with np.errstate(over="ignore", invalid="ignore"):  # see _epochs
+        for first in range(0, n_seeds, per_block):
+            block = seeds[first:first + per_block]
+            epochs = _epochs(cfg_a, (cfg_a.regime, cfg_b.regime), block)
+            _ginis(next(epochs), "initial_wealth")
+            for wealth in epochs:  # to the last epoch; the array is updated in place
+                pass
+            finals = _ginis(wealth, "unit_surplus")
+            final_a += finals[:len(block)]
+            final_b += finals[len(block):]
     mean_a = sum(final_a) / n_seeds
     mean_b = sum(final_b) / n_seeds
     return RegimeComparison(

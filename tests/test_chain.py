@@ -53,6 +53,17 @@ def test_validation():
         ChainSpec(stages=(stage(),), anchor_price=0.0)
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("name, build", [
+    ("base_seller_reserve", lambda x: stage(base=x)),
+    ("margin_floor", lambda x: stage(floor=x)),
+])
+def test_non_finite_numbers_name_their_field(name, build, value):
+    with pytest.raises(InvalidConfig) as excinfo:
+        build(value)
+    assert (excinfo.value.field, excinfo.value.rule) == (name, "must be a finite number")
+
+
 def test_single_stage_reduces_to_one_negotiation():
     link = stage(base=40.0, floor=10.0)
     spec = ChainSpec(stages=(link,), anchor_price=100.0)

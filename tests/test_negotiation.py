@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bargainlab import negotiation
-from bargainlab.errors import DegenerateRatio, InvalidConfig, SingularSystem
+from bargainlab.errors import DegenerateRatio, InvalidConfig
 from bargainlab.negotiation import (RATE_MAX, Agreement, Breakdown,
                                     ConcessionRates, NegotiationConfig,
                                     concession_rates_from_imbalance,
@@ -41,10 +41,14 @@ def rates_strategy():
     )
 
 
-# rates from about 0.5 down to 2^-541: their products run from normal
-# through subnormal to 0
+# rates from about 0.5 down to the smallest subnormal, 2^-1074: their
+# products and quotients run from normal through subnormal to 0 and past
+# the float range (a mantissa of exactly 0.5 would make 2^-1075 round to 0)
 small_rate = st.builds(lambda mantissa, exponent: math.ldexp(mantissa, -exponent),
-                       st.floats(min_value=0.5, max_value=0.98), st.integers(1, 541))
+                       st.floats(min_value=0.5, max_value=0.98, exclude_min=True),
+                       st.integers(1, 1074))
+small_rates = st.builds(ConcessionRates, small_rate, st.one_of(st.just(0.0), small_rate),
+                        small_rate, st.one_of(st.just(0.0), small_rate))
 
 
 config_strategy = st.builds(
@@ -248,16 +252,31 @@ def exact_fixed_point(cfg):
 
 
 #: With reserves of one sign each coordinate of the rest point is a convex
-#: combination of them, so its terms cannot cancel: three roundings in a
-#: numerator's larger term and one in its sum, three in the determinant
-#: and one in the division leave it within 8u of exact, under 8 ulps.
+#: combination of them, so its terms cannot cancel.  The odds' relative
+#: error of 4u changes each weight by a relative error of at most 4u times
+#: the other weight, and the weight's two roundings, its product and the
+#: sum add 4u more: within 8u of exact, under 8 ulps.
 FIXED_POINT_ULPS = 8
+
+#: ``settle``'s docstring bounds ``fixed_point``'s error by F <= 6uS, with
+#: S the larger reserve magnitude but at least 1.
+FIXED_POINT_ERROR = 6
+
+
+def assert_within_fixed_point_error(cfg):
+    scale = Fraction(max(1.0, abs(cfg.buyer_reserve_adj), abs(cfg.seller_reserve_adj)))
+    for got, exact in zip(fixed_point(cfg), exact_fixed_point(cfg)):
+        assert abs(Fraction(got) - exact) <= FIXED_POINT_ERROR * Fraction(2.0 ** -53) * scale
 
 
 def assert_near_exact_fixed_point(cfg):
     for got, exact in zip(fixed_point(cfg), exact_fixed_point(cfg)):
         assert abs(Fraction(got) - exact) <= FIXED_POINT_ULPS * Fraction(math.ulp(float(exact)))
 
+
+# reserves of either sign, from the smallest subnormal up to 1e300
+any_reserve = st.one_of(st.floats(-100.0, 100.0), st.floats(-1e300, 1e300),
+                        st.floats(-1e-290, 1e-290))
 
 # reserves down to the smallest subnormal, with rates whose products stay
 # normal even against the smaller reserve scaled up
@@ -295,45 +314,35 @@ class TestFixedPoint:
                           buyer_reserve_adj=3.0, seller_reserve_adj=3.0)
         assert fixed_point(cfg) == pytest.approx((3.0, 3.0), rel=1e-12)
 
-    def test_singular_only_when_determinant_underflows(self):
+    def test_tiny_rates_keep_the_rest_point(self):
         def cfg(rates):
             return fig3_config(rates=rates, buyer_reserve_adj=8.0, seller_reserve_adj=2.0)
 
-        # tiny rates still pose the system well: it must be solved, not refused
-        assert fixed_point(cfg(ConcessionRates(1e-7, 0.0, 1e-7, 0.0))) == (8.0, 2.0)
+        # tiny rates still pose the system well: without cross-rates each
+        # side rests exactly on its own reserve
+        for rate in (1e-7, 1e-161, 1e-200, 5e-324):
+            assert fixed_point(cfg(ConcessionRates(rate, 0.0, rate, 0.0))) == (8.0, 2.0)
         assert fixed_point(cfg(ConcessionRates(1e-20, 0.5, 1e-20, 0.5))) == (5.0, 5.0)
-        # a subnormal determinant (about 1e-322) must not cost the answer its precision
-        assert fixed_point(cfg(ConcessionRates(1e-161, 0.0, 1e-161, 0.0))) == (8.0, 2.0)
-        with pytest.raises(SingularSystem):
-            fixed_point(cfg(ConcessionRates(1e-200, 0.0, 1e-200, 0.0)))
+        # both reserve rates subnormal: r_a' / r_a overflows, yet the odds are
+        # about 1 and the rest point lies between the reserves
+        assert fixed_point(cfg(ConcessionRates(5e-324, 0.5, 5e-324, 0.5))) == (5.0, 5.0)
+        assert_within_fixed_point_error(cfg(ConcessionRates(1.5e-323, 0.7, 2.5e-323, 0.6)))
 
-    @given(r_a=small_rate, r_a_prime=st.one_of(st.just(0.0), small_rate),
-           r_b=small_rate, r_b_prime=st.one_of(st.just(0.0), small_rate),
-           buyer=st.floats(min_value=0.0, max_value=100.0),
-           seller=st.floats(min_value=0.0, max_value=100.0))
-    def test_normal_determinant_solves_unscaled(self, r_a, r_a_prime, r_b, r_b_prime,
-                                                buyer, seller):
-        det = r_a * r_b + r_a * r_b_prime + r_a_prime * r_b
-        assume(det >= sys.float_info.min)
-        # with both reserves below 1 a numerator product that underflows has
-        # lost bits, which scaling the reserves restores; the formula below
-        # is exact there only without such a product
-        products = [(r_a, buyer, r_b + r_b_prime), (r_a_prime, r_b, seller),
-                    (r_b, seller, r_a + r_a_prime), (r_b_prime, r_a, buyer)]
-        assume(not (buyer < 1.0 and seller < 1.0)
-               or all(0.0 in factors or min(factors[0] * factors[1],
-                                            factors[0] * factors[1] * factors[2])
-                      >= sys.float_info.min for factors in products))
-        cfg = fig3_config(rates=ConcessionRates(r_a, r_a_prime, r_b, r_b_prime),
-                          buyer_reserve_adj=buyer, seller_reserve_adj=seller)
-        assert fixed_point(cfg) == (
-            (r_a * buyer * (r_b + r_b_prime) + r_a_prime * r_b * seller) / det,
-            (r_b * seller * (r_a + r_a_prime) + r_b_prime * r_a * buyer) / det)
+    @given(rates=small_rates, buyer=any_reserve, seller=any_reserve)
+    @settings(max_examples=300, deadline=None)
+    def test_within_its_error_bound_of_the_exact_rest_point(self, rates, buyer, seller):
+        assert_within_fixed_point_error(NegotiationConfig(0.0, 0.0, buyer, seller, rates, 1.0, 10))
 
     @pytest.mark.parametrize("buyer, seller, rates", [
         (1e-300, 3e-300, ConcessionRates(1e-150, 0.0, 1e-150, 0.0)),  # products give 0
         (1e-308, 3e-308, ConcessionRates(1e-5, 0.0, 1e-5, 0.0)),  # subnormal products
         (1e-308, 3e-308, ConcessionRates(1e-5, 1e-5, 1e-5, 1e-5)),
+        (1e-300, 1.0, ConcessionRates(1e-150, 0.0, 1e-150, 0.0)),  # reserves far apart
+        (1e-300, 0.5, ConcessionRates(1e-150, 0.0, 1e-150, 0.0)),
+        # r_a' = 0 puts the buyer on its reserve, however small r_a
+        (0.7449215592231919, 0.249165516456197,
+         ConcessionRates(1.21876e-319, 0.0, 0.10903969254508583, 1.8239733227897174e-53)),
+        (5.0, 8.0, ConcessionRates(0.5, 0.0, 5e-324, 0.0)),  # a subnormal reserve rate
     ])
     def test_underflowing_products_keep_the_rest_point(self, buyer, seller, rates):
         cfg = NegotiationConfig(0.0, 0.0, buyer, seller, rates, 1.0, 10)
@@ -514,22 +523,16 @@ def ulps_away(value, ulps):
 @st.composite
 def edge_configs(draw):
     """Configs at the edges of ``settle``'s proof: anchors of either sign up
-    to 1e300, rates small enough that ``fixed_point`` raises, a single step,
-    and gap_epsilon a few ulps either side of the rest gap."""
+    to 1e300, rates down to the smallest subnormal, a single step, and
+    gap_epsilon a few ulps either side of the rest gap."""
     scale = draw(st.sampled_from([1.0, 100.0, 1e16, 1e300]))
     anchors = [scale * draw(st.floats(-1.0, 1.0)) for _ in range(4)]
-    rates = draw(st.one_of(rates_strategy(), st.builds(
-        ConcessionRates, small_rate, st.one_of(st.just(0.0), small_rate),
-        small_rate, st.one_of(st.just(0.0), small_rate))))
+    rates = draw(st.one_of(rates_strategy(), small_rates))
     max_steps = draw(st.one_of(st.just(1), st.integers(1, 3000)))
     buyer_open, seller_open = sorted(anchors[:2])
-    cfg = NegotiationConfig(buyer_open, seller_open, anchors[2], anchors[3], rates, 1.0, max_steps)
-    try:
-        rest_a, rest_b = fixed_point(cfg)
-        rest_gap = rest_b - rest_a
-    except SingularSystem:
-        rest_gap = seller_open - buyer_open
-    gap_epsilon = ulps_away(abs(rest_gap), draw(st.integers(-4, 4)))
+    rest_a, rest_b = fixed_point(NegotiationConfig(buyer_open, seller_open, anchors[2], anchors[3],
+                                                   rates, 1.0, max_steps))
+    gap_epsilon = ulps_away(abs(rest_b - rest_a), draw(st.integers(-4, 4)))
     assume(0.0 < gap_epsilon < math.inf)
     return NegotiationConfig(buyer_open, seller_open, anchors[2], anchors[3], rates,
                              gap_epsilon, max_steps)
@@ -585,13 +588,13 @@ class TestSettle:
         assert rest_b - rest_a == pytest.approx(2.7, abs=0.01)
         # 2 from each rest point: less than the rest gap, more than half of it
         cfg = NegotiationConfig(rest_a - 2.0, rest_b + 2.0, 0.0, 100.0, rates, 0.5, 10)
-        assert run(cfg).outcome == settle(cfg) == Agreement(price=50.0, step=1)
+        assert run(cfg).outcome == settle(cfg) == Agreement(price=50.00000000000001, step=1)
 
     @pytest.mark.parametrize("rates, steps", [
         # the bound cannot pass, but the offers never move
         ((1e-150, 0.0, 1e-150, 0.0), 1),
-        # no rest point: the buyer halves its distance to its reserve until
-        # its offer stops changing
+        # a subnormal seller rate: the bound cannot pass, and the buyer halves
+        # its distance to its reserve until its offer stops changing
         ((0.5, 0.0, 5e-324, 0.0), 54),
     ])
     def test_ends_once_the_offers_stop_moving(self, rates, steps, monkeypatch):
@@ -600,8 +603,3 @@ class TestSettle:
         outcome = settle(cfg)
         assert calls[0] == steps
         assert outcome == run(cfg).outcome == Breakdown(at_step=5000)
-
-    def test_singular_rates_have_no_rest_point(self):
-        with pytest.raises(SingularSystem):
-            fixed_point(NegotiationConfig(2.0, 9.0, 5.0, 8.0, ConcessionRates(0.5, 0.0, 5e-324, 0.0),
-                                          0.05, 5000))

@@ -123,6 +123,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("overrides", [
         dict(n_agents=1), dict(epochs=0), dict(pairings_per_epoch=0),
         dict(seed=-1), dict(seed=2**64), dict(unit_surplus=0.0),
+        # a bool is an int to Python, but not a count or a seed
+        dict(n_agents=True), dict(epochs=True), dict(pairings_per_epoch=True), dict(seed=True),
     ])
     def test_scalar_bounds(self, overrides):
         with pytest.raises(InvalidConfig):
@@ -354,6 +356,12 @@ class TestSharedDraws:
                 assert raised.value.field == "unit_surplus"
                 assert np.geterr() == before  # with the traceback still alive
 
+    @pytest.mark.parametrize("n_seeds", [0, -1, 2.0, True])
+    def test_the_seed_count_must_be_a_positive_integer(self, n_seeds):
+        with pytest.raises(InvalidConfig) as raised:
+            compare_regimes(config(), config(), n_seeds=n_seeds)
+        assert (raised.value.field, raised.value.rule) == ("n_seeds", "must be a positive integer")
+
     def test_the_largest_seed_must_be_a_valid_seed(self):
         a = config(seed=2 ** 64 - 2)
         b = replace(a, regime=Institutional(1.2))
@@ -401,10 +409,29 @@ class TestSeedBlocks:
         assert peaks[0] < 8 * 8 * society._BLOCK_VALUES
         assert peaks[1] <= peaks[0] + (80 - 20) * 1024
 
+    def test_a_seed_counts_its_generator_and_sample(self, monkeypatch):
+        # at n = 2 a seed's generator and sampled wealth, about 1.3 KB, far
+        # outweigh its 2n wealth values: a block that counted only those
+        # would hold every seed here
+        monkeypatch.setattr(society, "_BLOCK_VALUES", 1 << 14)
+        a = config(n_agents=2, epochs=1, pairings_per_epoch=1)
+        b = replace(a, regime=Institutional(1.2))
+        compare_regimes(a, b, n_seeds=300)  # numpy's first-call allocations
+        peaks = []
+        for n_seeds in (300, 900):
+            tracemalloc.start()
+            try:
+                compare_regimes(a, b, n_seeds=n_seeds)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # past one block a seed adds only its seed and its two final Ginis
+        assert peaks[1] - peaks[0] < (900 - 300) * 200
+
     def test_blocks_of_seeds_give_the_lone_runs(self, monkeypatch):
         a = config(regime=Authoritarian(2.0), epochs=20, pairings_per_epoch=2)
         b = replace(a, regime=Institutional(1.2))
-        monkeypatch.setattr(society, "_BLOCK_VALUES", 3 * 2 * a.n_agents)
+        monkeypatch.setattr(society, "_BLOCK_VALUES", 3 * (2 * a.n_agents + society._SEED_VALUES))
         blocks = []
         real_epochs = society._epochs
 
@@ -524,11 +551,13 @@ class TestMatchesScalarLoop:
         assert rounds > society._PERM_INDICES // (len(regimes) * len(seeds) * base.n_agents)
         lone = [society._epochs(base, (r,), (s,)) for r in regimes for s in seeds]
         epochs = 0
-        for wealth in society._epochs(base, tuple(regimes), seeds):
-            assert wealth.shape == (len(lone), base.n_agents)
-            for row, run in zip(wealth, lone):
-                assert np.array_equal(row, next(run)[0])
-            epochs += 1
+        # the error state _epochs' callers set: ratio ** 400 overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            for wealth in society._epochs(base, tuple(regimes), seeds):
+                assert wealth.shape == (len(lone), base.n_agents)
+                for row, run in zip(wealth, lone):
+                    assert np.array_equal(row, next(run)[0])
+                epochs += 1
         assert epochs == base.epochs + 1
         assert all(next(run, None) is None for run in lone)
         cfgs = [replace(base, regime=r, seed=s) for r in regimes for s in seeds]
