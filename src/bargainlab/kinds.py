@@ -8,10 +8,17 @@ rendered with up to 6 significant digits (a ``.0`` is appended to bare
 integers so every price cell stays visibly a decimal).  The trace
 renderers format each row a negotiation iterated once; a stall's stated
 cycle repeats those strings by position (``NegotiationTrace.expand``).
+``numbered_rows`` then numbers the rows and joins them into the text
+once: one at a time up to the first multiple of 100 past the iterated
+rows, and after the last full block, but each full block of 100 steps
+as its hundreds laid before the rows of a template of their last two
+digits and cells.  The template depends only on the block's phase in the
+cycle, so it is made once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict
 
 from .errors import NoChain
@@ -29,6 +36,57 @@ def _csv(lines: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def numbered_rows(trace, cells: list[str], mid: str, sep: str, head: str, tail: str) -> str:
+    """``head + sep.join(f"{n}{mid}{c}" for n, c in enumerate(trace.expand(
+    cells))) + tail``, built by one join; ``cells`` has one string per
+    iterated row.
+
+    Rows are formatted one at a time up to the first multiple of 100 past
+    the iterated rows, and after the last full block.  Past the iterated
+    rows every step repeats the cycle, so the rows of a full block [b, b +
+    100) differ from those of any block with the same phase, b mod
+    ``period``, only in ``str(b // 100)``: the block is the phase's
+    template ``["00{mid}{cell}", ..., "99{mid}{cell}"]`` with ``sep`` and
+    that string laid before each of its rows.  A template is made the
+    first time a phase that recurs comes up.  A block whose phase comes up
+    only once, and every row of a trace with no cycle, is formatted one
+    row at a time.  Rows and what goes before them are separate parts of
+    the one join, so the text is the only large string a call allocates.
+    """
+    steps = trace.expand(cells)
+    if not trace.period:
+        rows = [f"{n}{mid}{c}" for n, c in enumerate(steps)]
+        del cells, steps  # the caller's cells are freed before the join
+        rows[0] = head + rows[0]
+        rows[-1] += tail
+        return sep.join(rows)
+    start = -(-len(cells) // 100) * 100  # at least 100: a cycle has a row
+    stop = max(start, len(steps) // 100 * 100)
+    recur = trace.period // math.gcd(trace.period, 100)  # blocks until a phase recurs
+    parts = []
+
+    def lay(before: str, rows: list[str]) -> None:
+        block = [before] * (2 * len(rows))
+        block[1::2] = rows
+        parts.extend(block)
+
+    lay(sep, [f"{n}{mid}{c}" for n, c in enumerate(steps[:start])])
+    templates = {}
+    for b in range(start, stop, 100):
+        template = templates.get(b % trace.period)
+        if template is None and recur < (stop - b) // 100:
+            template = templates[b % trace.period] = [
+                f"{i:02}{mid}{c}" for i, c in enumerate(steps[b:b + 100])]
+        if template is None:  # a phase seen once gains nothing from a template
+            lay(sep, [f"{n}{mid}{c}" for n, c in enumerate(steps[b:b + 100], b)])
+        else:
+            lay(f"{sep}{b // 100}", template)
+    lay(sep, [f"{n}{mid}{c}" for n, c in enumerate(steps[stop:], stop)])
+    parts[0] = head  # in place of the separator before row 0
+    parts.append(tail)
+    return "".join(parts)
+
+
 def negotiation_payload(body, trace) -> dict:
     cfg = body.config
     return {
@@ -43,14 +101,13 @@ def negotiation_payload(body, trace) -> dict:
 
 def write_trace_csv(trace) -> str:
     """Offer trace as CSV: step,offer_buyer,offer_seller,gap + outcome row."""
-    lines = ["step,offer_buyer,offer_seller,gap"]
-    lines += [f"{n},{cells}" for n, cells in enumerate(trace.expand(
-        [f"{_fmt(buyer)},{_fmt(seller)},{_fmt(gap)}" for buyer, seller, gap in trace.rows]))]
     if trace.agreed:
-        lines.append(f"# outcome,agreement,{trace.outcome.step},{_fmt(trace.outcome.price)}")
+        outcome = f"# outcome,agreement,{trace.outcome.step},{_fmt(trace.outcome.price)}"
     else:
-        lines.append(f"# outcome,breakdown,{trace.outcome.at_step}")
-    return _csv(lines)
+        outcome = f"# outcome,breakdown,{trace.outcome.at_step}"
+    return numbered_rows(trace, [f"{_fmt(buyer)},{_fmt(seller)},{_fmt(gap)}"
+                                 for buyer, seller, gap in trace.rows], ",", "\n",
+                         "step,offer_buyer,offer_seller,gap\n", f"\n{outcome}\n")
 
 
 def negotiation_csv(body, trace) -> str:

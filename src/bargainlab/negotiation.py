@@ -399,12 +399,21 @@ def fixed_point(cfg: NegotiationConfig) -> tuple[float, float]:
     With nonzero cross-rates this rest point differs from the pair of
     reserves: each side is pulled off its reserve by its eagerness to
     close the gap.
+
+    Each offer is clamped into the reserves' range, where the exact one
+    lies.  That never moves it away from the exact offer, and it keeps an
+    offer finite when rounding would take a combination of reserves near
+    the float maximum past it.
     """
     r = cfg.rates
     w_a, v_a = _rest_weights(r.r_a, r.r_a_prime, r.r_b, r.r_b_prime)
     w_b, v_b = _rest_weights(r.r_b, r.r_b_prime, r.r_a, r.r_a_prime)
     buyer, seller = cfg.buyer_reserve_adj, cfg.seller_reserve_adj
-    return w_a * buyer + v_a * seller, v_b * buyer + w_b * seller
+    x_a, x_b = w_a * buyer + v_a * seller, v_b * buyer + w_b * seller
+    # comparisons, not min and max, which would double this function's cost
+    low, high = (buyer, seller) if buyer < seller else (seller, buyer)
+    return (low if x_a < low else high if x_a > high else x_a,
+            low if x_b < low else high if x_b > high else x_b)
 
 
 def _rest_weights(r: float, r_prime: float, other: float,

@@ -9,10 +9,13 @@ The JSON form is ``json.dumps(doc, indent=2, sort_keys=True)``, but
 ``indent`` turns off CPython's C encoder, and a negotiation's ``steps``
 can hold tens of thousands of rows.  So that array is rendered here
 straight from the trace, one string format per row the run iterated (a
-stall's stated cycle repeats its strings by position), and spliced into
-the dump in place of a placeholder; the JSON form never reads
-``outcome``'s lists.  ``test_json_report_bytes_are_the_canonical_encoding``
-pins the result to the stdlib encoder's bytes.
+stall's stated cycle repeats its strings by position, and
+``kinds.numbered_rows`` numbers each full block of 100 of its steps from
+one template of their last two digits), and joined in one go with the
+parts of the dump around a placeholder; the JSON form never reads
+``outcome``'s lists.
+``test_json_report_bytes_are_the_canonical_encoding`` pins the result to
+the stdlib encoder's bytes.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from functools import cached_property
 from typing import Any
 
 from . import __version__
-from .kinds import write_trace_csv
+from .kinds import numbered_rows, write_trace_csv
 from .scenario import KINDS, Scenario, scenario_document
 
 __all__ = ["RunReport", "report_to_json", "run_scenario", "write_trace_csv"]
@@ -94,10 +97,7 @@ def report_to_json(report: RunReport) -> str:
     if not negotiation:
         return text
     head, tail = text.split(f'"{_STEPS}"', 1)
-    rows = [f"{n},\n        {cells}"
-            for n, cells in enumerate(trace.expand([_CELLS % row for row in trace.rows]))]
-    # the end rows carry the rest of the dump, so one join builds the
-    # report and the rendered block is not copied a second time
-    rows[0] = head + rows[0]
-    rows[-1] += tail
-    return _ROW_SEP.join(rows)
+    # the rows are rendered between the rest of the dump, so one join
+    # builds the report and the rendered block is not copied a second time
+    return numbered_rows(trace, [_CELLS % row for row in trace.rows], ",\n        ", _ROW_SEP,
+                         head, tail)

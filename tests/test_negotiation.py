@@ -327,6 +327,15 @@ class TestFixedPoint:
         # about 1 and the rest point lies between the reserves
         assert fixed_point(cfg(ConcessionRates(5e-324, 0.5, 5e-324, 0.5))) == (5.0, 5.0)
         assert_within_fixed_point_error(cfg(ConcessionRates(1.5e-323, 0.7, 2.5e-323, 0.6)))
+        # a subnormal r_a beside a normal r_b takes the buyer's odds to inf,
+        # which puts the buyer's rest offer on the seller's reserve
+        assert fixed_point(cfg(ConcessionRates(5e-324, 0.5, 0.3, 0.2))) == (2.0, 2.0)
+
+    @given(rates=st.one_of(rates_strategy(), small_rates))
+    def test_reserves_at_the_float_maximum_give_a_finite_rest_point(self, rates):
+        # the weights' rounding can sum past 1, which took an offer to inf
+        top = sys.float_info.max
+        assert fixed_point(NegotiationConfig(0.0, 0.0, top, top, rates, 1.0, 10)) == (top, top)
 
     @given(rates=small_rates, buyer=any_reserve, seller=any_reserve)
     @settings(max_examples=300, deadline=None)

@@ -7,6 +7,11 @@ parsing, serialization, the engines or the renderers that alters a single
 byte of either fails here.  The digest is taken over a re-encoding of the
 report, so a separate test pins the report's own bytes to that encoding.
 
+The society presets' digests were made with numpy 2.4.6's ``Generator``
+streams.  NumPy's compatibility policy (NEP 19) does not promise that a
+``Generator`` method's stream stays the same across numpy versions, so
+CI pins numpy to that version.
+
 Regenerate only when an output change is intended::
 
     PYTHONPATH=src python tests/test_preset_snapshot.py

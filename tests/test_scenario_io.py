@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,8 @@ from bargainlab.negotiation import (Agreement, Breakdown, ConcessionRates,
                                     SideSpec, run)
 from bargainlab.nonmarket import ExchangeProposal, ExternalInfluence, NonmarketScenario
 from bargainlab.powerchain import Node, PowerChainScenario, TrustEdge
-from bargainlab.report import report_to_json, run_scenario, write_trace_csv
+from bargainlab.kinds import numbered_rows
+from bargainlab.report import RunReport, report_to_json, run_scenario, write_trace_csv
 from bargainlab import __version__, negotiation, nonmarket
 from bargainlab.scenario import (MAX_CHAIN_STEPS, MAX_EXCHANGES, MAX_ROUNDS, MAX_STEPS, Scenario,
                                  load_preset, parse_scenario, preset_names, preset_text,
@@ -307,6 +309,23 @@ class TestParsing:
         assert 100 * MAX_ROUNDS == MAX_EXCHANGES
         parse_scenario(json.dumps(doc))
 
+    @pytest.mark.parametrize("links, max_steps, admitted", [
+        (10, MAX_STEPS, True), (11, MAX_STEPS, False),
+        # 101 * 9901 is MAX_CHAIN_STEPS + 1: one step over the budget
+        (101, 9901, False)])
+    def test_chain_budget_at_its_limit(self, links, max_steps, admitted):
+        doc = json.loads(preset_text("tomato-south"))
+        stages = doc["body"]["stages"]
+        doc["body"].update(stages=[stages[i % len(stages)] for i in range(links)],
+                           max_steps=max_steps)
+        if admitted:
+            assert len(parse_scenario(json.dumps(doc)).body.stages) * max_steps == MAX_CHAIN_STEPS
+            return
+        with pytest.raises(InvariantError) as excinfo:
+            parse_scenario(json.dumps(doc))
+        assert (excinfo.value.path, excinfo.value.rule) == (
+            "stages", f"len(stages) * max_steps must be <= {MAX_CHAIN_STEPS}")
+
     def test_out_of_range_rate_names_the_field(self):
         doc = json.loads(preset_text("fig3"))
         doc["body"]["rates"]["r_a"] = 1.5
@@ -449,6 +468,67 @@ class TestTraceCsv:
     def test_csv_deterministic_for_every_preset(self, name):
         scenario = load_preset(name)
         assert run_scenario(scenario).csv_text == run_scenario(scenario).csv_text
+
+
+def stated_cycle(period, iterated, at_step):
+    """A stall of ``iterated`` rows whose last ``period`` repeat up to
+    ``at_step``; the cells' reprs vary in length."""
+    rows = tuple((i / 7, 50.0 - i / 3, 50.0 - i / 3 - i / 7) for i in range(iterated))
+    return NegotiationTrace(rows, Breakdown(at_step=at_step), period)
+
+
+# (period, rows iterated, breakdown step)
+STATED_CYCLES = [
+    # periods 1-7, with the breakdown at or past a digit change
+    (1, 150, 1000), (2, 150, 999), (3, 151, 1000), (4, 152, 10000), (5, 153, 9999),
+    (6, 154, 2345), (7, 155, 2345),
+    # iterated rows just below, at and above a multiple of 100
+    (3, 199, 2000), (3, 200, 2000), (3, 201, 2000), (2, 99, 500), (2, 100, 500), (2, 101, 500),
+    # the breakdown before step 100, at it, and at the end of the first block;
+    # and before the first multiple of 100 past the iterated rows
+    (4, 40, 99), (4, 40, 100), (1, 60, 199), (3, 150, 170),
+    # a period longer than the tail, and one longer than the number of blocks
+    (250, 300, 450), (397, 420, 10000),
+    (3, 250, MAX_STEPS),
+]
+
+
+class TestNumberedRows:
+    """Full blocks of a stated cycle are numbered from one template per
+    phase; the oracle formats and numbers every row one at a time."""
+
+    @pytest.mark.parametrize("period, iterated, at_step", STATED_CYCLES)
+    def test_text_equals_the_rows_numbered_one_by_one(self, period, iterated, at_step):
+        trace = stated_cycle(period, iterated, at_step)
+        cells = [f"<{i}>" for i in range(iterated)]
+        for mid, sep in ((",", "\n"), (",\n        ", "\n      ],\n      [\n        ")):
+            text = numbered_rows(trace, cells, mid, sep, "<head>", "<tail>")
+            expected = sep.join(f"{n}{mid}{c}" for n, c in enumerate(trace.expand(cells)))
+            assert text == f"<head>{expected}<tail>"
+
+    def test_full_blocks_share_their_template_rows(self):
+        """Past the iterated rows, a stall holds one string per template row,
+        not one per step; rows numbered one at a time peak at about 3 times
+        the text's length here."""
+        trace = stated_cycle(3, 250, MAX_STEPS)
+        cells = [f"<{i}>" for i in range(250)]
+        tracemalloc.start()
+        try:
+            text = numbered_rows(trace, cells, ",\n        ", "\n      ],\n      [\n        ", "", "")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * len(text)
+
+    @pytest.mark.parametrize("period, iterated, at_step", STATED_CYCLES)
+    def test_reports_equal_those_of_every_row_iterated(self, period, iterated, at_step):
+        trace = stated_cycle(period, iterated, at_step)
+        unrolled = NegotiationTrace(trace.steps, trace.outcome)
+        assert len(unrolled.rows) == at_step + 1
+        assert write_trace_csv(trace) == write_trace_csv(unrolled)
+        scenario = load_preset("fig3")
+        assert (report_to_json(RunReport(scenario, trace, 0.0))
+                == report_to_json(RunReport(scenario, unrolled, 0.0)))
 
 
 class TestRunReport:
