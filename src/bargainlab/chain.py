@@ -52,7 +52,7 @@ class ChainStage:
             raise InvalidConfig("must have role BUYER", field="buyer_view")
         if self.seller_view.role is not Role.SELLER:
             raise InvalidConfig("must have role SELLER", field="seller_view")
-        if require_finite("base_seller_reserve", self.base_seller_reserve, InvalidConfig) < 0.0:
+        if require_finite("base_seller_reserve", self.base_seller_reserve) < 0.0:
             raise InvalidConfig("must be >= 0", field="base_seller_reserve")
         # the buyer's adjusted reserve is capped by its incoming price; the seller's is not
         object.__setattr__(self, "seller_reserve_adj",
@@ -60,7 +60,7 @@ class ChainStage:
         if not math.isfinite(self.seller_reserve_adj):
             raise InvalidConfig("must stay finite when adjusted by the seller's view",
                                 field="base_seller_reserve")
-        if require_finite("margin_floor", self.margin_floor, InvalidConfig) < 0.0:
+        if require_finite("margin_floor", self.margin_floor) < 0.0:
             raise InvalidConfig("must be >= 0", field="margin_floor")
         object.__setattr__(self, "rho_buyer", imbalance_ratio(self.buyer_view))
         object.__setattr__(self, "scaled_rates", negotiation.concession_rates_from_imbalance(
@@ -75,7 +75,7 @@ class ChainSpec:
     def __post_init__(self):
         if len(self.stages) < 1:
             raise InvalidConfig("must have at least one stage", field="stages")
-        if require_finite("anchor_price", self.anchor_price, InvalidConfig) <= 0.0:
+        if require_finite("anchor_price", self.anchor_price) <= 0.0:
             raise InvalidConfig("must be > 0", field="anchor_price")
         object.__setattr__(self, "stages", tuple(self.stages))
 

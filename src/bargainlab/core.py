@@ -22,9 +22,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import BargainError, DegenerateRatio, InvalidInput
+from .errors import InvalidConfig
 
-#: Divisors below this floor raise DegenerateRatio instead of being used.
+#: Divisors below this floor are rejected instead of used: imbalance_ratio
+#: raises InvalidConfig, and equity_index returns None.
 DEFAULT_EPSILON = 1e-9
 
 
@@ -33,17 +34,17 @@ class Role(Enum):
     SELLER = "seller"
 
 
-def require_finite(name: str, value: float, error: type[BargainError] = InvalidInput) -> float:
-    """``value`` as a float, or ``error`` naming ``name`` if it is not a finite number."""
+def require_finite(name: str, value: float) -> float:
+    """``value`` as a float, or InvalidConfig naming ``name`` if it is not a finite number."""
     if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
-        raise error("must be a finite number", field=name)
+        raise InvalidConfig("must be a finite number", field=name)
     return float(value)
 
 
 def _require_divisor(name: str, value: float) -> float:
     if value < DEFAULT_EPSILON:
-        raise DegenerateRatio(f"must be >= the epsilon floor {DEFAULT_EPSILON!r}, got {value!r}",
-                              field=name)
+        raise InvalidConfig(f"must be >= the epsilon floor {DEFAULT_EPSILON!r}, got {value!r}",
+                            field=name)
     return value
 
 
@@ -68,10 +69,10 @@ class PerceptionView:
                      "own_power", "other_power_perceived"):
             value = require_finite(name, getattr(self, name))
             if value <= 0.0:
-                raise InvalidInput("must be > 0", field=name)
+                raise InvalidConfig("must be > 0", field=name)
             object.__setattr__(self, name, value)
         if not isinstance(self.role, Role):
-            raise InvalidInput("must be a Role", field="role")
+            raise InvalidConfig("must be a Role", field="role")
 
 
 def motivation(gain: float, loss: float) -> float:
@@ -92,10 +93,10 @@ def power(effect_on_other: float, own_cost: float) -> float:
 
 def require_ratio(rho: float, name: str | None = None) -> float:
     """An imbalance ratio whose reciprocal is finite and > 0 too (a seller's
-    rates are divided by it), or DegenerateRatio naming ``name``."""
+    rates are divided by it), or InvalidConfig naming ``name``."""
     if not 0.0 < rho < math.inf or math.isinf(1.0 / rho):
-        raise DegenerateRatio("imbalance ratio and its reciprocal must be finite and > 0",
-                              field=name)
+        raise InvalidConfig("imbalance ratio and its reciprocal must be finite and > 0",
+                            field=name)
     return rho
 
 
@@ -109,8 +110,8 @@ def imbalance_ratio(view: PerceptionView) -> float:
 
     A value below 1 means the side holds the advantage (it will push its
     reserve price in its own favor); above 1 means it is the weak side.
-    Raises DegenerateRatio if the ratio or its reciprocal leaves the
-    float range.
+    Raises InvalidConfig if a divisor is below DEFAULT_EPSILON, or if the
+    ratio or its reciprocal leaves the float range.
     """
     if view.role is Role.BUYER:
         _require_divisor("other_motivation_perceived", view.other_motivation_perceived)
@@ -127,7 +128,7 @@ def require_reserve(base: float) -> float:
     """A reserve price: finite and non-negative."""
     value = require_finite("reserve", base)
     if value < 0.0:
-        raise InvalidInput("must be >= 0", field="reserve")
+        raise InvalidConfig("must be >= 0", field="reserve")
     return value
 
 
@@ -143,15 +144,14 @@ def adjust_reserve_full(base: float, view: PerceptionView) -> float:
     return max(0.0, base * imbalance_ratio(view))
 
 
-def equity_index(m_a: float, k_a: float, m_b: float, k_b: float) -> float:
+def equity_index(m_a: float, k_a: float, m_b: float, k_b: float) -> float | None:
     """Cross-ratio fairness indicator (m_a * k_b) / (m_b * k_a).
 
     Equals 1 when motivations and powers are balanced; falls below 1 as
-    side A gains power or side B gains desperation.  Defined only for
-    finite, strictly positive magnitudes -- callers with possibly negative
-    motivations must treat DegenerateRatio as "index undefined".
+    side A gains power or side B gains desperation.  Defined only when all
+    four magnitudes are finite and at least DEFAULT_EPSILON; None otherwise,
+    as for a non-positive motivation.
     """
-    for name, value in (("m_a", m_a), ("k_a", k_a), ("m_b", m_b), ("k_b", k_b)):
-        require_finite(name, value, DegenerateRatio)
-        _require_divisor(name, value)
+    if not all(DEFAULT_EPSILON <= value < math.inf for value in (m_a, k_a, m_b, k_b)):
+        return None
     return (m_a * k_b) / (m_b * k_a)

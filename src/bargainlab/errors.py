@@ -15,48 +15,26 @@ class BargainError(Exception):
         self.field = field
 
 
-class InvalidInput(BargainError):
-    """A scalar input is non-finite or outside its documented domain."""
-
-
-class DegenerateRatio(BargainError):
-    """A ratio formula received a divisor at or below the epsilon floor."""
-
-
 class InvalidConfig(BargainError):
-    """A configuration object violates one of its invariants."""
+    """A value breaks one of the engine's rules: it is non-finite, outside
+    its domain, below the epsilon floor as a divisor, an empty or all-zero
+    sample, or a config that differs from its partner where it must not."""
 
 
 class NoChain(BargainError):
     """No qualifying power chain connects the requester to a helper."""
 
 
-class EmptyInput(BargainError):
-    """An aggregate operation received no data."""
-
-
-class AllZero(BargainError):
-    """A statistic is undefined because every value is zero."""
-
-
-class ConfigMismatch(BargainError):
-    """Two configs that must differ only in one field differ elsewhere."""
-
-
 class ScenarioError(BargainError):
     """Base class for scenario-file errors (parse, schema, invariant).
 
-    ``path`` locates the offending field in the document, "" when the
-    error concerns the document as a whole.
+    ``field`` is the path of the offending field in the document, empty
+    when the error concerns the document as a whole.
     """
-
-    def __init__(self, path: str, rule: str):
-        super().__init__(rule, field=path or None)
-        self.path = path
 
 
 class ParseError(ScenarioError):
-    """Scenario text is not valid JSON; the path is always ""."""
+    """Scenario text is not valid JSON; it has no field."""
 
 
 class SchemaError(ScenarioError):

@@ -47,7 +47,7 @@ class ConcessionRates:
 
     def __post_init__(self):
         for name in ("r_a", "r_a_prime", "r_b", "r_b_prime"):
-            object.__setattr__(self, name, require_finite(name, getattr(self, name), InvalidConfig))
+            object.__setattr__(self, name, require_finite(name, getattr(self, name)))
         for name in ("r_a", "r_b"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise InvalidConfig("must lie in (0, 1)", field=name)
@@ -73,7 +73,7 @@ class NegotiationConfig:
     def __post_init__(self):
         for name in ("buyer_open", "seller_open", "buyer_reserve_adj",
                      "seller_reserve_adj", "gap_epsilon"):
-            object.__setattr__(self, name, require_finite(name, getattr(self, name), InvalidConfig))
+            object.__setattr__(self, name, require_finite(name, getattr(self, name)))
         if self.seller_open < self.buyer_open:
             raise InvalidConfig("must be >= buyer_open", field="seller_open")
         # offers stay in the anchors' hull, so a finite spread keeps every

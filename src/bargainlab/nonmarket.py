@@ -16,13 +16,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .core import equity_index, motivation, power, require_finite
-from .errors import DegenerateRatio, InvalidInput
+from .errors import InvalidConfig
 
 
 def _require_probability(name: str, value: float) -> float:
     value = require_finite(name, value)
     if not 0.0 <= value <= 1.0:
-        raise InvalidInput("must lie in [0, 1]", field=name)
+        raise InvalidConfig("must lie in [0, 1]", field=name)
     return value
 
 
@@ -44,7 +44,7 @@ class ExchangeProposal:
             object.__setattr__(self, name, require_finite(name, getattr(self, name)))
         for name in ("give_cost_a", "give_cost_b"):  # magnitudes of welfare given up
             if getattr(self, name) < 0.0:
-                raise InvalidInput("must be >= 0", field=name)
+                raise InvalidConfig("must be >= 0", field=name)
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class ExternalInfluence:
         object.__setattr__(self, "threat_on_refusal",
                            require_finite("threat_on_refusal", self.threat_on_refusal))
         if self.threat_on_refusal < 0.0:
-            raise InvalidInput("must be >= 0", field="threat_on_refusal")
+            raise InvalidConfig("must be >= 0", field="threat_on_refusal")
         object.__setattr__(self, "shield", _require_probability("shield", self.shield))
 
 
@@ -89,8 +89,8 @@ class NonmarketScenario:
             inputs = [(f"proposal.{name}", value) for name, value in vars(self.proposal).items()]
             inputs += [(f"{side}.threat_on_refusal", getattr(self, side).threat_on_refusal)
                        for side in ("influence_a", "influence_b")]
-            raise InvalidInput("the gains, costs and threats must keep the balance sheet finite",
-                               field=max(inputs, key=lambda item: abs(item[1]))[0])
+            raise InvalidConfig("the gains, costs and threats must keep the balance sheet finite",
+                                field=max(inputs, key=lambda item: abs(item[1]))[0])
         object.__setattr__(self, "sheet", sheet)
 
     def run(self) -> BalanceSheet:
@@ -152,10 +152,6 @@ def welfare_balance(scenario: NonmarketScenario) -> BalanceSheet:
     k_b = power(proposal.gain_for_a, proposal.give_cost_b)
     m_a_effective = m_a + a.threat_on_refusal * (1.0 - a.shield)
     m_b_effective = m_b_raw + b.threat_on_refusal * (1.0 - b.shield)
-    try:
-        equity = equity_index(m_a, k_a, m_b_raw, k_b)
-    except DegenerateRatio:
-        equity = None
     return BalanceSheet(
         m_a=m_a,
         m_a_effective=m_a_effective,
@@ -163,6 +159,6 @@ def welfare_balance(scenario: NonmarketScenario) -> BalanceSheet:
         m_b_effective=m_b_effective,
         k_a=k_a,
         k_b=k_b,
-        equity=equity,
+        equity=equity_index(m_a, k_a, m_b_raw, k_b),
         verdict=_verdict(m_a_effective, m_b_effective),
     )

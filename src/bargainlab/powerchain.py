@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .core import require_finite
-from .errors import InvalidConfig, InvalidInput, NoChain
+from .errors import InvalidConfig, NoChain
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class TrustEdge:
     def __post_init__(self):
         if self.requester == self.helper:
             raise InvalidConfig("self-loops are not allowed")
-        if not 0.0 < require_finite("willingness", self.willingness, InvalidConfig) <= 1.0:
+        if not 0.0 < require_finite("willingness", self.willingness) <= 1.0:
             raise InvalidConfig("must lie in (0, 1]", field="willingness")
 
 
@@ -72,7 +72,7 @@ class TrustGraph:
 
     def strength_vs(self, node: str, adversary: str) -> float:
         if node not in self.strengths:
-            raise InvalidInput(f"unknown node {node!r}")
+            raise InvalidConfig(f"unknown node {node!r}")
         return float(self.strengths[node].get(adversary, 0.0))
 
     def edges_from(self, node: str) -> list[TrustEdge]:

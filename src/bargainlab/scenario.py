@@ -37,8 +37,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from . import kinds
-from .errors import (DegenerateRatio, InvalidConfig, InvalidInput, InvariantError, ParseError,
-                     SchemaError)
+from .errors import InvalidConfig, InvariantError, ParseError, SchemaError
 
 SUPPORTED_VERSIONS = (1,)
 PRESETS = Path(__file__).with_name("presets")
@@ -74,8 +73,8 @@ def _at(path: str):
     """Report an engine invariant raised in the block at the field's path."""
     try:
         yield
-    except (InvalidConfig, InvalidInput, DegenerateRatio) as exc:
-        raise InvariantError(_join(path, exc.field), exc.rule) from None
+    except InvalidConfig as exc:
+        raise InvariantError(exc.rule, _join(path, exc.field)) from None
 
 
 def _obj(value: Any, path: str, allowed: set[str] | None = None,
@@ -83,25 +82,25 @@ def _obj(value: Any, path: str, allowed: set[str] | None = None,
     """``value`` as a JSON object whose keys are all in ``allowed`` (None:
     any key) and include ``required``."""
     if not isinstance(value, dict):
-        raise SchemaError(path, f"expected an object, got {type(value).__name__}")
+        raise SchemaError(f"expected an object, got {type(value).__name__}", path)
     for key in value:
         if allowed is not None and key not in allowed:
-            raise SchemaError(_join(path, key), "unknown field")
+            raise SchemaError("unknown field", _join(path, key))
     for key in required:
         if key not in value:
-            raise SchemaError(path, f"missing required field {key!r}")
+            raise SchemaError(f"missing required field {key!r}", path)
     return value
 
 
 def _num(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(path, f"expected a number, got {type(value).__name__}")
+        raise SchemaError(f"expected a number, got {type(value).__name__}", path)
     try:
         number = float(value)
     except OverflowError:  # an integer literal beyond the float range
         number = math.inf
     if not math.isfinite(number):
-        raise InvariantError(path, "must be a finite number")
+        raise InvariantError("must be a finite number", path)
     return number
 
 
@@ -112,7 +111,7 @@ def _scalar(expected: type, value: Any, path: str) -> Any:
     if expected is float:
         return _num(value, path)
     if not isinstance(value, expected) or (expected is int and isinstance(value, bool)):
-        raise SchemaError(path, f"expected {_NAMES[expected]}, got {type(value).__name__}")
+        raise SchemaError(f"expected {_NAMES[expected]}, got {type(value).__name__}", path)
     return value
 
 
@@ -137,7 +136,7 @@ def _read(annotation: Any, value: Any, path: str) -> Any:
     origin = typing.get_origin(annotation)
     if origin is tuple:  # tuple[X, ...] is a JSON array
         if not isinstance(value, list):
-            raise SchemaError(path, "expected an array")
+            raise SchemaError("expected an array", path)
         item = typing.get_args(annotation)[0]
         return tuple(_read(item, v, f"{path}[{i}]") for i, v in enumerate(value))
     if origin is abc.Mapping:  # Mapping[str, X] is a JSON object whose keys are data
@@ -155,7 +154,7 @@ def _read(annotation: Any, value: Any, path: str) -> Any:
     obj = _obj(value, path, {"kind"}.union(*map(_fields, options)), ("kind",))
     tag = _scalar(str, obj["kind"], f"{path}.kind")
     if tag not in tags:
-        raise SchemaError(f"{path}.kind", f"must be one of {', '.join(tags)}")
+        raise SchemaError(f"must be one of {', '.join(tags)}", f"{path}.kind")
     return _read_fields(tags[tag], {k: v for k, v in obj.items() if k != "kind"}, path)
 
 
@@ -207,23 +206,23 @@ def _write(annotation: Any, value: Any) -> Any:
 
 def _check_steps(body) -> None:
     if body.max_steps > MAX_STEPS:
-        raise InvariantError("max_steps", f"must be <= {MAX_STEPS}")
+        raise InvariantError(f"must be <= {MAX_STEPS}", "max_steps")
 
 
 def _check_chain(body) -> None:
     _check_steps(body)
     if len(body.stages) * body.max_steps > MAX_CHAIN_STEPS:
-        raise InvariantError("stages", f"len(stages) * max_steps must be <= {MAX_CHAIN_STEPS}")
+        raise InvariantError(f"len(stages) * max_steps must be <= {MAX_CHAIN_STEPS}", "stages")
 
 
 def _check_society(body) -> None:
     if body.n_agents > MAX_AGENTS:
-        raise InvariantError("n_agents", f"must be <= {MAX_AGENTS}")
+        raise InvariantError(f"must be <= {MAX_AGENTS}", "n_agents")
     if (body.n_agents // 2) * body.epochs * body.pairings_per_epoch > MAX_EXCHANGES:
-        raise InvariantError("epochs", "(n_agents // 2) * epochs * pairings_per_epoch "
-                             f"must be <= {MAX_EXCHANGES}")
+        raise InvariantError("(n_agents // 2) * epochs * pairings_per_epoch "
+                             f"must be <= {MAX_EXCHANGES}", "epochs")
     if body.epochs * body.pairings_per_epoch > MAX_ROUNDS:
-        raise InvariantError("epochs", f"epochs * pairings_per_epoch must be <= {MAX_ROUNDS}")
+        raise InvariantError(f"epochs * pairings_per_epoch must be <= {MAX_ROUNDS}", "epochs")
 
 
 @dataclass(frozen=True)
@@ -264,18 +263,18 @@ def parse_scenario(text: str) -> Scenario:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError("", f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
+        raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
                          f"{exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # past the decoder's digit or nesting limit
-        raise ParseError("", f"invalid JSON: {exc}") from None
+        raise ParseError(f"invalid JSON: {exc}") from None
     top = _obj(doc, "", {"version", "kind", "metadata", "body"}, ("version", "kind", "body"))
     version = _scalar(int, top["version"], "version")
     if version not in SUPPORTED_VERSIONS:
-        raise InvariantError("version", "unsupported version (supported: "
-                             f"{', '.join(map(str, SUPPORTED_VERSIONS))})")
+        raise InvariantError("unsupported version (supported: "
+                             f"{', '.join(map(str, SUPPORTED_VERSIONS))})", "version")
     kind = _scalar(str, top["kind"], "kind")
     if kind not in KINDS:
-        raise SchemaError("kind", f"must be one of {', '.join(KINDS)}")
+        raise SchemaError(f"must be one of {', '.join(KINDS)}", "kind")
     metadata = _read(Mapping[str, str], top.get("metadata", {}), "metadata")
     body = _read(KINDS[kind].body_type(), _obj(top["body"], "body"), "")  # paths are body-relative
     KINDS[kind].check(body)

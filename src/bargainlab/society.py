@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import require_finite
-from .errors import AllZero, ConfigMismatch, EmptyInput, InvalidConfig, InvalidInput
+from .errors import InvalidConfig
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class Constant:
     value: float
 
     def __post_init__(self):
-        if require_finite("value", self.value, InvalidConfig) <= 0.0:
+        if require_finite("value", self.value) <= 0.0:
             raise InvalidConfig("must be > 0", field="value")
 
 
@@ -54,9 +54,9 @@ class Uniform:
     hi: float
 
     def __post_init__(self):
-        if require_finite("lo", self.lo, InvalidConfig) <= 0.0:
+        if require_finite("lo", self.lo) <= 0.0:
             raise InvalidConfig("must be > 0", field="lo")
-        if require_finite("hi", self.hi, InvalidConfig) <= self.lo:
+        if require_finite("hi", self.hi) <= self.lo:
             raise InvalidConfig("must be > lo", field="hi")
 
 
@@ -66,8 +66,8 @@ class Lognormal:
     sigma: float
 
     def __post_init__(self):
-        require_finite("mu", self.mu, InvalidConfig)
-        if require_finite("sigma", self.sigma, InvalidConfig) < 0.0:
+        require_finite("mu", self.mu)
+        if require_finite("sigma", self.sigma) < 0.0:
             raise InvalidConfig("must be >= 0", field="sigma")
 
 
@@ -79,7 +79,7 @@ class Authoritarian:
     power_exponent: float  # 0 disables the wealth-to-power coupling
 
     def __post_init__(self):
-        if require_finite("power_exponent", self.power_exponent, InvalidConfig) < 0.0:
+        if require_finite("power_exponent", self.power_exponent) < 0.0:
             raise InvalidConfig("must be >= 0", field="power_exponent")
 
 
@@ -88,7 +88,7 @@ class Institutional:
     cap: float  # 1 forces exact parity
 
     def __post_init__(self):
-        if require_finite("cap", self.cap, InvalidConfig) < 1.0:
+        if require_finite("cap", self.cap) < 1.0:
             raise InvalidConfig("must be >= 1", field="cap")
 
 
@@ -115,7 +115,7 @@ class SocietyConfig:
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not (
                 0 <= self.seed < 2 ** 64):
             raise InvalidConfig("must be a 64-bit unsigned integer", field="seed")
-        if require_finite("unit_surplus", self.unit_surplus, InvalidConfig) <= 0.0:
+        if require_finite("unit_surplus", self.unit_surplus) <= 0.0:
             raise InvalidConfig("must be > 0", field="unit_surplus")
         if not isinstance(self.initial_wealth, (Constant, Uniform, Lognormal)):
             raise InvalidConfig("initial_wealth must be a distribution spec")
@@ -163,9 +163,9 @@ def gini(wealths) -> float:
     """
     arr = np.asarray(wealths, dtype=float)
     if arr.ndim != 1:
-        raise InvalidInput("gini takes a 1-D sequence of values")
+        raise InvalidConfig("gini takes a 1-D sequence of values")
     if arr.size == 0:
-        raise EmptyInput("gini needs at least one value")
+        raise InvalidConfig("gini needs at least one value")
     return _gini_rows(np.sort(arr)[None, :])[0]
 
 
@@ -180,21 +180,21 @@ def _gini_rows(ranked: np.ndarray) -> list[float]:
     lo, hi = ranked[:, 0].tolist(), ranked[:, -1].tolist()
     # NaN sorts last and -inf first, so a row's ends check all of it
     if not all(map(math.isfinite, lo + hi)):
-        raise InvalidInput("gini values must be finite")
+        raise InvalidConfig("gini values must be finite")
     if min(lo) < 0.0:
-        raise InvalidInput("gini values must be non-negative")
+        raise InvalidConfig("gini values must be non-negative")
     # the rank-weighted sum is at most n * total: 2n * total bounds every step.
     # A total is at least its row's largest value, so checking that first
     # means no partial sum overflows
     bound = 2.0 * n
     if not math.isfinite(bound * max(hi)):
-        raise InvalidInput(_TOO_LARGE)
+        raise InvalidConfig(_TOO_LARGE)
     suffix = np.add.accumulate(ranked[:, ::-1], axis=1)  # S_n, ..., S_1
     totals = suffix[:, -1].tolist()
     if not math.isfinite(bound * max(totals)):
-        raise InvalidInput(_TOO_LARGE)
+        raise InvalidConfig(_TOO_LARGE)
     if min(totals) == 0.0:
-        raise AllZero("gini is undefined when every value is zero")
+        raise InvalidConfig("gini is undefined when every value is zero")
     weighted = np.add.accumulate(suffix, axis=1)[:, -1].tolist()
     return [2.0 * w / (n * t) - (n + 1) / n for w, t in zip(weighted, totals)]
 
@@ -284,7 +284,7 @@ def _ginis(wealth: np.ndarray, field: str) -> list[float]:
     config field that drove it there."""
     try:
         return _gini_rows(np.sort(wealth, axis=1))
-    except InvalidInput:
+    except InvalidConfig:
         raise InvalidConfig("total wealth overflows the float range", field=field) from None
 
 
@@ -396,7 +396,7 @@ def compare_regimes(cfg_a: SocietyConfig, cfg_b: SocietyConfig,
     if not isinstance(n_seeds, int) or isinstance(n_seeds, bool) or n_seeds < 1:
         raise InvalidConfig("must be a positive integer", field="n_seeds")
     if replace(cfg_a, regime=cfg_b.regime) != cfg_b:
-        raise ConfigMismatch("configs may differ only in their regime rule")
+        raise InvalidConfig("configs may differ only in their regime rule")
     seeds = tuple(cfg_a.seed + i for i in range(n_seeds))
     replace(cfg_a, seed=seeds[-1])  # the largest seed must be one a lone run takes
     final_a, final_b = [], []

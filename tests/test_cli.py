@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -514,6 +515,24 @@ def test_out_of_range_inputs_are_rejected_at_a_document_path(doc, path, tmp_path
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"bargainlab: scenario error: {path}: ")
+
+
+@pytest.mark.parametrize("divisor, code", [(1e-9, 0), (math.nextafter(1e-9, 0), 1)])
+def test_a_view_divisor_at_the_epsilon_floor_is_used(divisor, code, tmp_path, capsys):
+    """A perceived magnitude exactly at the 1e-9 floor is a divisor a run
+    uses; the float just below it is rejected at its path."""
+    doc = _edited("fig3", lambda b: b["buyer"].update(reserve=5e-9, view={
+        "own_motivation": 1.0, "other_motivation_perceived": divisor,
+        "own_power": 1.0, "other_power_perceived": 1.0}))
+    target = tmp_path / "doc.json"
+    target.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(target), "--format", "csv"]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        assert err == ("bargainlab: scenario error: buyer.view.other_motivation_perceived: "
+                       f"must be >= the epsilon floor 1e-09, got {divisor!r}\n")
 
 
 # ---------------------------------------------------------------------------

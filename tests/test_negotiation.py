@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bargainlab import negotiation
-from bargainlab.errors import DegenerateRatio, InvalidConfig
+from bargainlab.errors import InvalidConfig
 from bargainlab.negotiation import (RATE_MAX, Agreement, Breakdown,
                                     ConcessionRates, NegotiationConfig,
                                     concession_rates_from_imbalance,
@@ -49,6 +49,18 @@ small_rate = st.builds(lambda mantissa, exponent: math.ldexp(mantissa, -exponent
                        st.integers(1, 1074))
 small_rates = st.builds(ConcessionRates, small_rate, st.one_of(st.just(0.0), small_rate),
                         small_rate, st.one_of(st.just(0.0), small_rate))
+
+# one side's reserve rate subnormal and every other rate normal: that side's
+# odds r' / r reach or pass the top of the float range
+subnormal_rate = st.builds(lambda mantissa, exponent: math.ldexp(mantissa, -exponent),
+                           st.floats(min_value=0.5, max_value=0.98, exclude_min=True),
+                           st.integers(1022, 1074))
+normal_rate = st.floats(min_value=1e-3, max_value=0.49)
+lopsided_rates = st.one_of(
+    st.builds(ConcessionRates, subnormal_rate, normal_rate, normal_rate,
+              st.one_of(st.just(0.0), normal_rate)),
+    st.builds(ConcessionRates, normal_rate, st.one_of(st.just(0.0), normal_rate),
+              subnormal_rate, normal_rate))
 
 
 config_strategy = st.builds(
@@ -135,7 +147,8 @@ class TestRateScaling:
     @pytest.mark.parametrize("rho_buyer,rho_seller", [(0.0, 1.0), (-1.0, 1.0),
                                                       (1.0, 0.0), (1.0, float("nan"))])
     def test_degenerate_rho(self, rho_buyer, rho_seller):
-        with pytest.raises(DegenerateRatio):
+        with pytest.raises(InvalidConfig, match="imbalance ratio and its reciprocal must be "
+                                               "finite and > 0"):
             concession_rates_from_imbalance(FIG3_RATES, rho_buyer, rho_seller)
 
     @given(rates=rates_strategy(),
@@ -337,7 +350,7 @@ class TestFixedPoint:
         top = sys.float_info.max
         assert fixed_point(NegotiationConfig(0.0, 0.0, top, top, rates, 1.0, 10)) == (top, top)
 
-    @given(rates=small_rates, buyer=any_reserve, seller=any_reserve)
+    @given(rates=st.one_of(small_rates, lopsided_rates), buyer=any_reserve, seller=any_reserve)
     @settings(max_examples=300, deadline=None)
     def test_within_its_error_bound_of_the_exact_rest_point(self, rates, buyer, seller):
         assert_within_fixed_point_error(NegotiationConfig(0.0, 0.0, buyer, seller, rates, 1.0, 10))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bargainlab.errors import InvalidInput
+from bargainlab.errors import InvalidConfig
 from bargainlab.nonmarket import (ExchangeProposal, ExternalInfluence, NonmarketScenario,
                                   Verdict, welfare_balance)
 
@@ -25,19 +25,19 @@ def verdict(m_a_eff, m_b_eff):
 
 class TestValidation:
     def test_negative_costs_rejected(self):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidConfig, match="give_cost_a: must be >= 0"):
             ExchangeProposal(give_cost_a=-1.0, gain_for_b=1.0, give_cost_b=1.0, gain_for_a=1.0)
 
     @pytest.mark.parametrize("kwargs", [
         dict(threat_on_refusal=-1.0), dict(shield=-0.1), dict(shield=1.5),
     ])
     def test_influence_bounds(self, kwargs):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidConfig, match=f"{next(iter(kwargs))}: must "):
             ExternalInfluence(**kwargs)
 
     def test_promise_prob_bounds(self):
         proposal = ExchangeProposal(1.0, 1.0, 1.0, 1.0)
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidConfig, match=r"promise_keep_prob: must lie in \[0, 1\]"):
             balance(proposal, promise_keep_prob=1.5)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bargainlab.errors import InvalidConfig, InvalidInput, NoChain
+from bargainlab.errors import InvalidConfig, NoChain
 from bargainlab.powerchain import PowerChain, TrustEdge, TrustGraph, find_power_chain
 from powerchain_reference import (all_qualifying_paths, assert_search_matches, layered_case,
                                   random_case)
@@ -46,7 +46,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("threshold", [float("inf"), float("nan")])
     def test_non_finite_threshold_names_its_field(self, threshold):
-        with pytest.raises(InvalidInput) as excinfo:
+        with pytest.raises(InvalidConfig) as excinfo:
             find_power_chain(POE, "victim", "minister", threshold)
         assert (excinfo.value.field, excinfo.value.rule) == ("threshold",
                                                              "must be a finite number")
@@ -63,7 +63,7 @@ class TestValidation:
         assert excinfo.value.field == "edges[2]"
 
     def test_unknown_node_query(self):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidConfig, match="^unknown node 'ghost'$"):
             find_power_chain(POE, "ghost", "minister", 1.0)
 
     def test_missing_adversary_means_zero_strength(self):

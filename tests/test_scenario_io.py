@@ -220,7 +220,7 @@ class TestParsing:
     def test_engine_invariants_are_reported_at_their_path(self, preset, keys, literal, path, rule):
         with pytest.raises(InvariantError) as excinfo:
             parse_scenario(with_literal(preset, keys, literal))
-        assert (excinfo.value.path, excinfo.value.rule) == (path, rule)
+        assert (excinfo.value.field, excinfo.value.rule) == (path, rule)
 
     @pytest.mark.parametrize("text", [
         "[" * 100_000 + "]" * 100_000,
@@ -247,7 +247,7 @@ class TestParsing:
     def test_non_finite_numbers_rejected(self, preset, keys, literal):
         with pytest.raises(InvariantError) as excinfo:
             parse_scenario(with_literal(preset, keys, literal))
-        assert excinfo.value.path == field_path(keys)
+        assert excinfo.value.field == field_path(keys)
         assert excinfo.value.rule == "must be a finite number"
 
     @pytest.mark.parametrize("preset,keys,value,rule", [
@@ -263,7 +263,7 @@ class TestParsing:
         with pytest.raises(InvariantError) as excinfo:
             parse_scenario(with_literal(preset, keys, json.dumps(value)))
         path = "epochs" if keys == ("pairings_per_epoch",) else field_path(keys)
-        assert (excinfo.value.path, excinfo.value.rule) == (path, rule)
+        assert (excinfo.value.field, excinfo.value.rule) == (path, rule)
 
     @pytest.mark.parametrize("epochs,pairings", [(MAX_ROUNDS + 1, 1), (MAX_ROUNDS // 2 + 1, 2),
                                                  (10 ** 7, 1)])
@@ -273,7 +273,7 @@ class TestParsing:
         doc["body"].update(n_agents=2, epochs=epochs, pairings_per_epoch=pairings)
         with pytest.raises(InvariantError) as excinfo:
             parse_scenario(json.dumps(doc))
-        assert (excinfo.value.path, excinfo.value.rule) == (
+        assert (excinfo.value.field, excinfo.value.rule) == (
             "epochs", f"epochs * pairings_per_epoch must be <= {MAX_ROUNDS}")
 
     def test_chain_budget_counts_every_link(self):
@@ -288,7 +288,7 @@ class TestParsing:
             "anchor_price": 100.0, "gap_epsilon": 1e-9, "max_steps": MAX_STEPS, "stages": stages}}
         with pytest.raises(InvariantError) as excinfo:
             parse_scenario(json.dumps(doc))
-        assert (excinfo.value.path, excinfo.value.rule) == (
+        assert (excinfo.value.field, excinfo.value.rule) == (
             "stages", f"len(stages) * max_steps must be <= {MAX_CHAIN_STEPS}")
 
     @pytest.mark.parametrize("preset", ["baterias", "kilns", "tomato-south"])
@@ -323,7 +323,7 @@ class TestParsing:
             return
         with pytest.raises(InvariantError) as excinfo:
             parse_scenario(json.dumps(doc))
-        assert (excinfo.value.path, excinfo.value.rule) == (
+        assert (excinfo.value.field, excinfo.value.rule) == (
             "stages", f"len(stages) * max_steps must be <= {MAX_CHAIN_STEPS}")
 
     def test_out_of_range_rate_names_the_field(self):
@@ -331,14 +331,14 @@ class TestParsing:
         doc["body"]["rates"]["r_a"] = 1.5
         with pytest.raises(InvariantError) as excinfo:
             parse_scenario(json.dumps(doc))
-        assert excinfo.value.path == "rates.r_a"
+        assert excinfo.value.field == "rates.r_a"
 
     def test_rate_sum_invariant(self):
         doc = json.loads(preset_text("fig3"))
         doc["body"]["rates"].update(r_a=0.6, r_a_prime=0.5)
         with pytest.raises(InvariantError) as excinfo:
             parse_scenario(json.dumps(doc))
-        assert excinfo.value.path == "rates"
+        assert excinfo.value.field == "rates"
 
     def test_unknown_top_level_field(self):
         doc = json.loads(preset_text("fig3"))
@@ -358,7 +358,7 @@ class TestParsing:
         doc["version"] = 99
         with pytest.raises(InvariantError) as excinfo:
             parse_scenario(json.dumps(doc))
-        assert excinfo.value.path == "version"
+        assert excinfo.value.field == "version"
 
     def test_unknown_kind(self):
         with pytest.raises(SchemaError):
@@ -375,7 +375,7 @@ class TestParsing:
         doc["body"]["buyer"]["open"] = 10.0
         with pytest.raises(InvariantError) as excinfo:
             parse_scenario(json.dumps(doc))
-        assert excinfo.value.path == "seller.open"
+        assert excinfo.value.field == "seller.open"
 
     @pytest.mark.parametrize("preset,edit,path,rule", [
         ("fig3", lambda doc: doc.update(body=[]), "body", "expected an object, got list"),
@@ -405,7 +405,7 @@ class TestParsing:
         edit(doc)
         with pytest.raises(SchemaError) as excinfo:
             parse_scenario(json.dumps(doc))
-        assert (excinfo.value.path, excinfo.value.rule) == (path, rule)
+        assert (excinfo.value.field, excinfo.value.rule) == (path, rule)
 
     @pytest.mark.parametrize("name", ALL_PRESETS)
     def test_document_holds_the_body_fields(self, name):
