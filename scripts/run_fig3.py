@@ -14,7 +14,7 @@ def main() -> None:
     print()
     print(f"settlement:      {trace.outcome.price:.6f} at step {trace.outcome.step}")
     print(f"reserves:        buyer {cfg.buyer_reserve_adj}, seller {cfg.seller_reserve_adj}")
-    x_a, x_b = fixed_point(cfg)
+    x_a, x_b = fixed_point(cfg.buyer_reserve_adj, cfg.seller_reserve_adj, cfg.rates)
     print(f"rest point:      ({x_a:.4f}, {x_b:.4f}) "
           "(where the dynamics would settle with no stopping rule)")
     midpoint = (cfg.buyer_reserve_adj + cfg.seller_reserve_adj) / 2

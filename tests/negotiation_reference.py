@@ -8,10 +8,22 @@ cell and outcome for outcome, so this is its test oracle.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 from bargainlab.negotiation import (Agreement, Breakdown, NegotiationConfig,
                                     NegotiationTrace, step)
+
+
+def dynamics(cfg: NegotiationConfig) -> tuple:
+    """The reserves and rates of ``cfg``: the arguments ``fixed_point``
+    takes, and ``step`` takes after the two offers."""
+    return cfg.buyer_reserve_adj, cfg.seller_reserve_adj, cfg.rates
+
+
+def fields(cfg: NegotiationConfig) -> tuple:
+    """The fields of ``cfg`` in order: the arguments ``settle`` takes."""
+    return tuple(getattr(cfg, field.name) for field in dataclasses.fields(cfg))
 
 
 def run(cfg: NegotiationConfig) -> NegotiationTrace:
@@ -27,7 +39,7 @@ def run(cfg: NegotiationConfig) -> NegotiationTrace:
             return NegotiationTrace(tuple(steps), Agreement(price=price, step=n))
         if n == cfg.max_steps:
             break
-        x_a, x_b = step(x_a, x_b, cfg)
+        x_a, x_b = step(x_a, x_b, *dynamics(cfg))
     return NegotiationTrace(tuple(steps), Breakdown(at_step=cfg.max_steps))
 
 

@@ -74,7 +74,7 @@ def test_criterion_2_fixed_point_oracle():
 
     # reference parameters, against an independent linear solve
     fig3 = load_preset("fig3").body.to_config()
-    x_a, x_b = fixed_point(fig3)
+    x_a, x_b = fixed_point(fig3.buyer_reserve_adj, fig3.seller_reserve_adj, fig3.rates)
     assert abs(x_a - 4.4194) <= 1e-3
     assert abs(x_b - 2.9677) <= 1e-3
     r = fig3.rates
@@ -96,10 +96,10 @@ def test_criterion_2_fixed_point_oracle():
             buyer_reserve_adj=float(rng.uniform(0.0, 100.0)),
             seller_reserve_adj=float(rng.uniform(0.0, 100.0)),
             rates=rates, gap_epsilon=1.0, max_steps=10)
-        fp = fixed_point(cfg)
+        fp = fixed_point(cfg.buyer_reserve_adj, cfg.seller_reserve_adj, cfg.rates)
         x = (cfg.buyer_open, cfg.seller_open)
         for _ in range(10_000):
-            x = step(x[0], x[1], cfg)
+            x = step(x[0], x[1], cfg.buyer_reserve_adj, cfg.seller_reserve_adj, cfg.rates)
             # the update contracts in the infinity norm, so once the iterate
             # is inside the tolerance ball it can never leave it
             if max(abs(x[0] - fp[0]), abs(x[1] - fp[1])) < 1e-9:

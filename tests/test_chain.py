@@ -1,9 +1,12 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bargainlab import negotiation
+from bargainlab import chain, negotiation
 from bargainlab.chain import (ChainSpec, ChainStage, propagate, squeeze_report)
 from bargainlab.core import PerceptionView, Role, adjust_reserve_full, imbalance_ratio
 from bargainlab.errors import InvalidConfig
@@ -209,7 +212,8 @@ def test_squeeze_sweep_links_settle_as_run_does(monkeypatch):
     """Every link of the sweep settles as ``negotiation.run`` would."""
     sweep = list(squeeze_sweep())
     settled = [propagate(spec, body.gap_epsilon, body.max_steps) for body, spec in sweep]
-    monkeypatch.setattr(negotiation, "settle", lambda cfg: negotiation.run(cfg).outcome)
+    monkeypatch.setattr(negotiation, "settle",
+                        lambda *link: negotiation.run(NegotiationConfig(*link)).outcome)
     assert settled == [propagate(spec, body.gap_epsilon, body.max_steps) for body, spec in sweep]
     assert sum(not r.settled and r.buyer_reserve_effective is not None
                for results in settled for r in results) >= 100
@@ -221,13 +225,13 @@ def test_squeeze_sweep_stalls_end_early(monkeypatch):
     steps, stalls = [0], []
     step, settle = negotiation.step, negotiation.settle
 
-    def counted_step(x_a, x_b, cfg):
+    def counted_step(x_a, x_b, *reserves_and_rates):
         steps[0] += 1
-        return step(x_a, x_b, cfg)
+        return step(x_a, x_b, *reserves_and_rates)
 
-    def counted_settle(cfg):
+    def counted_settle(*link):
         before = steps[0]
-        outcome = settle(cfg)
+        outcome = settle(*link)
         if isinstance(outcome, Breakdown):
             stalls.append(steps[0] - before)
         return outcome
@@ -237,3 +241,108 @@ def test_squeeze_sweep_stalls_end_early(monkeypatch):
         propagate(spec, body.gap_epsilon, body.max_steps)
     assert len(stalls) >= 100
     assert sum(stalls) <= 2 * len(stalls)
+
+
+def test_propagate_builds_no_negotiation_config(monkeypatch):
+    """Links settle from their numbers: no config is built, and so none is
+    checked, per link; the stopping rule is checked once per call."""
+    built, rule_checks = [0], [0]
+    post_init, check = NegotiationConfig.__post_init__, chain.check_stopping_rule
+
+    def counted_post_init(cfg):
+        built[0] += 1
+        post_init(cfg)
+
+    def counted_check(gap_epsilon, max_steps):
+        rule_checks[0] += 1
+        check(gap_epsilon, max_steps)
+    body = load_preset("tomato-south").body
+    monkeypatch.setattr(NegotiationConfig, "__post_init__", counted_post_init)
+    monkeypatch.setattr(chain, "check_stopping_rule", counted_check)
+    results = propagate(body.spec, body.gap_epsilon, body.max_steps)
+    assert len(results) == 4 and all(r.settled for r in results)
+    assert (built[0], rule_checks[0]) == (0, 1)
+    NegotiationConfig(0.0, 1.0, 0.0, 1.0, SYM, 0.05, 10)
+    assert built[0] == 1  # the wrapper does see a config being built
+
+
+@pytest.mark.parametrize("gap_epsilon, max_steps, field, rule", [
+    (float("nan"), 5000, "gap_epsilon", "must be a finite number"),
+    (float("inf"), 5000, "gap_epsilon", "must be a finite number"),
+    (0.0, 5000, "gap_epsilon", "must be > 0"),
+    (-1.0, 5000, "gap_epsilon", "must be > 0"),
+    (1e-4, 0, "max_steps", "must be >= 1"),
+    (1e-4, 2.5, "max_steps", "must be an integer"),
+    (1e-4, True, "max_steps", "must be an integer"),
+])
+def test_propagate_checks_the_stopping_rule(gap_epsilon, max_steps, field, rule):
+    spec = ChainSpec(stages=(stage("retail", base=40.0), stage("supply", base=10.0)),
+                     anchor_price=100.0)
+    with pytest.raises(InvalidConfig) as excinfo:
+        propagate(spec, gap_epsilon, max_steps)
+    assert (excinfo.value.field, excinfo.value.rule) == (field, rule)
+
+
+@pytest.mark.parametrize("anchor", [100.0, 1e-6])
+def test_propagate_defaults_gap_epsilon_by_the_anchor(anchor):
+    """None means max(1e-9, 1e-6 anchor): a link whose gap stays at 1.5
+    times that default breaks down under it and settles under twice it."""
+    default = max(1e-9, 1e-6 * anchor)
+    link = stage(base=anchor + 1.5 * default, rates=ConcessionRates(0.1, 0.0, 0.1, 0.0))
+    spec = ChainSpec(stages=(link,), anchor_price=anchor)
+    results = propagate(spec, None, 50)
+    assert results == propagate(spec, default, 50)
+    assert not results[0].settled and propagate(spec, 2.0 * default, 50)[0].settled
+
+
+# a buyer's imbalance ratio is its own motivation here: near 1, or near
+# either end of the range where the ratio and its reciprocal stay finite
+# (1 / 5.56268464626801e-309 is the largest finite reciprocal)
+edge_ratio = st.one_of(st.floats(0.25, 4.0), st.floats(1e300, sys.float_info.max),
+                       st.floats(5.56268464626801e-309, 1e-300))
+edge_price = st.one_of(st.floats(1e-6, 1e6), st.floats(1e-300, 1e308),
+                       st.sampled_from([1e308, sys.float_info.min]))
+
+
+@st.composite
+def edge_rates(draw):
+    r_a, r_b = draw(st.floats(1e-3, 0.9)), draw(st.floats(1e-3, 0.9))
+    return ConcessionRates(r_a, draw(st.floats(0.0, 0.95)) * (0.95 - r_a),
+                           r_b, draw(st.floats(0.0, 0.95)) * (0.95 - r_b))
+
+
+@st.composite
+def edge_chains(draw):
+    """Chains at the edges of ``propagate``'s proof: anchors up to 1e308,
+    buyer ratios near the bounds, margin floors above the incoming price,
+    zero seller reserves and a single step."""
+    stages = []
+    for k in range(draw(st.integers(1, 4))):
+        seller = PerceptionView(*(draw(st.floats(0.5, 2.0)) for _ in range(4)), S)
+        buyer = PerceptionView(draw(edge_ratio), 1.0, 1.0, 1.0, B)
+        base = draw(st.one_of(st.just(0.0), edge_price.filter(lambda x: x <= 1e307)))
+        floor = draw(st.one_of(st.just(0.0), edge_price))
+        stages.append(ChainStage(f"s{k}", seller, buyer, base, draw(edge_rates()), floor))
+    spec = ChainSpec(tuple(stages), draw(edge_price))
+    gap_epsilon = draw(st.one_of(st.none(), st.floats(5e-324, 1e308)))
+    return spec, gap_epsilon, draw(st.one_of(st.just(1), st.integers(1, 200)))
+
+
+@given(chain_and_rule=edge_chains())
+@settings(max_examples=200, deadline=None)
+def test_every_link_meets_the_config_invariants(chain_and_rule):
+    """The proof in ``propagate``'s docstring, checked: every link's numbers
+    build a valid NegotiationConfig."""
+    links = []
+    settle = negotiation.settle
+
+    def recorded_settle(*link):
+        links.append(link)
+        return settle(*link)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(negotiation, "settle", recorded_settle)
+        results = propagate(*chain_and_rule)
+    assert len(links) == sum(r.buyer_reserve_effective is not None for r in results) >= 1
+    for link in links:
+        NegotiationConfig(*link)
+        assert min(link[2], link[3]) >= 0.0  # the reserves, as the proof has them

@@ -15,7 +15,7 @@ from bargainlab.negotiation import (RATE_MAX, Agreement, Breakdown,
                                     ConcessionRates, NegotiationConfig,
                                     concession_rates_from_imbalance,
                                     fixed_point, run, settle, step)
-from negotiation_reference import CYCLING_STALLS, cycle, first_repeat
+from negotiation_reference import CYCLING_STALLS, cycle, dynamics, fields, first_repeat
 from negotiation_reference import run as reference_run
 
 FIG3_RATES = ConcessionRates(0.05, 0.02, 0.3, 0.2)
@@ -162,24 +162,24 @@ class TestRateScaling:
 class TestStep:
     def test_first_iteration(self):
         cfg = fig3_config()
-        assert step(2.5, 4.5, cfg) == pytest.approx((2.665, 3.35), abs=1e-12)
+        assert step(2.5, 4.5, *dynamics(cfg)) == pytest.approx((2.665, 3.35), abs=1e-12)
 
     def test_second_iteration(self):
         cfg = fig3_config()
-        x_a, x_b = step(2.5, 4.5, cfg)
-        assert step(x_a, x_b, cfg) == pytest.approx((2.79545, 2.808), abs=1e-12)
+        x_a, x_b = step(2.5, 4.5, *dynamics(cfg))
+        assert step(x_a, x_b, *dynamics(cfg)) == pytest.approx((2.79545, 2.808), abs=1e-12)
 
     def test_rest_when_all_terms_vanish(self):
         cfg = fig3_config(buyer_open=3.0, seller_open=3.0,
                           buyer_reserve_adj=3.0, seller_reserve_adj=3.0)
-        assert step(3.0, 3.0, cfg) == (3.0, 3.0)
+        assert step(3.0, 3.0, *dynamics(cfg)) == (3.0, 3.0)
 
     @given(cfg=config_strategy)
     def test_monotone_drift(self, cfg):
         """Open gap + reserves on the right side => buyer up, seller down."""
         x_a, x_b = cfg.buyer_open, cfg.seller_open
         for _ in range(20):
-            next_a, next_b = step(x_a, x_b, cfg)
+            next_a, next_b = step(x_a, x_b, *dynamics(cfg))
             if x_b > x_a and cfg.buyer_reserve_adj >= x_a and x_b >= cfg.seller_reserve_adj:
                 assert next_a >= x_a
                 assert next_b <= x_b
@@ -278,12 +278,12 @@ FIXED_POINT_ERROR = 6
 
 def assert_within_fixed_point_error(cfg):
     scale = Fraction(max(1.0, abs(cfg.buyer_reserve_adj), abs(cfg.seller_reserve_adj)))
-    for got, exact in zip(fixed_point(cfg), exact_fixed_point(cfg)):
+    for got, exact in zip(fixed_point(*dynamics(cfg)), exact_fixed_point(cfg)):
         assert abs(Fraction(got) - exact) <= FIXED_POINT_ERROR * Fraction(2.0 ** -53) * scale
 
 
 def assert_near_exact_fixed_point(cfg):
-    for got, exact in zip(fixed_point(cfg), exact_fixed_point(cfg)):
+    for got, exact in zip(fixed_point(*dynamics(cfg)), exact_fixed_point(cfg)):
         assert abs(Fraction(got) - exact) <= FIXED_POINT_ULPS * Fraction(math.ulp(float(exact)))
 
 
@@ -301,7 +301,7 @@ moderate_rates = st.builds(ConcessionRates, moderate_rate, st.one_of(st.just(0.0
 
 class TestFixedPoint:
     def test_reference_values(self):
-        x_a, x_b = fixed_point(fig3_config())
+        x_a, x_b = fixed_point(*dynamics(fig3_config()))
         assert x_a == pytest.approx(4.4194, abs=1e-3)
         assert x_b == pytest.approx(2.9677, abs=1e-3)
 
@@ -312,20 +312,20 @@ class TestFixedPoint:
                            [-r.r_b_prime, r.r_b + r.r_b_prime]])
         rhs = np.array([r.r_a * cfg.buyer_reserve_adj, r.r_b * cfg.seller_reserve_adj])
         expected = np.linalg.solve(matrix, rhs)
-        assert fixed_point(cfg) == pytest.approx(tuple(expected), rel=1e-9, abs=1e-9)
+        assert fixed_point(*dynamics(cfg)) == pytest.approx(tuple(expected), rel=1e-9, abs=1e-9)
 
     def test_decoupled_rests_at_reserves(self):
         # power-of-two rates and prices make the algebra exact
         cfg = fig3_config(rates=ConcessionRates(0.25, 0.0, 0.5, 0.0),
                           buyer_open=2.0, seller_open=8.0,
                           buyer_reserve_adj=8.0, seller_reserve_adj=2.0)
-        assert fixed_point(cfg) == (8.0, 2.0)
+        assert fixed_point(*dynamics(cfg)) == (8.0, 2.0)
 
     def test_symmetric_rests_at_common_reserve(self):
         cfg = fig3_config(rates=ConcessionRates(0.1, 0.05, 0.1, 0.05),
                           buyer_open=1.0, seller_open=5.0,
                           buyer_reserve_adj=3.0, seller_reserve_adj=3.0)
-        assert fixed_point(cfg) == pytest.approx((3.0, 3.0), rel=1e-12)
+        assert fixed_point(*dynamics(cfg)) == pytest.approx((3.0, 3.0), rel=1e-12)
 
     def test_tiny_rates_keep_the_rest_point(self):
         def cfg(rates):
@@ -334,21 +334,21 @@ class TestFixedPoint:
         # tiny rates still pose the system well: without cross-rates each
         # side rests exactly on its own reserve
         for rate in (1e-7, 1e-161, 1e-200, 5e-324):
-            assert fixed_point(cfg(ConcessionRates(rate, 0.0, rate, 0.0))) == (8.0, 2.0)
-        assert fixed_point(cfg(ConcessionRates(1e-20, 0.5, 1e-20, 0.5))) == (5.0, 5.0)
+            assert fixed_point(8.0, 2.0, ConcessionRates(rate, 0.0, rate, 0.0)) == (8.0, 2.0)
+        assert fixed_point(8.0, 2.0, ConcessionRates(1e-20, 0.5, 1e-20, 0.5)) == (5.0, 5.0)
         # both reserve rates subnormal: r_a' / r_a overflows, yet the odds are
         # about 1 and the rest point lies between the reserves
-        assert fixed_point(cfg(ConcessionRates(5e-324, 0.5, 5e-324, 0.5))) == (5.0, 5.0)
+        assert fixed_point(8.0, 2.0, ConcessionRates(5e-324, 0.5, 5e-324, 0.5)) == (5.0, 5.0)
         assert_within_fixed_point_error(cfg(ConcessionRates(1.5e-323, 0.7, 2.5e-323, 0.6)))
         # a subnormal r_a beside a normal r_b takes the buyer's odds to inf,
         # which puts the buyer's rest offer on the seller's reserve
-        assert fixed_point(cfg(ConcessionRates(5e-324, 0.5, 0.3, 0.2))) == (2.0, 2.0)
+        assert fixed_point(8.0, 2.0, ConcessionRates(5e-324, 0.5, 0.3, 0.2)) == (2.0, 2.0)
 
     @given(rates=st.one_of(rates_strategy(), small_rates))
     def test_reserves_at_the_float_maximum_give_a_finite_rest_point(self, rates):
         # the weights' rounding can sum past 1, which took an offer to inf
         top = sys.float_info.max
-        assert fixed_point(NegotiationConfig(0.0, 0.0, top, top, rates, 1.0, 10)) == (top, top)
+        assert fixed_point(top, top, rates) == (top, top)
 
     @given(rates=st.one_of(small_rates, lopsided_rates), buyer=any_reserve, seller=any_reserve)
     @settings(max_examples=300, deadline=None)
@@ -376,14 +376,14 @@ class TestFixedPoint:
 
     def test_fixed_point_is_invariant_under_step(self):
         cfg = fig3_config()
-        x_a, x_b = fixed_point(cfg)
-        assert step(x_a, x_b, cfg) == pytest.approx((x_a, x_b), abs=1e-12)
+        x_a, x_b = fixed_point(*dynamics(cfg))
+        assert step(x_a, x_b, *dynamics(cfg)) == pytest.approx((x_a, x_b), abs=1e-12)
 
 
 def step_matrix(rates):
     """Linear part of `step`, read off from unit offers with zero reserves."""
     cfg = NegotiationConfig(0.0, 0.0, 0.0, 0.0, rates, 0.05, 1)
-    return np.array([step(1.0, 0.0, cfg), step(0.0, 1.0, cfg)]).T
+    return np.array([step(1.0, 0.0, *dynamics(cfg)), step(0.0, 1.0, *dynamics(cfg))]).T
 
 
 def spectral_radius(matrix):
@@ -441,9 +441,9 @@ def test_accepted_negotiations_stay_finite(anchors, rates, gap_epsilon, max_step
 def test_iteration_converges_to_fixed_point(cfg):
     """The raw dynamics (no stopping rule) land on the closed-form rest point."""
     x_a, x_b = cfg.buyer_open, cfg.seller_open
-    fp_a, fp_b = fixed_point(cfg)
+    fp_a, fp_b = fixed_point(*dynamics(cfg))
     for _ in range(10_000):
-        x_a, x_b = step(x_a, x_b, cfg)
+        x_a, x_b = step(x_a, x_b, *dynamics(cfg))
         # the update is an infinity-norm contraction, so once inside the
         # target ball the iterate cannot leave it
         if max(abs(x_a - fp_a), abs(x_b - fp_b)) < 1e-9:
@@ -552,8 +552,7 @@ def edge_configs(draw):
     rates = draw(st.one_of(rates_strategy(), small_rates))
     max_steps = draw(st.one_of(st.just(1), st.integers(1, 3000)))
     buyer_open, seller_open = sorted(anchors[:2])
-    rest_a, rest_b = fixed_point(NegotiationConfig(buyer_open, seller_open, anchors[2], anchors[3],
-                                                   rates, 1.0, max_steps))
+    rest_a, rest_b = fixed_point(anchors[2], anchors[3], rates)
     gap_epsilon = ulps_away(abs(rest_b - rest_a), draw(st.integers(-4, 4)))
     assume(0.0 < gap_epsilon < math.inf)
     return NegotiationConfig(buyer_open, seller_open, anchors[2], anchors[3], rates,
@@ -564,9 +563,9 @@ def count_steps(monkeypatch):
     """Count the calls ``settle`` and ``run`` make to ``step``."""
     calls = [0]
 
-    def counted(x_a, x_b, cfg):
+    def counted(x_a, x_b, *reserves_and_rates):
         calls[0] += 1
-        return step(x_a, x_b, cfg)
+        return step(x_a, x_b, *reserves_and_rates)
     monkeypatch.setattr(negotiation, "step", counted)
     return calls
 
@@ -577,18 +576,18 @@ class TestSettle:
 
     @given(cfg=config_strategy)
     def test_matches_run(self, cfg):
-        assert repr(settle(cfg)) == repr(run(cfg).outcome)
+        assert repr(settle(*fields(cfg))) == repr(run(cfg).outcome)
 
     @given(cfg=edge_configs())
     @settings(max_examples=300, deadline=None)
     def test_matches_run_at_the_edges(self, cfg):
-        assert repr(settle(cfg)) == repr(run(cfg).outcome)
+        assert repr(settle(*fields(cfg))) == repr(run(cfg).outcome)
 
     @pytest.mark.parametrize("period", CYCLING_STALLS)
     def test_ends_a_pinned_stall_before_its_cycle(self, period, monkeypatch):
         start, cfg = cycling_stall(period)
         calls = count_steps(monkeypatch)
-        outcome = settle(cfg)
+        outcome = settle(*fields(cfg))
         assert calls[0] < start
         assert outcome == run(cfg).outcome == Breakdown(at_step=30000)
 
@@ -598,19 +597,35 @@ class TestSettle:
         proof from calling this a stall."""
         cfg = NegotiationConfig(52.6, 74.9, 54.7, 58.9, ConcessionRates(0.29, 0.07, 0.07, 0.37),
                                 1.0, 1000)
-        rest_a, rest_b = fixed_point(cfg)
+        rest_a, rest_b = fixed_point(*dynamics(cfg))
         cfg = replace(cfg, gap_epsilon=math.nextafter(rest_b - rest_a, 0.0))
-        assert run(cfg).outcome == settle(cfg) == Agreement(price=55.177056603773586, step=128)
+        assert run(cfg).outcome == settle(*fields(cfg)) == Agreement(price=55.177056603773586,
+                                                                    step=128)
+
+    def test_the_largest_slack_constant_found_needed(self):
+        """gap_epsilon 24 ulps under the rest gap, found by an adversarial
+        search: ``settle`` matches ``run`` here only with the slack constant
+        c >= 0.7258 (it is 32, and its docstring derives c >= 19).  With
+        less, the bound calls the gap open early, yet the offers close it
+        at step 27."""
+        cfg = NegotiationConfig(322496861491131.7, 5246018968636602.0, -7509590550789945.0,
+                                -6206192478208771.0,
+                                ConcessionRates(0.8494202672229026, 0.06486991266552508,
+                                                0.7006497503376824, 0.24935024966231756),
+                                910032808586541.0, 100)
+        assert run(cfg).outcome == settle(*fields(cfg)) == Agreement(price=-6985075276392272.0,
+                                                                    step=27)
 
     def test_offers_that_cross_the_rest_point(self):
         """Large cross-rates carry each offer past its rest point, so a gap
         can close by nearly twice the offers' distance from it."""
         rates = ConcessionRates(0.05, 0.9, 0.05, 0.9)
-        rest_a, rest_b = fixed_point(NegotiationConfig(0.0, 100.0, 0.0, 100.0, rates, 1.0, 10))
+        rest_a, rest_b = fixed_point(0.0, 100.0, rates)
         assert rest_b - rest_a == pytest.approx(2.7, abs=0.01)
         # 2 from each rest point: less than the rest gap, more than half of it
         cfg = NegotiationConfig(rest_a - 2.0, rest_b + 2.0, 0.0, 100.0, rates, 0.5, 10)
-        assert run(cfg).outcome == settle(cfg) == Agreement(price=50.00000000000001, step=1)
+        assert run(cfg).outcome == settle(*fields(cfg)) == Agreement(price=50.00000000000001,
+                                                                    step=1)
 
     @pytest.mark.parametrize("rates, steps", [
         # the bound cannot pass, but the offers never move
@@ -622,6 +637,6 @@ class TestSettle:
     def test_ends_once_the_offers_stop_moving(self, rates, steps, monkeypatch):
         cfg = NegotiationConfig(2.0, 9.0, 5.0, 8.0, ConcessionRates(*rates), 0.05, 5000)
         calls = count_steps(monkeypatch)
-        outcome = settle(cfg)
+        outcome = settle(*fields(cfg))
         assert calls[0] == steps
         assert outcome == run(cfg).outcome == Breakdown(at_step=5000)

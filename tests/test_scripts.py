@@ -1,6 +1,7 @@
 """Smoke tests for ``scripts/``: each runs as its own process and prints its
 summary line."""
 
+import hashlib
 import os
 import re
 import subprocess
@@ -23,6 +24,18 @@ def test_script_runs_to_its_summary(script, args, summary):
     proc = run_script(script, args)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert re.fullmatch(summary, proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("script, digest", [
+    ("run_fig3.py", "43b644d9c31ea9cb08891e171294499474ecc0c77d75a0b5d57913f011d0fbe0"),
+    ("squeeze_sweep.py", "b1e6234d19823298a66525867137987ca4c827ccc2fd76e8cdc77e267c175fb2"),
+])
+def test_script_prints_its_pinned_bytes(script, digest):
+    """The whole stdout, by sha256: a change to any trace row, settlement
+    or share shows, not only one to the summary line."""
+    proc = run_script(script, [])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("args, message", [
