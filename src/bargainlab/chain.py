@@ -14,10 +14,12 @@ stays open.  ``run`` remains the path of negotiation documents and the
 oracle ``settle`` is tested against.
 
 ``settle`` takes a link's numbers rather than a ``NegotiationConfig`` and
-checks none of them.  A stage's own values are checked when its
-``ChainStage`` is built, the stopping rule once per ``propagate`` call,
-and ``propagate``'s docstring shows that every other invariant of a config
-then holds for every link.
+checks none of them.  Each value is checked once, by the object that holds
+it: a perception view's imbalance ratio when the view is built, a stage's
+own values when its ``ChainStage`` is built, and the stopping rule by
+``negotiation.check_stopping_rule``, which a ``ChainScenario`` and each
+``propagate`` call run.  ``propagate``'s docstring shows that every other
+invariant of a config then holds for every link.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import negotiation
-from .core import PerceptionView, Role, adjust_reserve_full, imbalance_ratio, require_finite
+from .core import PerceptionView, Role, adjust_reserve_full, require_finite
 from .errors import InvalidConfig
 from .negotiation import Agreement, ConcessionRates, check_stopping_rule
 
@@ -39,8 +41,9 @@ class ChainStage:
     buyer's unadjusted maximum is the price it receives from downstream,
     so it is not a field here; ``margin_floor`` is the absolute margin the
     buyer refuses to go below.  What a link's negotiation needs that does
-    not depend on that price is built once: the seller's adjusted reserve,
-    the buyer's imbalance ratio and the imbalance-scaled rates.
+    not depend on that price is built once: the seller's adjusted reserve
+    and the imbalance-scaled rates.  The buyer's imbalance ratio is its
+    view's ``ratio``.
     """
 
     name: str
@@ -50,7 +53,6 @@ class ChainStage:
     rates: ConcessionRates
     margin_floor: float = 0.0
     seller_reserve_adj: float = field(init=False, repr=False, compare=False)
-    rho_buyer: float = field(init=False, repr=False, compare=False)
     scaled_rates: ConcessionRates = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -68,9 +70,8 @@ class ChainStage:
                                 field="base_seller_reserve")
         if require_finite("margin_floor", self.margin_floor) < 0.0:
             raise InvalidConfig("must be >= 0", field="margin_floor")
-        object.__setattr__(self, "rho_buyer", imbalance_ratio(self.buyer_view))
         object.__setattr__(self, "scaled_rates", negotiation.concession_rates_from_imbalance(
-            self.rates, self.rho_buyer, imbalance_ratio(self.seller_view)))
+            self.rates, self.buyer_view.ratio, self.seller_view.ratio))
 
 
 @dataclass(frozen=True)
@@ -129,8 +130,9 @@ class StageResult:
 def _settle_stage(stage: ChainStage, incoming: float,
                   gap_epsilon: float, max_steps: int) -> tuple[float | None, float]:
     """Negotiate one link given the price its buyer collects downstream."""
-    # adjust_reserve_full(incoming, stage.buyer_view), with the view's ratio taken once
-    buyer = min(max(0.0, incoming * stage.rho_buyer), max(0.0, incoming - stage.margin_floor))
+    # adjust_reserve_full(incoming, stage.buyer_view), without its check of the incoming price
+    buyer = min(max(0.0, incoming * stage.buyer_view.ratio),
+                max(0.0, incoming - stage.margin_floor))
     seller = stage.seller_reserve_adj
     # Each side opens at the other's adjusted reserve (its best plausible
     # deal); min/max keeps the opening order valid when reserves invert.
@@ -151,12 +153,14 @@ def propagate(spec: ChainSpec, gap_epsilon: float | None,
 
     Each link settles from the fields of a NegotiationConfig without
     building one, so this is where every invariant of that config is met.
-    The stopping rule is checked here, once.  The rest holds for every link
-    by construction, given that the incoming price p is finite: the anchor
-    is, and a settlement is the midpoint of two finite offers.
+    The stopping rule is checked here, once, by ``check_stopping_rule``.
+    The rest holds for every link by construction, given that the incoming
+    price p is finite: the anchor is, and a settlement is the midpoint of
+    two finite offers.
     - The stage was checked when it was built: its seller reserve is
-      finite and >= 0, its margin floor f is finite and >= 0, and its
-      buyer ratio rho is finite and > 0.
+      finite and >= 0, and its margin floor f is finite and >= 0.  Its
+      buyer view's ratio rho was checked, finite and > 0, when the view
+      was built.
     - The buyer reserve min(max(0, p rho), max(0, p - f)) is finite and
       >= 0, because its second term is: f >= 0 gives p - f <= p, and
       max(0, .) puts p - f, even at -inf, into [0, max(0, p)].
@@ -168,7 +172,7 @@ def propagate(spec: ChainSpec, gap_epsilon: float | None,
     """
     if gap_epsilon is None:
         gap_epsilon = max(1e-9, 1e-6 * spec.anchor_price)
-    check_stopping_rule(require_finite("gap_epsilon", gap_epsilon), max_steps)
+    check_stopping_rule(gap_epsilon, max_steps)
     results: list[StageResult] = []
     incoming: float | None = spec.anchor_price
     for stage in spec.stages:

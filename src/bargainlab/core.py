@@ -19,13 +19,14 @@ willing to pay, and symmetrically for the seller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import InvalidConfig
 
 #: Divisors below this floor are rejected instead of used: imbalance_ratio
-#: raises InvalidConfig, and equity_index returns None.
+#: raises InvalidConfig, so no PerceptionView holds one, and equity_index
+#: returns None.
 DEFAULT_EPSILON = 1e-9
 
 
@@ -56,6 +57,10 @@ class PerceptionView:
     it attributes to the seller.  For a seller, the mirror image.  All four
     magnitudes must be strictly positive; they appear as divisors in the
     ratio formulas below.
+
+    ``ratio`` is the view's ``imbalance_ratio``, taken once when the view is
+    built, so a view whose divisor is below the epsilon floor, or whose
+    ratio or its reciprocal leaves the float range, is never built.
     """
 
     own_motivation: float
@@ -63,6 +68,7 @@ class PerceptionView:
     own_power: float
     other_power_perceived: float
     role: Role
+    ratio: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("own_motivation", "other_motivation_perceived",
@@ -73,6 +79,7 @@ class PerceptionView:
             object.__setattr__(self, name, value)
         if not isinstance(self.role, Role):
             raise InvalidConfig("must be a Role", field="role")
+        object.__setattr__(self, "ratio", imbalance_ratio(self))
 
 
 def motivation(gain: float, loss: float) -> float:
@@ -135,13 +142,13 @@ def require_reserve(base: float) -> float:
 def adjust_reserve_full(base: float, view: PerceptionView) -> float:
     """Reserve price adjusted by the full motivation-and-power imbalance.
 
-    Equals ``base * imbalance_ratio(view)`` clamped at zero.  With extreme
+    Equals ``base * view.ratio`` clamped at zero.  With extreme
     perceived advantages this can drive a buyer's maximum offer to a small
     fraction of the going rate, which is exactly the squeeze the model is
     built to expose.
     """
     base = require_reserve(base)
-    return max(0.0, base * imbalance_ratio(view))
+    return max(0.0, base * view.ratio)
 
 
 def equity_index(m_a: float, k_a: float, m_b: float, k_b: float) -> float | None:

@@ -26,20 +26,9 @@ class NoChain(BargainError):
 
 
 class ScenarioError(BargainError):
-    """Base class for scenario-file errors (parse, schema, invariant).
+    """A scenario document is rejected: its text is not valid JSON, a field
+    is missing, unknown or mistyped, or a value breaks an invariant.
 
     ``field`` is the path of the offending field in the document, empty
     when the error concerns the document as a whole.
     """
-
-
-class ParseError(ScenarioError):
-    """Scenario text is not valid JSON; it has no field."""
-
-
-class SchemaError(ScenarioError):
-    """Scenario document has a missing, unknown, or mistyped field."""
-
-
-class InvariantError(ScenarioError):
-    """Scenario field has the right type but violates a value invariant."""

@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .core import (PerceptionView, adjust_reserve_full, imbalance_ratio, require_finite,
-                   require_ratio, require_reserve)
+from .core import (PerceptionView, adjust_reserve_full, require_finite, require_ratio,
+                   require_reserve)
 from .errors import InvalidConfig
 
 #: Clamp bounds used when imbalance scaling pushes a rate out of range.
@@ -89,9 +89,9 @@ class NegotiationConfig:
 
 
 def check_stopping_rule(gap_epsilon: float | None, max_steps: int) -> None:
-    """A run stops when the gap is at most gap_epsilon > 0 (None: the
-    caller's default) or after max_steps >= 1 updates."""
-    if gap_epsilon is not None and not gap_epsilon > 0.0:
+    """A run stops when the gap is at most a finite gap_epsilon > 0 (None:
+    the caller's default) or after max_steps >= 1 updates."""
+    if gap_epsilon is not None and not require_finite("gap_epsilon", gap_epsilon) > 0.0:
         raise InvalidConfig("must be > 0", field="gap_epsilon")
     if not isinstance(max_steps, int) or isinstance(max_steps, bool):
         raise InvalidConfig("must be an integer", field="max_steps")
@@ -142,8 +142,8 @@ class NegotiationScenario:
     def __post_init__(self):
         rates = self.rates
         if self.scale_rates_by_imbalance:
-            rho_buyer = imbalance_ratio(self.buyer.view) if self.buyer.view else 1.0
-            rho_seller = imbalance_ratio(self.seller.view) if self.seller.view else 1.0
+            rho_buyer = self.buyer.view.ratio if self.buyer.view else 1.0
+            rho_seller = self.seller.view.ratio if self.seller.view else 1.0
             rates = concession_rates_from_imbalance(rates, rho_buyer, rho_seller)
         try:
             config = NegotiationConfig(

@@ -17,8 +17,11 @@ whose keys are data a ``Mapping[str, X]``, and the one field a document
 leaves out is a perception view's role, implied by where the view sits.
 Reading checks shape and types; value invariants belong to the engine
 dataclasses, and any they raise is reported at the offending field's path
-(body-relative, e.g. "rates.r_a").  Reading also enforces the work budget
-below.
+(body-relative, e.g. "rates.r_a").  A perception view checks its own
+imbalance ratio when it is built, so a divisor below the epsilon floor is
+reported at that field and a ratio out of range at the view.  Reading also
+enforces the work budget below.  Every document it rejects raises
+``ScenarioError``, whose field is the path.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from . import kinds
-from .errors import InvalidConfig, InvariantError, ParseError, SchemaError
+from .errors import InvalidConfig, ScenarioError
 
 SUPPORTED_VERSIONS = (1,)
 PRESETS = Path(__file__).with_name("presets")
@@ -74,7 +77,7 @@ def _at(path: str):
     try:
         yield
     except InvalidConfig as exc:
-        raise InvariantError(exc.rule, _join(path, exc.field)) from None
+        raise ScenarioError(exc.rule, _join(path, exc.field)) from None
 
 
 def _obj(value: Any, path: str, allowed: set[str] | None = None,
@@ -82,25 +85,25 @@ def _obj(value: Any, path: str, allowed: set[str] | None = None,
     """``value`` as a JSON object whose keys are all in ``allowed`` (None:
     any key) and include ``required``."""
     if not isinstance(value, dict):
-        raise SchemaError(f"expected an object, got {type(value).__name__}", path)
+        raise ScenarioError(f"expected an object, got {type(value).__name__}", path)
     for key in value:
         if allowed is not None and key not in allowed:
-            raise SchemaError("unknown field", _join(path, key))
+            raise ScenarioError("unknown field", _join(path, key))
     for key in required:
         if key not in value:
-            raise SchemaError(f"missing required field {key!r}", path)
+            raise ScenarioError(f"missing required field {key!r}", path)
     return value
 
 
 def _num(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"expected a number, got {type(value).__name__}", path)
+        raise ScenarioError(f"expected a number, got {type(value).__name__}", path)
     try:
         number = float(value)
     except OverflowError:  # an integer literal beyond the float range
         number = math.inf
     if not math.isfinite(number):
-        raise InvariantError("must be a finite number", path)
+        raise ScenarioError("must be a finite number", path)
     return number
 
 
@@ -111,7 +114,7 @@ def _scalar(expected: type, value: Any, path: str) -> Any:
     if expected is float:
         return _num(value, path)
     if not isinstance(value, expected) or (expected is int and isinstance(value, bool)):
-        raise SchemaError(f"expected {_NAMES[expected]}, got {type(value).__name__}", path)
+        raise ScenarioError(f"expected {_NAMES[expected]}, got {type(value).__name__}", path)
     return value
 
 
@@ -136,7 +139,7 @@ def _read(annotation: Any, value: Any, path: str) -> Any:
     origin = typing.get_origin(annotation)
     if origin is tuple:  # tuple[X, ...] is a JSON array
         if not isinstance(value, list):
-            raise SchemaError("expected an array", path)
+            raise ScenarioError("expected an array", path)
         item = typing.get_args(annotation)[0]
         return tuple(_read(item, v, f"{path}[{i}]") for i, v in enumerate(value))
     if origin is abc.Mapping:  # Mapping[str, X] is a JSON object whose keys are data
@@ -154,7 +157,7 @@ def _read(annotation: Any, value: Any, path: str) -> Any:
     obj = _obj(value, path, {"kind"}.union(*map(_fields, options)), ("kind",))
     tag = _scalar(str, obj["kind"], f"{path}.kind")
     if tag not in tags:
-        raise SchemaError(f"must be one of {', '.join(tags)}", f"{path}.kind")
+        raise ScenarioError(f"must be one of {', '.join(tags)}", f"{path}.kind")
     return _read_fields(tags[tag], {k: v for k, v in obj.items() if k != "kind"}, path)
 
 
@@ -167,14 +170,11 @@ def _read_fields(cls: type, value: Any, path: str, **given: Any) -> Any:
 
 
 def _read_view(cls: type, value: Any, path: str) -> Any:
-    from .core import Role, imbalance_ratio
+    from .core import Role
 
     # the role is implied by where the view sits: buyer.view or stages[i].buyer_view
     role = Role.BUYER if path.endswith(("buyer.view", "buyer_view")) else Role.SELLER
-    view = _read_fields(cls, value, path, role=role)
-    with _at(path):
-        imbalance_ratio(view)  # every view is a divisor in a run: check it against the floor
-    return view
+    return _read_fields(cls, value, path, role=role)
 
 
 # ---------------------------------------------------------------------------
@@ -206,23 +206,23 @@ def _write(annotation: Any, value: Any) -> Any:
 
 def _check_steps(body) -> None:
     if body.max_steps > MAX_STEPS:
-        raise InvariantError(f"must be <= {MAX_STEPS}", "max_steps")
+        raise ScenarioError(f"must be <= {MAX_STEPS}", "max_steps")
 
 
 def _check_chain(body) -> None:
     _check_steps(body)
     if len(body.stages) * body.max_steps > MAX_CHAIN_STEPS:
-        raise InvariantError(f"len(stages) * max_steps must be <= {MAX_CHAIN_STEPS}", "stages")
+        raise ScenarioError(f"len(stages) * max_steps must be <= {MAX_CHAIN_STEPS}", "stages")
 
 
 def _check_society(body) -> None:
     if body.n_agents > MAX_AGENTS:
-        raise InvariantError(f"must be <= {MAX_AGENTS}", "n_agents")
+        raise ScenarioError(f"must be <= {MAX_AGENTS}", "n_agents")
     if (body.n_agents // 2) * body.epochs * body.pairings_per_epoch > MAX_EXCHANGES:
-        raise InvariantError("(n_agents // 2) * epochs * pairings_per_epoch "
-                             f"must be <= {MAX_EXCHANGES}", "epochs")
+        raise ScenarioError("(n_agents // 2) * epochs * pairings_per_epoch "
+                            f"must be <= {MAX_EXCHANGES}", "epochs")
     if body.epochs * body.pairings_per_epoch > MAX_ROUNDS:
-        raise InvariantError(f"epochs * pairings_per_epoch must be <= {MAX_ROUNDS}", "epochs")
+        raise ScenarioError(f"epochs * pairings_per_epoch must be <= {MAX_ROUNDS}", "epochs")
 
 
 @dataclass(frozen=True)
@@ -263,18 +263,18 @@ def parse_scenario(text: str) -> Scenario:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
-                         f"{exc.msg}") from exc
+        raise ScenarioError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
+                            f"{exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # past the decoder's digit or nesting limit
-        raise ParseError(f"invalid JSON: {exc}") from None
+        raise ScenarioError(f"invalid JSON: {exc}") from None
     top = _obj(doc, "", {"version", "kind", "metadata", "body"}, ("version", "kind", "body"))
     version = _scalar(int, top["version"], "version")
     if version not in SUPPORTED_VERSIONS:
-        raise InvariantError("unsupported version (supported: "
-                             f"{', '.join(map(str, SUPPORTED_VERSIONS))})", "version")
+        raise ScenarioError("unsupported version (supported: "
+                            f"{', '.join(map(str, SUPPORTED_VERSIONS))})", "version")
     kind = _scalar(str, top["kind"], "kind")
     if kind not in KINDS:
-        raise SchemaError(f"must be one of {', '.join(KINDS)}", "kind")
+        raise ScenarioError(f"must be one of {', '.join(KINDS)}", "kind")
     metadata = _read(Mapping[str, str], top.get("metadata", {}), "metadata")
     body = _read(KINDS[kind].body_type(), _obj(top["body"], "body"), "")  # paths are body-relative
     KINDS[kind].check(body)

@@ -3,13 +3,15 @@
 This loop computes every step up to ``max_steps``, even after the offers
 have settled on a rest point or a cycle, and stores a new row tuple for
 each.  ``bargainlab.negotiation.run`` must return the same trace, cell for
-cell and outcome for outcome, so this is its test oracle.
+cell and outcome for outcome, so this is its test oracle.  The exact rest
+point, in rationals, is likewise the oracle of ``fixed_point``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from fractions import Fraction
 
 from bargainlab.negotiation import (Agreement, Breakdown, NegotiationConfig,
                                     NegotiationTrace, step)
@@ -24,6 +26,18 @@ def dynamics(cfg: NegotiationConfig) -> tuple:
 def fields(cfg: NegotiationConfig) -> tuple:
     """The fields of ``cfg`` in order: the arguments ``settle`` takes."""
     return tuple(getattr(cfg, field.name) for field in dataclasses.fields(cfg))
+
+
+def exact_fixed_point(cfg: NegotiationConfig) -> tuple[Fraction, Fraction]:
+    """The rest point by Cramer's rule on the 2x2 system, in rationals."""
+    r = cfg.rates
+    r_a, r_a_prime, r_b, r_b_prime = map(Fraction, (r.r_a, r.r_a_prime, r.r_b, r.r_b_prime))
+    buyer, seller = Fraction(cfg.buyer_reserve_adj), Fraction(cfg.seller_reserve_adj)
+    # (r_a + r_a') x_a - r_a' x_b = r_a buyer, -r_b' x_a + (r_b + r_b') x_b = r_b seller
+    det = (r_a + r_a_prime) * (r_b + r_b_prime) - r_a_prime * r_b_prime
+    x_a = (r_a * buyer * (r_b + r_b_prime) + r_a_prime * r_b * seller) / det
+    x_b = ((r_a + r_a_prime) * r_b * seller + r_b_prime * r_a * buyer) / det
+    return x_a, x_b
 
 
 def run(cfg: NegotiationConfig) -> NegotiationTrace:

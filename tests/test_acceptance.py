@@ -7,8 +7,10 @@ and runtime budgets are pinned here and nowhere else.
 
 import functools
 import json
+import math
 import time
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from bargainlab.report import run_scenario, write_trace_csv
 from bargainlab.scenario import (load_preset, parse_scenario, preset_names,
                                  preset_text, scenario_document)
 from bargainlab.society import compare_regimes, gini, run_society
+from negotiation_reference import exact_fixed_point
 from powerchain_reference import assert_search_matches, random_case
 
 
@@ -68,21 +71,37 @@ def test_criterion_1_reference_negotiation():
     assert time.perf_counter() - started < 1.0
 
 
+#: The unit roundoff u of a float.
+U = 2.0 ** -53
+
+
 @criterion(2, "closed-form fixed point agrees with the iterated dynamics")
 def test_criterion_2_fixed_point_oracle():
+    """``fixed_point`` lies within F = 6 u S of the exact rest point z (S
+    the larger reserve magnitude, but at least 1), the bound
+    ``negotiation.settle``'s docstring derives.  And every iterate x_k of
+    ``step`` keeps the contraction claim that ``settle``'s proof rests on:
+
+        max|x_k - x*| <= (1 - m)^k e_0 + 8uS/m + 6uS + M
+
+    with x* = ``fixed_point``, m = min(r_a, r_b), e_0 = max|x_0 - z| and S
+    the largest anchor magnitude, but at least 1.  The exact update
+    contracts the distance to z by 1 - m per step; each computed step errs
+    by at most 8uS, which adds up to at most 8uS/m over all steps; and x*
+    lies within F of z.  M = 8uS covers the rounding in evaluating both
+    sides, a few u times numbers of at most 2S, and the terms of higher
+    order in u.  ``settle``'s own margin, 32uS(1 + 1/m) against the 19uS +
+    8uS/m it derives, is at least 37uS."""
     started = time.perf_counter()
 
-    # reference parameters, against an independent linear solve
+    # reference parameters: the paper's four digits, and the derived bound
     fig3 = load_preset("fig3").body.to_config()
     x_a, x_b = fixed_point(fig3.buyer_reserve_adj, fig3.seller_reserve_adj, fig3.rates)
     assert abs(x_a - 4.4194) <= 1e-3
     assert abs(x_b - 2.9677) <= 1e-3
-    r = fig3.rates
-    oracle = np.linalg.solve(
-        np.array([[r.r_a + r.r_a_prime, -r.r_a_prime],
-                  [-r.r_b_prime, r.r_b + r.r_b_prime]]),
-        np.array([r.r_a * fig3.buyer_reserve_adj, r.r_b * fig3.seller_reserve_adj]))
-    assert (x_a, x_b) == pytest.approx(tuple(oracle), rel=1e-12)
+    scale = max(1.0, abs(fig3.buyer_reserve_adj), abs(fig3.seller_reserve_adj))
+    for got, exact in zip((x_a, x_b), exact_fixed_point(fig3)):
+        assert abs(Fraction(got) - exact) <= 6 * Fraction(U) * Fraction(scale)
 
     rng = np.random.default_rng(20250811)
     for _ in range(500):
@@ -96,15 +115,19 @@ def test_criterion_2_fixed_point_oracle():
             buyer_reserve_adj=float(rng.uniform(0.0, 100.0)),
             seller_reserve_adj=float(rng.uniform(0.0, 100.0)),
             rates=rates, gap_epsilon=1.0, max_steps=10)
-        fp = fixed_point(cfg.buyer_reserve_adj, cfg.seller_reserve_adj, cfg.rates)
+        reserves = (cfg.buyer_reserve_adj, cfg.seller_reserve_adj)
+        rest = fixed_point(*reserves, rates)
         x = (cfg.buyer_open, cfg.seller_open)
-        for _ in range(10_000):
-            x = step(x[0], x[1], cfg.buyer_reserve_adj, cfg.seller_reserve_adj, cfg.rates)
-            # the update contracts in the infinity norm, so once the iterate
-            # is inside the tolerance ball it can never leave it
-            if max(abs(x[0] - fp[0]), abs(x[1] - fp[1])) < 1e-9:
-                break
-        assert max(abs(x[0] - fp[0]), abs(x[1] - fp[1])) < 1e-6
+        e_0 = float(max(abs(Fraction(offer) - z) for offer, z in zip(x, exact_fixed_point(cfg))))
+        m = min(r_a, r_b)
+        scale = max(1.0, *map(abs, x + reserves))
+        floor = (8.0 / m + 6.0 + 8.0) * U * scale
+        # 1 - m rounded up, so that its powers are at least (1 - m)^k
+        factor = math.nextafter(1.0 - m, 1.0)
+        # until (1 - m)^k e_0 is below 2uS, then a hundred steps at the floor
+        for k in range(int(math.log(U) / math.log1p(-m)) + 100):
+            assert max(abs(x[0] - rest[0]), abs(x[1] - rest[1])) <= factor ** k * e_0 + floor
+            x = step(x[0], x[1], *reserves, rates)
     assert time.perf_counter() - started < 10.0
 
 

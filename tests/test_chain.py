@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bargainlab import chain, negotiation
-from bargainlab.chain import (ChainSpec, ChainStage, propagate, squeeze_report)
+from bargainlab.chain import ChainScenario, ChainSpec, ChainStage, propagate, squeeze_report
 from bargainlab.core import PerceptionView, Role, adjust_reserve_full, imbalance_ratio
 from bargainlab.errors import InvalidConfig
 from bargainlab.negotiation import Breakdown, ConcessionRates, NegotiationConfig
@@ -281,6 +281,13 @@ def test_propagate_checks_the_stopping_rule(gap_epsilon, max_steps, field, rule)
     with pytest.raises(InvalidConfig) as excinfo:
         propagate(spec, gap_epsilon, max_steps)
     assert (excinfo.value.field, excinfo.value.rule) == (field, rule)
+
+
+@pytest.mark.parametrize("gap_epsilon", [float("inf"), float("-inf"), float("nan")])
+def test_chain_scenario_rejects_a_non_finite_gap_epsilon(gap_epsilon):
+    """The stopping rule is checked when the scenario is built, not at run()."""
+    with pytest.raises(InvalidConfig, match="^gap_epsilon: must be a finite number$"):
+        ChainScenario((stage(),), 100.0, gap_epsilon, 5000)
 
 
 @pytest.mark.parametrize("anchor", [100.0, 1e-6])

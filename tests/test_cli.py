@@ -535,6 +535,48 @@ def test_a_view_divisor_at_the_epsilon_floor_is_used(divisor, code, tmp_path, ca
                        f"must be >= the epsilon floor 1e-09, got {divisor!r}\n")
 
 
+FLOOR_RULE = "must be >= the epsilon floor 1e-09, got "
+RATIO_RULE = "imbalance ratio and its reciprocal must be finite and > 0"
+# (magnitudes changed from 1.0, field the error names, rule) per role: each
+# divisor below the floor, a ratio past the float maximum, and a ratio so
+# small that its reciprocal is
+BAD_VIEWS = {
+    "buyer": [({"other_motivation_perceived": 1e-12}, ".other_motivation_perceived",
+               FLOOR_RULE + "1e-12"),
+              ({"own_power": 5e-10}, ".own_power", FLOOR_RULE + "5e-10"),
+              ({"own_motivation": 1e200, "other_power_perceived": 1e200}, "", RATIO_RULE),
+              ({"own_motivation": 1e-160, "other_power_perceived": 1e-160}, "", RATIO_RULE)],
+    "seller": [({"own_motivation": 1e-12}, ".own_motivation", FLOOR_RULE + "1e-12"),
+               ({"other_power_perceived": 5e-10}, ".other_power_perceived",
+                FLOOR_RULE + "5e-10"),
+               ({"other_motivation_perceived": 1e200, "own_power": 1e200}, "", RATIO_RULE),
+               ({"other_motivation_perceived": 1e-160, "own_power": 1e-160}, "", RATIO_RULE)],
+}
+VIEW_SLOTS = [("fig3", ("buyer", "view"), "buyer"), ("fig3", ("seller", "view"), "seller"),
+              ("tomato-south", ("stages", 1, "buyer_view"), "buyer"),
+              ("tomato-south", ("stages", 1, "seller_view"), "seller")]
+
+
+@pytest.mark.parametrize("name, keys, edit, suffix, rule", [
+    (name, keys, edit, suffix, rule)
+    for name, keys, role in VIEW_SLOTS for edit, suffix, rule in BAD_VIEWS[role]])
+def test_a_bad_view_is_rejected_at_its_path(name, keys, edit, suffix, rule, tmp_path, capsys):
+    """A view whose divisor is below the floor, or whose imbalance ratio
+    leaves the float range, is one error line at the view's path."""
+    doc = json.loads(preset_text(name))
+    slot = doc["body"]
+    for key in keys[:-1]:
+        slot = slot[key]
+    slot[keys[-1]] = {"own_motivation": 1.0, "other_motivation_perceived": 1.0,
+                      "own_power": 1.0, "other_power_perceived": 1.0, **edit}
+    target = tmp_path / "doc.json"
+    target.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(target), "--format", "csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"bargainlab: scenario error: {_field_path(keys)}{suffix}: {rule}\n"
+
+
 # ---------------------------------------------------------------------------
 # huge and tiny values: one numeric field of a preset set to an extreme
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -92,10 +93,16 @@ class TestImbalanceRatio:
         assert imbalance_ratio(PerceptionView(m, m, k, k, role)) == 1.0
 
     def test_sub_epsilon_divisor_degenerates(self):
-        view = buyer_view(1.0, 1e-12, 1.0, 1.0)  # passes construction, fails as divisor
+        # the view takes its ratio when it is built, so it is never built
         with pytest.raises(InvalidConfig, match="other_motivation_perceived: must be >= the "
                                                "epsilon floor"):
-            imbalance_ratio(view)
+            buyer_view(1.0, 1e-12, 1.0, 1.0)
+
+    @given(view=views, own_power=magnitudes)
+    def test_a_view_carries_its_ratio(self, view, own_power):
+        assert view.ratio == imbalance_ratio(view)
+        changed = replace(view, own_power=own_power)
+        assert changed.ratio == imbalance_ratio(changed)
 
     @given(view=views, scale=st.floats(min_value=0.01, max_value=100.0))
     def test_scale_invariance(self, view, scale):

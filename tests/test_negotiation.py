@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -15,7 +16,8 @@ from bargainlab.negotiation import (RATE_MAX, Agreement, Breakdown,
                                     ConcessionRates, NegotiationConfig,
                                     concession_rates_from_imbalance,
                                     fixed_point, run, settle, step)
-from negotiation_reference import CYCLING_STALLS, cycle, dynamics, fields, first_repeat
+from negotiation_reference import (CYCLING_STALLS, cycle, dynamics, exact_fixed_point, fields,
+                                   first_repeat)
 from negotiation_reference import run as reference_run
 
 FIG3_RATES = ConcessionRates(0.05, 0.02, 0.3, 0.2)
@@ -250,18 +252,6 @@ class TestRun:
             trace = run(fig3_config(rates=rates, gap_epsilon=0.005, max_steps=5000))
             settlements.append(trace.outcome.price)
         assert settlements == sorted(settlements)
-
-
-def exact_fixed_point(cfg):
-    """The rest point by Cramer's rule on the 2x2 system, in rationals."""
-    r = cfg.rates
-    r_a, r_a_prime, r_b, r_b_prime = map(Fraction, (r.r_a, r.r_a_prime, r.r_b, r.r_b_prime))
-    buyer, seller = Fraction(cfg.buyer_reserve_adj), Fraction(cfg.seller_reserve_adj)
-    # (r_a + r_a') x_a - r_a' x_b = r_a buyer, -r_b' x_a + (r_b + r_b') x_b = r_b seller
-    det = (r_a + r_a_prime) * (r_b + r_b_prime) - r_a_prime * r_b_prime
-    x_a = (r_a * buyer * (r_b + r_b_prime) + r_a_prime * r_b * seller) / det
-    x_b = ((r_a + r_a_prime) * r_b * seller + r_b_prime * r_a * buyer) / det
-    return x_a, x_b
 
 
 #: With reserves of one sign each coordinate of the rest point is a convex
@@ -559,6 +549,30 @@ def edge_configs(draw):
                              gap_epsilon, max_steps)
 
 
+def settling_configs(seed, count):
+    """The configs among ``count`` drawn from ``random.Random(seed)`` whose
+    gap stays open, each with gap_epsilon the smallest gap of the rest its
+    offers settle on.  Rounding puts that gap a few ulps under the computed
+    rest gap about as often as over it, and only ``settle``'s slack then
+    stops its bound from calling the gap open before the offers reach it.
+    Anchors have either sign and reach 1e300, the reserves are in order, so
+    that the gap stays open, and 3 000 steps let the rates settle."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        scale = rng.choice([1.0, 100.0, 1e16, 1e300])
+        buyer_open, seller_open = sorted(scale * rng.uniform(-1.0, 1.0) for _ in range(2))
+        buyer, seller = sorted(scale * rng.uniform(-1.0, 1.0) for _ in range(2))
+        r_a, r_b = rng.uniform(0.01, 0.9), rng.uniform(0.01, 0.9)
+        rates = ConcessionRates(r_a, rng.random() * (0.95 - r_a),
+                                r_b, rng.random() * (0.95 - r_b))
+        trace = run(NegotiationConfig(buyer_open, seller_open, buyer, seller, rates,
+                                      5e-324, 3000))
+        gap_epsilon = min(gap for *_, gap in trace.rows[-max(trace.period, 1):])
+        if not trace.agreed and gap_epsilon > 0.0:
+            yield NegotiationConfig(buyer_open, seller_open, buyer, seller, rates,
+                                    gap_epsilon, 3000)
+
+
 def count_steps(monkeypatch):
     """Count the calls ``settle`` and ``run`` make to ``step``."""
     calls = [0]
@@ -582,6 +596,14 @@ class TestSettle:
     @settings(max_examples=300, deadline=None)
     def test_matches_run_at_the_edges(self, cfg):
         assert repr(settle(*fields(cfg))) == repr(run(cfg).outcome)
+
+    def test_matches_run_where_the_offers_settle(self):
+        """With no slack, 41 of these 1 630 configs end early; with a slack
+        constant c below 0.356, at least one does."""
+        configs = list(settling_configs(2025, 2000))
+        assert len(configs) == 1630
+        for cfg in configs:
+            assert repr(settle(*fields(cfg))) == repr(run(cfg).outcome), cfg
 
     @pytest.mark.parametrize("period", CYCLING_STALLS)
     def test_ends_a_pinned_stall_before_its_cycle(self, period, monkeypatch):

@@ -26,7 +26,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bargainlab.errors import InvariantError
+from bargainlab.errors import ScenarioError
 from bargainlab.report import _STEPS, RunReport, report_to_json, run_scenario
 from bargainlab.scenario import load_preset, parse_scenario, preset_names, preset_text
 from negotiation_reference import CYCLING_STALLS
@@ -170,7 +170,9 @@ def negotiation_documents(draw):
 def test_json_report_of_any_negotiation_is_the_canonical_encoding(text):
     try:
         scenario = parse_scenario(text)
-    except InvariantError:
+    except ScenarioError as exc:
+        # a drawn value may break an invariant; the document's shape is always right
+        assert not exc.rule.startswith(("expected", "unknown field", "missing", "invalid JSON"))
         assume(False)
     assert_canonical(report_to_json(run_scenario(scenario)))
 
