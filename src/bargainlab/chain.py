@@ -205,9 +205,8 @@ class SqueezeReport:
 
 
 def squeeze_report(results: list[StageResult]) -> SqueezeReport:
-    """Distribution of the anchor price across stage margins."""
-    if not results:
-        return SqueezeReport(None, (), None, False)
+    """Distribution of the anchor price across stage margins.  ``results``
+    is ``propagate``'s, one per stage of a spec, so it is never empty."""
     first = results[0]
     complete = all(r.settled for r in results)
     if not first.settled:

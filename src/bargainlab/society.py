@@ -17,7 +17,15 @@ inequality is tracked with the Gini coefficient.
 
 A round's pairs are disjoint, so the kernel applies a whole round as one
 array update, which gives the same floats as taking its pairs one at a
-time.  One kernel, ``_epochs``, runs one config under a tuple of regimes
+time.  A round's index row is laid out ``[first | second]``: its pairs'
+first sides, then their second sides in the same order, so the round
+gathers its wealth once and scatters it once.  The first sides' share is
+``s`` = the richer side's share where the first is richer, else one minus
+it, and the second sides' is ``1 - s``.  Every power ratio is at least 1,
+so the richer side's share lies in [1/2, 1], where ``1 - share`` is exact
+(Sterbenz's lemma) and ``1 - (1 - share)`` is ``share`` again: the one
+gain buffer ``[s | 1 - s]`` times the surplus is bitwise the pair-by-pair
+gains.  One kernel, ``_epochs``, runs one config under a tuple of regimes
 from a tuple of seeds as the rows of one wealth array and yields that
 array after each epoch; its callers measure what they read.
 ``run_society`` is its one-row case and takes the Ginis of a block of
@@ -214,8 +222,8 @@ def _power_ratio(ratio: np.ndarray, regime: RegimeRule) -> None:
     else:
         # float_power has no SIMD loop: it calls the C library's pow once per
         # ratio, as Python's float ** does, where np.power rounds some results
-        # differently.  It overflows to inf where ** raises; the kernel gives
-        # an infinite ratio share 1
+        # differently.  It overflows to inf where ** raises; the kernel clamps
+        # that to the float maximum, whose share is 1
         np.float_power(ratio, regime.power_exponent, out=ratio)
 
 
@@ -261,6 +269,9 @@ def run_society(cfg: SocietyConfig) -> WealthTrace:
                        injected_per_epoch=cfg.pairings_per_epoch * (n // 2) * cfg.unit_surplus)
 
 
+#: Where an authoritarian power ratio is clamped: its share of the surplus
+#: rounds to exactly 1, as an unbounded power's does.
+_MAX_RATIO = np.finfo(float).max
 #: Permutation indices held at a time across the kernel's rows; rounds are
 #: drawn in chunks of this size, so memory does not grow with the number of
 #: rounds.
@@ -316,42 +327,52 @@ def _epochs(cfg: SocietyConfig, regimes: tuple[RegimeRule, ...],
     yield wealth
 
     rows, per_regime = len(wealth), len(seeds) * n_pairs
+    half = rows * n_pairs
     surplus = cfg.unit_surplus
     flat = wealth.reshape(-1)  # a view: pairs index agents across all rows
     rounds = cfg.epochs * pairings
     chunk = min(rounds, max(1, _PERM_INDICES // (rows * n)))
     orders = np.empty((len(rngs), chunk, n), dtype=np.intp)
-    # (chunk, rows * n_pairs): each round's first and second sides as
-    # indices into flat, row after row
-    firsts = np.empty((chunk, rows * n_pairs), dtype=np.intp)
-    seconds = np.empty((chunk, rows * n_pairs), dtype=np.intp)
+    # (chunk, 2 * half): each round's first sides as indices into flat, row
+    # after row, then its second sides in the same order
+    sides = np.empty((chunk, 2 * half), dtype=np.intp)
     row_offsets = (np.arange(rows) * n).reshape(len(regimes), len(seeds), 1)
+    gain = np.empty(2 * half)  # [first sides' | second sides'] share of the surplus
+    gain_first, gain_second = gain[:half], gain[half:]
     for epoch in range(cfg.epochs):
         for t in range(epoch * pairings, (epoch + 1) * pairings):
-            k = t % chunk
-            if k == 0:
+            if t % chunk == 0:
                 block = orders[:, :min(chunk, rounds - t)]
                 block[...] = np.arange(n)
                 for rng, perms in zip(rngs, block):  # the stream of per-round rng.permutation(n)
                     rng.permuted(perms, axis=1, out=perms)
                 pairs = block.swapaxes(0, 1)[:, None]  # (rounds, 1, seeds, n)
-                shape = (len(pairs), len(regimes), len(seeds), n_pairs)
-                np.add(pairs[..., 0:2 * n_pairs:2], row_offsets,
-                       out=firsts[:len(pairs)].reshape(shape))
-                np.add(pairs[..., 1:2 * n_pairs:2], row_offsets,
-                       out=seconds[:len(pairs)].reshape(shape))
-            first, second = firsts[k], seconds[k]
-            w_first, w_second = flat[first], flat[second]
-            first_rich = w_first >= w_second
+                both = sides[:len(pairs)].reshape(len(pairs), 2, len(regimes), len(seeds), n_pairs)
+                np.add(pairs[..., 0:2 * n_pairs:2], row_offsets, out=both[:, 0])
+                np.add(pairs[..., 1:2 * n_pairs:2], row_offsets, out=both[:, 1])
+            side = sides[t % chunk]
+            w = flat[side]
+            w_first, w_second = w[:half], w[half:]
             rho = np.maximum(w_first, w_second)
             rho /= np.minimum(w_first, w_second)
             for r, regime in enumerate(regimes):  # regime r owns its rows' pairs
-                _power_ratio(rho[r * per_regime:(r + 1) * per_regime], regime)
-            share_rich = rho / (1.0 + rho)
-            share_rich[np.isinf(rho)] = 1.0
-            share_poor = 1.0 - share_rich
-            flat[first] = w_first + surplus * np.where(first_rich, share_rich, share_poor)
-            flat[second] = w_second + surplus * np.where(first_rich, share_poor, share_rich)
+                ratios = rho[r * per_regime:(r + 1) * per_regime]
+                _power_ratio(ratios, regime)
+                if isinstance(regime, Authoritarian):
+                    # a cap bounds institutional ratios; these are infinite
+                    # where ratio ** exponent overflows.  Clamped to the float
+                    # maximum they get share MAX / (1 + MAX), exactly 1; NaN
+                    # stays NaN
+                    np.minimum(ratios, _MAX_RATIO, out=ratios)
+            share = rho / (1.0 + rho)
+            # rho >= 1 puts share in [1/2, 1], so 1 - share is exact and
+            # 1 - (1 - share) is share again: the second sides' gains are
+            # bitwise the shares the first sides did not take
+            gain_first[...] = np.where(w_first >= w_second, share, 1.0 - share)
+            np.subtract(1.0, gain_first, out=gain_second)
+            gain *= surplus
+            w += gain
+            flat[side] = w
         yield wealth
 
 

@@ -56,6 +56,16 @@ def test_validation():
         ChainSpec(stages=(stage(),), anchor_price=0.0)
 
 
+@pytest.mark.parametrize("views, field, role", [
+    ((neutral(B), neutral(B)), "seller_view", "SELLER"),
+    ((neutral(S), neutral(S)), "buyer_view", "BUYER"),
+])
+def test_each_view_must_have_its_role(views, field, role):
+    with pytest.raises(InvalidConfig) as excinfo:
+        ChainStage("x", *views, 1.0, SYM)
+    assert (excinfo.value.field, excinfo.value.rule) == (field, f"must have role {role}")
+
+
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
 @pytest.mark.parametrize("name, build", [
     ("base_seller_reserve", lambda x: stage(base=x)),

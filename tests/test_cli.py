@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from bargainlab import cli
 from bargainlab.cli import main
+from bargainlab.negotiation import NegotiationScenario
 from bargainlab.report import run_scenario
 from bargainlab.scenario import (KINDS, MAX_AGENTS, MAX_EXCHANGES, MAX_STEPS, load_preset,
                                  preset_names, preset_text)
@@ -64,6 +65,18 @@ def test_unwritable_out_is_a_runtime_error(tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("bargainlab: runtime error: "), lines
     assert not target.parent.exists()
+
+
+def test_an_engine_error_with_no_field_is_a_runtime_error(monkeypatch, capsys):
+    # no input reaches this net: an engine is patched to fail past validation
+    def fail(self):
+        raise Exception("engine fault")
+
+    monkeypatch.setattr(NegotiationScenario, "run", fail)
+    assert main(["run", "--scenario", "fig3"]) == 2  # a negotiation preset
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["bargainlab: runtime error: engine fault"]
 
 
 def test_missing_file_is_a_scenario_error(capsys):

@@ -117,6 +117,11 @@ class TestConfigValidation:
             fig3_config(**overrides)
         assert excinfo.value.field == field
 
+    def test_rates_must_be_concession_rates(self):
+        with pytest.raises(InvalidConfig) as excinfo:
+            fig3_config(rates=(0.05, 0.02, 0.3, 0.2))  # FIG3_RATES as a plain tuple
+        assert (excinfo.value.field, excinfo.value.rule) == ("rates", "must be a ConcessionRates")
+
 
 class TestRateScaling:
     def test_identity(self):

@@ -51,6 +51,14 @@ class TestValidation:
         assert (excinfo.value.field, excinfo.value.rule) == ("threshold",
                                                              "must be a finite number")
 
+    @pytest.mark.parametrize("strength", [float("inf"), float("-inf"), float("nan")])
+    def test_strengths_must_be_finite(self, strength):
+        # documents cannot reach this: their reader rejects non-finite numbers first
+        with pytest.raises(InvalidConfig) as excinfo:
+            graph({"a": 0.0, "b": strength}, [("a", "b", 0.5)])
+        assert (excinfo.value.field, excinfo.value.rule) == (
+            None, "strength of 'b' vs 'adv' must be finite")
+
     def test_edge_endpoints_must_be_nodes(self):
         with pytest.raises(InvalidConfig):
             TrustGraph(strengths={"a": {}}, edges=(TrustEdge("a", "ghost", 0.5),))

@@ -152,6 +152,15 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig):
             Institutional(0.9)
 
+    @pytest.mark.parametrize("overrides, rule", [
+        (dict(initial_wealth=1.0), "initial_wealth must be a distribution spec"),
+        (dict(regime=Constant(2.0)), "regime must be Authoritarian or Institutional"),
+    ])
+    def test_specs_must_have_their_types(self, overrides, rule):
+        with pytest.raises(InvalidConfig) as excinfo:
+            config(**overrides)
+        assert (excinfo.value.field, excinfo.value.rule) == (None, rule)
+
 
 class TestRunSociety:
     def test_flat_start_stays_flat_without_power(self):
@@ -498,15 +507,21 @@ class TestPowerRatio:
         assert overflows > 0  # some ratio ** 400 raised, and float_power gave inf
 
 
+#: Surpluses for the scalar-loop oracle.  At 1 a gain is its share itself,
+#: so only the others tell surplus * (1 - s) from surplus - surplus * s.
+SURPLUSES = [1.0, 0.3, 7.25]
+
+
 class TestMatchesScalarLoop:
     """The round-at-a-time kernel against the pair-by-pair loop, bit for bit."""
 
+    @pytest.mark.parametrize("surplus", SURPLUSES)
     @pytest.mark.parametrize("regime", REGIMES, ids=repr)
     @pytest.mark.parametrize("n_agents", [2, 3, 201])
-    def test_regimes_and_populations(self, regime, n_agents):
+    def test_regimes_and_populations(self, regime, n_agents, surplus):
         # sigma 1 spreads wealth ratios past 6, where ratio ** 400 overflows
         cfg = config(n_agents=n_agents, initial_wealth=Lognormal(0.0, 1.0), regime=regime,
-                     epochs=15, pairings_per_epoch=2)
+                     epochs=15, pairings_per_epoch=2, unit_surplus=surplus)
         assert_matches_reference(cfg, run_society(cfg))
 
     @pytest.mark.parametrize("regime", REGIMES, ids=repr)
@@ -537,15 +552,16 @@ class TestMatchesScalarLoop:
         assert result.final_gini_b == tuple(
             run_society(replace(b, seed=s)).final_gini for s in result.seeds)
 
+    @pytest.mark.parametrize("surplus", SURPLUSES)
     @pytest.mark.parametrize("regimes", [
         [Authoritarian(400.0), Institutional(1.0)],
         [Authoritarian(2.0), Authoritarian(2.0)],  # one run of rows
         [Institutional(1.2), Authoritarian(0.7), Institutional(1.2)],
     ], ids=repr)
-    def test_mixed_regime_rows_equal_their_lone_runs(self, regimes):
+    def test_mixed_regime_rows_equal_their_lone_runs(self, regimes, surplus):
         # sigma 1 spreads wealth ratios past 6, where ratio ** 400 overflows
         base = config(n_agents=201, initial_wealth=Lognormal(0.0, 1.0), epochs=50,
-                      pairings_per_epoch=2)
+                      pairings_per_epoch=2, unit_surplus=surplus)
         seeds = (11, 12)
         rounds = base.epochs * base.pairings_per_epoch
         assert rounds > society._PERM_INDICES // (len(regimes) * len(seeds) * base.n_agents)
@@ -563,3 +579,4 @@ class TestMatchesScalarLoop:
         cfgs = [replace(base, regime=r, seed=s) for r in regimes for s in seeds]
         for cfg, row in zip(cfgs, wealth):
             assert np.array_equal(row, run_society(cfg).final_wealth)
+            assert np.array_equal(row, reference_run(cfg)[0])
