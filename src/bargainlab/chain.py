@@ -28,7 +28,8 @@ import math
 from dataclasses import dataclass, field
 
 from . import negotiation
-from .core import PerceptionView, Role, adjust_reserve_full, require_finite
+from .core import (PerceptionView, Role, adjust_reserve_full, require_nonnegative,
+                   require_positive)
 from .errors import InvalidConfig
 from .negotiation import Agreement, ConcessionRates, check_stopping_rule
 
@@ -60,18 +61,16 @@ class ChainStage:
             raise InvalidConfig("must have role BUYER", field="buyer_view")
         if self.seller_view.role is not Role.SELLER:
             raise InvalidConfig("must have role SELLER", field="seller_view")
-        if require_finite("base_seller_reserve", self.base_seller_reserve) < 0.0:
-            raise InvalidConfig("must be >= 0", field="base_seller_reserve")
+        require_nonnegative("base_seller_reserve", self.base_seller_reserve)
         # the buyer's adjusted reserve is capped by its incoming price; the seller's is not
         object.__setattr__(self, "seller_reserve_adj",
                            adjust_reserve_full(self.base_seller_reserve, self.seller_view))
         if not math.isfinite(self.seller_reserve_adj):
             raise InvalidConfig("must stay finite when adjusted by the seller's view",
                                 field="base_seller_reserve")
-        if require_finite("margin_floor", self.margin_floor) < 0.0:
-            raise InvalidConfig("must be >= 0", field="margin_floor")
+        require_nonnegative("margin_floor", self.margin_floor)
         object.__setattr__(self, "scaled_rates", negotiation.concession_rates_from_imbalance(
-            self.rates, self.buyer_view.ratio, self.seller_view.ratio))
+            self.rates, self.buyer_view, self.seller_view))
 
 
 @dataclass(frozen=True)
@@ -82,8 +81,7 @@ class ChainSpec:
     def __post_init__(self):
         if len(self.stages) < 1:
             raise InvalidConfig("must have at least one stage", field="stages")
-        if require_finite("anchor_price", self.anchor_price) <= 0.0:
-            raise InvalidConfig("must be > 0", field="anchor_price")
+        require_positive("anchor_price", self.anchor_price)
         object.__setattr__(self, "stages", tuple(self.stages))
 
 
@@ -130,8 +128,7 @@ class StageResult:
 def _settle_stage(stage: ChainStage, incoming: float,
                   gap_epsilon: float, max_steps: int) -> tuple[float | None, float]:
     """Negotiate one link given the price its buyer collects downstream."""
-    # adjust_reserve_full(incoming, stage.buyer_view), without its check of the incoming price
-    buyer = min(max(0.0, incoming * stage.buyer_view.ratio),
+    buyer = min(adjust_reserve_full(incoming, stage.buyer_view),
                 max(0.0, incoming - stage.margin_floor))
     seller = stage.seller_reserve_adj
     # Each side opens at the other's adjusted reserve (its best plausible
@@ -155,15 +152,18 @@ def propagate(spec: ChainSpec, gap_epsilon: float | None,
     building one, so this is where every invariant of that config is met.
     The stopping rule is checked here, once, by ``check_stopping_rule``.
     The rest holds for every link by construction, given that the incoming
-    price p is finite: the anchor is, and a settlement is the midpoint of
-    two finite offers.
+    price p is finite and >= 0: the anchor is > 0, and a settlement is the
+    midpoint of two offers in the hull of the link's four anchors, which
+    lie in [0, the float maximum] as shown below.
     - The stage was checked when it was built: its seller reserve is
       finite and >= 0, and its margin floor f is finite and >= 0.  Its
       buyer view's ratio rho was checked, finite and > 0, when the view
       was built.
-    - The buyer reserve min(max(0, p rho), max(0, p - f)) is finite and
-      >= 0, because its second term is: f >= 0 gives p - f <= p, and
-      max(0, .) puts p - f, even at -inf, into [0, max(0, p)].
+    - The buyer reserve min(adjust_reserve_full(p, view), max(0, p - f)),
+      that is min(max(0, p rho), max(0, p - f)), is finite and >= 0,
+      because its second term is: f >= 0 gives p - f <= p, and max(0, .)
+      puts p - f, even at -inf, into [0, p].  p itself meets
+      ``adjust_reserve_full``'s precondition, so it is not checked again.
     - The opens are the reserves' min and max, so they are finite and in
       order.
     - All four anchors lie in [0, the float maximum], so their spread is

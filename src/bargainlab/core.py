@@ -42,6 +42,31 @@ def require_finite(name: str, value: float) -> float:
     return float(value)
 
 
+def require_positive(name: str, value: float) -> float:
+    """``value`` as a float, or InvalidConfig naming ``name`` unless it is finite and > 0."""
+    value = require_finite(name, value)
+    if value <= 0.0:
+        raise InvalidConfig("must be > 0", field=name)
+    return value
+
+
+def require_nonnegative(name: str, value: float) -> float:
+    """``value`` as a float, or InvalidConfig naming ``name`` unless it is finite and >= 0."""
+    value = require_finite(name, value)
+    if value < 0.0:
+        raise InvalidConfig("must be >= 0", field=name)
+    return value
+
+
+def require_count(name: str, value: int, least: int) -> int:
+    """``value``, or InvalidConfig naming ``name`` unless it is an integer >= ``least``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidConfig("must be an integer", field=name)
+    if value < least:
+        raise InvalidConfig(f"must be >= {least}", field=name)
+    return value
+
+
 def _require_divisor(name: str, value: float) -> float:
     if value < DEFAULT_EPSILON:
         raise InvalidConfig(f"must be >= the epsilon floor {DEFAULT_EPSILON!r}, got {value!r}",
@@ -73,10 +98,7 @@ class PerceptionView:
     def __post_init__(self):
         for name in ("own_motivation", "other_motivation_perceived",
                      "own_power", "other_power_perceived"):
-            value = require_finite(name, getattr(self, name))
-            if value <= 0.0:
-                raise InvalidConfig("must be > 0", field=name)
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, require_positive(name, getattr(self, name)))
         if not isinstance(self.role, Role):
             raise InvalidConfig("must be a Role", field="role")
         object.__setattr__(self, "ratio", imbalance_ratio(self))
@@ -131,14 +153,6 @@ def imbalance_ratio(view: PerceptionView) -> float:
         view.own_power / view.other_power_perceived))
 
 
-def require_reserve(base: float) -> float:
-    """A reserve price: finite and non-negative."""
-    value = require_finite("reserve", base)
-    if value < 0.0:
-        raise InvalidConfig("must be >= 0", field="reserve")
-    return value
-
-
 def adjust_reserve_full(base: float, view: PerceptionView) -> float:
     """Reserve price adjusted by the full motivation-and-power imbalance.
 
@@ -146,8 +160,12 @@ def adjust_reserve_full(base: float, view: PerceptionView) -> float:
     perceived advantages this can drive a buyer's maximum offer to a small
     fraction of the going rate, which is exactly the squeeze the model is
     built to expose.
+
+    ``base`` must be finite and >= 0, and is not checked again here: each
+    caller's was checked where it lives (``SideSpec.reserve``,
+    ``ChainStage.base_seller_reserve``) or is a chain link's incoming
+    price, which ``chain.propagate`` shows to be finite and >= 0.
     """
-    base = require_reserve(base)
     return max(0.0, base * view.ratio)
 
 

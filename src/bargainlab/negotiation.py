@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .core import (PerceptionView, adjust_reserve_full, require_finite, require_ratio,
-                   require_reserve)
+from .core import (PerceptionView, adjust_reserve_full, require_count, require_finite,
+                   require_nonnegative, require_positive)
 from .errors import InvalidConfig
 
 #: Clamp bounds used when imbalance scaling pushes a rate out of range.
@@ -91,12 +91,9 @@ class NegotiationConfig:
 def check_stopping_rule(gap_epsilon: float | None, max_steps: int) -> None:
     """A run stops when the gap is at most a finite gap_epsilon > 0 (None:
     the caller's default) or after max_steps >= 1 updates."""
-    if gap_epsilon is not None and not require_finite("gap_epsilon", gap_epsilon) > 0.0:
-        raise InvalidConfig("must be > 0", field="gap_epsilon")
-    if not isinstance(max_steps, int) or isinstance(max_steps, bool):
-        raise InvalidConfig("must be an integer", field="max_steps")
-    if max_steps < 1:
-        raise InvalidConfig("must be >= 1", field="max_steps")
+    if gap_epsilon is not None:
+        require_positive("gap_epsilon", gap_epsilon)
+    require_count("max_steps", max_steps, 1)
 
 
 @dataclass(frozen=True)
@@ -113,7 +110,7 @@ class SideSpec:
     view: PerceptionView | None = None
 
     def __post_init__(self):
-        require_reserve(self.reserve)
+        require_nonnegative("reserve", self.reserve)
 
     def reserve_adj(self) -> float:
         return adjust_reserve_full(self.reserve, self.view) if self.view else self.reserve
@@ -142,9 +139,7 @@ class NegotiationScenario:
     def __post_init__(self):
         rates = self.rates
         if self.scale_rates_by_imbalance:
-            rho_buyer = self.buyer.view.ratio if self.buyer.view else 1.0
-            rho_seller = self.seller.view.ratio if self.seller.view else 1.0
-            rates = concession_rates_from_imbalance(rates, rho_buyer, rho_seller)
+            rates = concession_rates_from_imbalance(rates, self.buyer.view, self.seller.view)
         try:
             config = NegotiationConfig(
                 buyer_open=self.buyer.open,
@@ -216,19 +211,21 @@ class NegotiationTrace:
         return items + cycle * laps + cycle[:rest]
 
 
-def concession_rates_from_imbalance(base: ConcessionRates, rho_buyer: float,
-                                    rho_seller: float) -> ConcessionRates:
+def concession_rates_from_imbalance(base: ConcessionRates, buyer_view: PerceptionView | None,
+                                    seller_view: PerceptionView | None) -> ConcessionRates:
     """Scale base rates by each side's perceived imbalance.
 
-    A disadvantaged buyer (rho_buyer > 1) concedes faster, so its rates are
-    multiplied by rho_buyer; an advantaged seller (rho_seller > 1) concedes
-    slower, so its rates are divided by rho_seller.  Results are clamped
-    into range and, if a side's pair would sum to 1 or more, shrunk
-    proportionally so the interpolation invariant survives.  A ratio of
-    exactly 1 leaves that side's rates untouched.
+    Each side's ratio is its view's ``ratio``, checked when the view was
+    built, or 1 without a view.  A disadvantaged buyer (rho_buyer > 1)
+    concedes faster, so its rates are multiplied by rho_buyer; an
+    advantaged seller (rho_seller > 1) concedes slower, so its rates are
+    divided by rho_seller.  Results are clamped into range and, if a side's
+    pair would sum to 1 or more, shrunk proportionally so the
+    interpolation invariant survives.  A ratio of exactly 1 leaves that
+    side's rates untouched.
     """
-    require_ratio(rho_buyer, "rho_buyer")
-    require_ratio(rho_seller, "rho_seller")
+    rho_buyer = 1.0 if buyer_view is None else buyer_view.ratio
+    rho_seller = 1.0 if seller_view is None else seller_view.ratio
 
     def scale_pair(r: float, r_prime: float, factor: float) -> tuple[float, float]:
         if factor == 1.0:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .core import equity_index, motivation, power, require_finite
+from .core import equity_index, motivation, power, require_finite, require_nonnegative
 from .errors import InvalidConfig
 
 
@@ -43,8 +43,7 @@ class ExchangeProposal:
         for name in ("give_cost_a", "gain_for_b", "give_cost_b", "gain_for_a"):
             object.__setattr__(self, name, require_finite(name, getattr(self, name)))
         for name in ("give_cost_a", "give_cost_b"):  # magnitudes of welfare given up
-            if getattr(self, name) < 0.0:
-                raise InvalidConfig("must be >= 0", field=name)
+            require_nonnegative(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -61,9 +60,7 @@ class ExternalInfluence:
 
     def __post_init__(self):
         object.__setattr__(self, "threat_on_refusal",
-                           require_finite("threat_on_refusal", self.threat_on_refusal))
-        if self.threat_on_refusal < 0.0:
-            raise InvalidConfig("must be >= 0", field="threat_on_refusal")
+                           require_nonnegative("threat_on_refusal", self.threat_on_refusal))
         object.__setattr__(self, "shield", _require_probability("shield", self.shield))
 
 

@@ -33,7 +33,6 @@ import math
 import types
 import typing
 from collections import abc
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import import_module
 from pathlib import Path
@@ -69,15 +68,6 @@ class Scenario:
 
 def _join(path: str, name: str | None) -> str:
     return f"{path}.{name}" if path and name else path or name or ""
-
-
-@contextmanager
-def _at(path: str):
-    """Report an engine invariant raised in the block at the field's path."""
-    try:
-        yield
-    except InvalidConfig as exc:
-        raise ScenarioError(exc.rule, _join(path, exc.field)) from None
 
 
 def _obj(value: Any, path: str, allowed: set[str] | None = None,
@@ -165,8 +155,10 @@ def _read_fields(cls: type, value: Any, path: str, **given: Any) -> Any:
     fields = {name: spec for name, spec in _fields(cls).items() if name not in given}
     obj = _obj(value, path, set(fields), tuple(name for name, (_, req) in fields.items() if req))
     kwargs = {name: _read(fields[name][0], v, _join(path, name)) for name, v in obj.items()}
-    with _at(path):
+    try:
         return cls(**kwargs, **given)
+    except InvalidConfig as exc:  # an engine invariant, reported at its field's path
+        raise ScenarioError(exc.rule, _join(path, exc.field)) from None
 
 
 def _read_view(cls: type, value: Any, path: str) -> Any:

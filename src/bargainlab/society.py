@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import require_finite
+from .core import require_count, require_finite, require_nonnegative, require_positive
 from .errors import InvalidConfig
 
 
@@ -52,8 +52,7 @@ class Constant:
     value: float
 
     def __post_init__(self):
-        if require_finite("value", self.value) <= 0.0:
-            raise InvalidConfig("must be > 0", field="value")
+        require_positive("value", self.value)
 
 
 @dataclass(frozen=True)
@@ -62,8 +61,7 @@ class Uniform:
     hi: float
 
     def __post_init__(self):
-        if require_finite("lo", self.lo) <= 0.0:
-            raise InvalidConfig("must be > 0", field="lo")
+        require_positive("lo", self.lo)
         if require_finite("hi", self.hi) <= self.lo:
             raise InvalidConfig("must be > lo", field="hi")
 
@@ -75,8 +73,7 @@ class Lognormal:
 
     def __post_init__(self):
         require_finite("mu", self.mu)
-        if require_finite("sigma", self.sigma) < 0.0:
-            raise InvalidConfig("must be >= 0", field="sigma")
+        require_nonnegative("sigma", self.sigma)
 
 
 WealthDistribution = Constant | Uniform | Lognormal
@@ -87,8 +84,7 @@ class Authoritarian:
     power_exponent: float  # 0 disables the wealth-to-power coupling
 
     def __post_init__(self):
-        if require_finite("power_exponent", self.power_exponent) < 0.0:
-            raise InvalidConfig("must be >= 0", field="power_exponent")
+        require_nonnegative("power_exponent", self.power_exponent)
 
 
 @dataclass(frozen=True)
@@ -115,16 +111,11 @@ class SocietyConfig:
 
     def __post_init__(self):
         for name, least in (("n_agents", 2), ("epochs", 1), ("pairings_per_epoch", 1)):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise InvalidConfig("must be an integer", field=name)
-            if value < least:
-                raise InvalidConfig(f"must be >= {least}", field=name)
+            require_count(name, getattr(self, name), least)
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not (
                 0 <= self.seed < 2 ** 64):
             raise InvalidConfig("must be a 64-bit unsigned integer", field="seed")
-        if require_finite("unit_surplus", self.unit_surplus) <= 0.0:
-            raise InvalidConfig("must be > 0", field="unit_surplus")
+        require_positive("unit_surplus", self.unit_surplus)
         if not isinstance(self.initial_wealth, (Constant, Uniform, Lognormal)):
             raise InvalidConfig("initial_wealth must be a distribution spec")
         if not isinstance(self.regime, (Authoritarian, Institutional)):

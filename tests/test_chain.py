@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bargainlab import chain, negotiation
 from bargainlab.chain import ChainScenario, ChainSpec, ChainStage, propagate, squeeze_report
-from bargainlab.core import PerceptionView, Role, adjust_reserve_full, imbalance_ratio
+from bargainlab.core import PerceptionView, Role, adjust_reserve_full
 from bargainlab.errors import InvalidConfig
 from bargainlab.negotiation import Breakdown, ConcessionRates, NegotiationConfig
 from bargainlab.scenario import load_preset
@@ -84,8 +84,8 @@ def test_single_stage_reduces_to_one_negotiation():
 
     buyer_reserve = min(adjust_reserve_full(100.0, link.buyer_view), 100.0 - 10.0)
     seller_reserve = adjust_reserve_full(40.0, link.seller_view)
-    rates = negotiation.concession_rates_from_imbalance(
-        link.rates, imbalance_ratio(link.buyer_view), imbalance_ratio(link.seller_view))
+    rates = negotiation.concession_rates_from_imbalance(link.rates, link.buyer_view,
+                                                        link.seller_view)
     cfg = NegotiationConfig(buyer_open=min(buyer_reserve, seller_reserve),
                             seller_open=max(buyer_reserve, seller_reserve),
                             buyer_reserve_adj=buyer_reserve,

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bargainlab.chain import ChainStage
 from bargainlab.core import (DEFAULT_EPSILON, PerceptionView, Role,
                              adjust_reserve_full, equity_index, imbalance_ratio,
-                             motivation, power)
+                             motivation, power, require_count, require_nonnegative,
+                             require_positive)
 from bargainlab.errors import InvalidConfig
+from bargainlab.negotiation import ConcessionRates, SideSpec
 
 magnitudes = st.floats(min_value=0.01, max_value=100.0,
                        allow_nan=False, allow_infinity=False)
@@ -32,6 +35,39 @@ views = st.builds(
     other_power_perceived=magnitudes,
     role=st.sampled_from([Role.BUYER, Role.SELLER]),
 )
+
+
+class TestDomainRules:
+    @pytest.mark.parametrize("require, bad, rule", [
+        (require_positive, 0.0, "must be > 0"),
+        (require_positive, -1e-300, "must be > 0"),
+        (require_nonnegative, -5e-324, "must be >= 0"),
+    ])
+    def test_out_of_domain_numbers_name_their_field(self, require, bad, rule):
+        with pytest.raises(InvalidConfig) as excinfo:
+            require("x", bad)
+        assert (excinfo.value.field, excinfo.value.rule) == ("x", rule)
+
+    @pytest.mark.parametrize("require", [require_positive, require_nonnegative])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, "1", True])
+    def test_non_finite_comes_first(self, require, bad):
+        with pytest.raises(InvalidConfig) as excinfo:
+            require("x", bad)
+        assert (excinfo.value.field, excinfo.value.rule) == ("x", "must be a finite number")
+
+    @pytest.mark.parametrize("require, value", [(require_positive, 3), (require_nonnegative, 0)])
+    def test_numbers_in_domain_come_back_as_floats(self, require, value):
+        result = require("x", value)
+        assert type(result) is float and result == value
+
+    @pytest.mark.parametrize("bad, rule", [(1.0, "must be an integer"),
+                                           (True, "must be an integer"),
+                                           (1, "must be >= 2")])
+    def test_counts(self, bad, rule):
+        assert require_count("n", 2, 2) == 2
+        with pytest.raises(InvalidConfig) as excinfo:
+            require_count("n", bad, 2)
+        assert (excinfo.value.field, excinfo.value.rule) == ("n", rule)
 
 
 class TestMotivationAndPower:
@@ -133,9 +169,17 @@ class TestReserveAdjustment:
         view = seller_view(1.0, 2.0, 2.0, 1.0)
         assert adjust_reserve_full(2.0, view) == pytest.approx(8.0)
 
-    def test_rejects_negative_base(self):
-        with pytest.raises(InvalidConfig, match="reserve: must be >= 0"):
-            adjust_reserve_full(-1.0, buyer_view(1, 1, 1, 1))
+    @pytest.mark.parametrize("build, name", [
+        (lambda base: SideSpec(open=0.0, reserve=base, view=buyer_view(1, 1, 1, 1)), "reserve"),
+        (lambda base: ChainStage("link", seller_view(1, 1, 1, 1), buyer_view(1, 1, 1, 1), base,
+                                 ConcessionRates(0.1, 0.05, 0.1, 0.05)), "base_seller_reserve"),
+    ])
+    def test_rejects_negative_base(self, build, name):
+        """adjust_reserve_full does not check its base: the side and the
+        stage that hold a reserve do."""
+        with pytest.raises(InvalidConfig) as excinfo:
+            build(-1.0)
+        assert (excinfo.value.field, excinfo.value.rule) == (name, "must be >= 0")
 
     @given(base=prices, m=magnitudes, k=magnitudes,
            role=st.sampled_from([Role.BUYER, Role.SELLER]))

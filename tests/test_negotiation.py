@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bargainlab import negotiation
+from bargainlab.core import PerceptionView, Role
 from bargainlab.errors import InvalidConfig
 from bargainlab.negotiation import (RATE_MAX, Agreement, Breakdown,
                                     ConcessionRates, NegotiationConfig,
@@ -123,27 +124,46 @@ class TestConfigValidation:
         assert (excinfo.value.field, excinfo.value.rule) == ("rates", "must be a ConcessionRates")
 
 
+def buyer_with_ratio(rho):
+    """A buyer view whose imbalance ratio is exactly ``rho``."""
+    return PerceptionView(rho, 1.0, 1.0, 1.0, Role.BUYER)
+
+
+def seller_with_ratio(rho):
+    """A seller view whose imbalance ratio is exactly ``rho``."""
+    return PerceptionView(1.0, rho, 1.0, 1.0, Role.SELLER)
+
+
 class TestRateScaling:
+    """The ratios come from views, which check them when they are built
+    (``test_a_degenerate_ratio_is_rejected_when_its_view_is_built`` and
+    test_cli.py's RATIO_RULE cases), so no bad ratio reaches the scaling."""
+
     def test_identity(self):
         base = ConcessionRates(0.1, 0.05, 0.2, 0.1)
-        assert concession_rates_from_imbalance(base, 1.0, 1.0) == base
+        assert concession_rates_from_imbalance(base, None, None) == base
+        assert concession_rates_from_imbalance(
+            base, buyer_with_ratio(1.0), seller_with_ratio(1.0)) == base
+
+    def test_views_carry_the_ratio(self):
+        assert buyer_with_ratio(2.5).ratio == seller_with_ratio(2.5).ratio == 2.5
 
     def test_buyer_linear_scaling(self):
         base = ConcessionRates(0.1, 0.05, 0.2, 0.1)
-        scaled = concession_rates_from_imbalance(base, 2.0, 1.0)
+        scaled = concession_rates_from_imbalance(base, buyer_with_ratio(2.0), None)
         assert scaled.r_a == pytest.approx(0.2)
         assert scaled.r_a_prime == pytest.approx(0.10)
         assert (scaled.r_b, scaled.r_b_prime) == (0.2, 0.1)
 
     def test_seller_reciprocal_scaling(self):
         base = ConcessionRates(0.1, 0.05, 0.2, 0.1)
-        scaled = concession_rates_from_imbalance(base, 1.0, 2.0)
+        scaled = concession_rates_from_imbalance(base, None, seller_with_ratio(2.0))
         assert scaled.r_b == pytest.approx(0.1)
         assert scaled.r_b_prime == pytest.approx(0.05)
 
     def test_clamp_and_proportional_shrink(self):
         base = ConcessionRates(0.5, 0.4, 0.1, 0.05)
-        scaled = concession_rates_from_imbalance(base, 3.0, 1.0)
+        scaled = concession_rates_from_imbalance(base, buyer_with_ratio(3.0), None)
         # still a valid interpolation after the shrink
         assert 0.0 < scaled.r_a < 1.0
         assert scaled.r_a + scaled.r_a_prime <= RATE_MAX
@@ -151,18 +171,26 @@ class TestRateScaling:
         # the shrink then preserves the clamped 1:1 proportion
         assert scaled.r_a == pytest.approx(scaled.r_a_prime)
 
-    @pytest.mark.parametrize("rho_buyer,rho_seller", [(0.0, 1.0), (-1.0, 1.0),
-                                                      (1.0, 0.0), (1.0, float("nan"))])
-    def test_degenerate_rho(self, rho_buyer, rho_seller):
-        with pytest.raises(InvalidConfig, match="imbalance ratio and its reciprocal must be "
-                                               "finite and > 0"):
-            concession_rates_from_imbalance(FIG3_RATES, rho_buyer, rho_seller)
+    @pytest.mark.parametrize("magnitudes, field, rule", [
+        ((0.0, 1.0), "own_motivation", "must be > 0"),
+        ((-1.0, 1.0), "own_motivation", "must be > 0"),
+        ((math.nan, 1.0), "own_motivation", "must be a finite number"),
+        ((1e200, 1e200), None, "imbalance ratio and its reciprocal must be finite and > 0"),
+        ((1e-160, 1e-160), None, "imbalance ratio and its reciprocal must be finite and > 0"),
+    ])
+    def test_a_degenerate_ratio_is_rejected_when_its_view_is_built(self, magnitudes, field,
+                                                                  rule):
+        own_motivation, other_power = magnitudes
+        with pytest.raises(InvalidConfig) as excinfo:
+            PerceptionView(own_motivation, 1.0, 1.0, other_power, Role.BUYER)
+        assert (excinfo.value.field, excinfo.value.rule) == (field, rule)
 
     @given(rates=rates_strategy(),
            rho_b=st.floats(min_value=1e-3, max_value=1e3),
            rho_s=st.floats(min_value=1e-3, max_value=1e3))
     def test_always_valid(self, rates, rho_b, rho_s):
-        scaled = concession_rates_from_imbalance(rates, rho_b, rho_s)
+        scaled = concession_rates_from_imbalance(rates, buyer_with_ratio(rho_b),
+                                                 seller_with_ratio(rho_s))
         assert isinstance(scaled, ConcessionRates)  # construction re-checks invariants
 
 

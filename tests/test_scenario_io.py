@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bargainlab.core import PerceptionView, Role
 from bargainlab.chain import ChainScenario, ChainStage
-from bargainlab.errors import ScenarioError
+from bargainlab.errors import InvalidConfig, ScenarioError
 from bargainlab.negotiation import (Agreement, Breakdown, ConcessionRates,
                                     NegotiationScenario, NegotiationTrace,
                                     SideSpec, run)
@@ -38,12 +38,22 @@ def field_path(keys):
 
 def with_literal(preset, keys, literal):
     """Preset document text with one body field set to the JSON text ``literal``."""
+    return with_literals(preset, {keys: literal})
+
+
+def with_literals(preset, edits):
+    """Preset document text with each body field ``keys`` of ``edits`` set to
+    its JSON text."""
     doc = json.loads(preset_text(preset))
-    target = doc["body"]
-    for key in keys[:-1]:
-        target = target[key]
-    target[keys[-1]] = "__literal__"
-    return json.dumps(doc).replace('"__literal__"', literal)
+    for i, keys in enumerate(edits):
+        target = doc["body"]
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = f"__literal{i}__"
+    text = json.dumps(doc)
+    for i, literal in enumerate(edits.values()):
+        text = text.replace(f'"__literal{i}__"', literal)
+    return text
 
 
 def assert_document_holds_fields(value, doc, path):
@@ -216,11 +226,71 @@ class TestParsing:
          "regime.cap", "must be >= 1"),
         ("society-authoritarian", ("seed",), str(2 ** 64), "seed",
          "must be a 64-bit unsigned integer"),
+        ("tomato-south", ("anchor_price",), "0", "anchor_price", "must be > 0"),
+        ("kilns", ("stages", 1, "base_seller_reserve"), "-1", "stages[1].base_seller_reserve",
+         "must be >= 0"),
+        ("fig3", ("max_steps",), "0", "max_steps", "must be >= 1"),
+        ("casting-selection", ("proposal", "give_cost_a"), "-1", "proposal.give_cost_a",
+         "must be >= 0"),
+        ("protection-money", ("influence_b", "threat_on_refusal"), "-1",
+         "influence_b.threat_on_refusal", "must be >= 0"),
+        ("society-authoritarian", ("initial_wealth",),
+         '{"kind": "lognormal", "mu": 0, "sigma": -1}', "initial_wealth.sigma", "must be >= 0"),
+        ("society-authoritarian", ("initial_wealth",), '{"kind": "constant", "value": 0}',
+         "initial_wealth.value", "must be > 0"),
+        ("society-institutional", ("initial_wealth", "lo"), "0", "initial_wealth.lo",
+         "must be > 0"),
+        ("society-authoritarian", ("regime", "power_exponent"), "-1", "regime.power_exponent",
+         "must be >= 0"),
+        ("society-authoritarian", ("unit_surplus",), "0", "unit_surplus", "must be > 0"),
+        ("society-authoritarian", ("n_agents",), "1", "n_agents", "must be >= 2"),
     ])
     def test_engine_invariants_are_reported_at_their_path(self, preset, keys, literal, path, rule):
         with pytest.raises(ScenarioError) as excinfo:
             parse_scenario(with_literal(preset, keys, literal))
         assert (excinfo.value.field, excinfo.value.rule) == (path, rule)
+
+    @pytest.mark.parametrize("preset,edits,path,rule", [
+        ("society-authoritarian", {("n_agents",): "1", ("unit_surplus",): "0"}, "n_agents",
+         "must be >= 2"),
+        ("society-authoritarian", {("epochs",): "0", ("pairings_per_epoch",): "0"}, "epochs",
+         "must be >= 1"),
+        ("society-authoritarian", {("unit_surplus",): "0", ("seed",): str(2 ** 64)}, "seed",
+         "must be a 64-bit unsigned integer"),
+        ("society-institutional", {("initial_wealth", "lo"): "0", ("initial_wealth", "hi"): "-1"},
+         "initial_wealth.lo", "must be > 0"),
+        ("kilns", {("stages", 0, "base_seller_reserve"): "-1", ("stages", 0, "margin_floor"): "-1"},
+         "stages[0].base_seller_reserve", "must be >= 0"),
+        ("kilns", {("stages", 0, "buyer_view", "own_power"): "0",
+                   ("stages", 0, "buyer_view", "own_motivation"): "0"},
+         "stages[0].buyer_view.own_motivation", "must be > 0"),
+        ("kilns", {("anchor_price",): "0", ("gap_epsilon",): "0"}, "anchor_price", "must be > 0"),
+        ("kilns", {("anchor_price",): "0", ("stages",): "[]"}, "stages",
+         "must have at least one stage"),
+        ("fig3", {("gap_epsilon",): "0", ("max_steps",): "0"}, "gap_epsilon", "must be > 0"),
+        ("casting-selection", {("proposal", "give_cost_b"): "-1",
+                               ("proposal", "give_cost_a"): "-1"},
+         "proposal.give_cost_a", "must be >= 0"),
+        ("protection-money", {("influence_b", "shield"): "2",
+                              ("influence_b", "threat_on_refusal"): "-1"},
+         "influence_b.threat_on_refusal", "must be >= 0"),
+    ])
+    def test_an_object_with_two_bad_fields_reports_its_first_check(self, preset, edits, path,
+                                                                    rule):
+        """Each body checks its fields in a fixed order: the first one that
+        fails is the one reported, whatever the document's key order."""
+        with pytest.raises(ScenarioError) as excinfo:
+            parse_scenario(with_literals(preset, edits))
+        assert (excinfo.value.field, excinfo.value.rule) == (path, rule)
+
+    def test_costs_are_checked_after_every_number_is_finite(self):
+        """A document cannot hold a NaN, so this order shows only through the
+        Python API."""
+        with pytest.raises(InvalidConfig) as excinfo:
+            ExchangeProposal(give_cost_a=-1.0, gain_for_b=float("nan"), give_cost_b=1.0,
+                             gain_for_a=1.0)
+        assert (excinfo.value.field, excinfo.value.rule) == ("gain_for_b",
+                                                            "must be a finite number")
 
     @pytest.mark.parametrize("text", [
         "[" * 100_000 + "]" * 100_000,
