@@ -9,17 +9,13 @@ import argparse
 from dataclasses import replace
 
 from bargainlab.chain import propagate, squeeze_report
-from bargainlab.core import PerceptionView, Role
 from bargainlab.errors import BargainError
 from bargainlab.scenario import load_preset
 
 
 def boost_stage0_power(spec, factor):
     stage = spec.stages[0]
-    view = stage.buyer_view
-    boosted = PerceptionView(view.own_motivation, view.other_motivation_perceived,
-                             view.own_power * factor, view.other_power_perceived,
-                             Role.BUYER)
+    boosted = replace(stage.buyer_view, own_power=stage.buyer_view.own_power * factor)
     return replace(spec, stages=(replace(stage, buyer_view=boosted),) + spec.stages[1:])
 
 
@@ -48,7 +44,8 @@ def main() -> None:
         cells = [f"{r.settlement:>18.6f}" if r.settled else f"{'(breakdown)':>18}"
                  for r in results]
         print(f"{factor:>8.2f}  " + "  ".join(cells))
-    base = squeeze_report(propagate(body.spec, body.gap_epsilon, body.max_steps))
+    base = squeeze_report(propagate(body.spec, body.gap_epsilon, body.max_steps),
+                          body.anchor_price)
     if base.complete:
         print()
         print("margin shares at power x 1.00:")

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from . import negotiation
 from .core import (PerceptionView, Role, adjust_reserve_full, require_nonnegative,
-                   require_positive)
+                   require_positive, require_role)
 from .errors import InvalidConfig
 from .negotiation import Agreement, ConcessionRates, check_stopping_rule
 
@@ -57,10 +57,8 @@ class ChainStage:
     scaled_rates: ConcessionRates = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.buyer_view.role is not Role.BUYER:
-            raise InvalidConfig("must have role BUYER", field="buyer_view")
-        if self.seller_view.role is not Role.SELLER:
-            raise InvalidConfig("must have role SELLER", field="seller_view")
+        require_role("buyer_view", self.buyer_view, Role.BUYER)
+        require_role("seller_view", self.seller_view, Role.SELLER)
         require_nonnegative("base_seller_reserve", self.base_seller_reserve)
         # the buyer's adjusted reserve is capped by its incoming price; the seller's is not
         object.__setattr__(self, "seller_reserve_adj",
@@ -103,7 +101,7 @@ class ChainScenario:
     def run(self) -> tuple[list[StageResult], SqueezeReport]:
         """Every link's result, and how the anchor price was shared out."""
         results = propagate(self.spec, self.gap_epsilon, self.max_steps)
-        return results, squeeze_report(results)
+        return results, squeeze_report(results, self.anchor_price)
 
 
 @dataclass(frozen=True)
@@ -204,16 +202,13 @@ class SqueezeReport:
     complete: bool
 
 
-def squeeze_report(results: list[StageResult]) -> SqueezeReport:
-    """Distribution of the anchor price across stage margins.  ``results``
-    is ``propagate``'s, one per stage of a spec, so it is never empty."""
-    first = results[0]
+def squeeze_report(results: list[StageResult], anchor_price: float) -> SqueezeReport:
+    """Distribution of ``anchor_price`` across stage margins.  ``results``
+    is ``propagate``'s for a spec with that anchor, one per stage, so it is
+    never empty."""
     complete = all(r.settled for r in results)
-    if not first.settled:
+    if not results[0].settled:
         return SqueezeReport(None, tuple((r.name, 0.0) for r in results), None, False)
-    anchor = first.margin + first.settlement  # incoming price of stage 0
-    shares = []
-    for r in results:
-        shares.append((r.name, (r.margin / anchor) if r.settled else 0.0))
-    final_share = results[-1].settlement / anchor if complete else None
-    return SqueezeReport(anchor, tuple(shares), final_share, complete)
+    shares = tuple((r.name, r.margin / anchor_price if r.settled else 0.0) for r in results)
+    final_share = results[-1].settlement / anchor_price if complete else None
+    return SqueezeReport(anchor_price, shares, final_share, complete)

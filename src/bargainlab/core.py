@@ -104,6 +104,13 @@ class PerceptionView:
         object.__setattr__(self, "ratio", imbalance_ratio(self))
 
 
+def require_role(name: str, view: PerceptionView, role: Role) -> PerceptionView:
+    """``view``, or InvalidConfig naming ``name`` unless it is ``role``'s view."""
+    if view.role is not role:
+        raise InvalidConfig(f"must have role {role.name}", field=name)
+    return view
+
+
 def motivation(gain: float, loss: float) -> float:
     """Net motivation to exchange: welfare gained minus welfare given up.
 

@@ -54,14 +54,8 @@ def numbered_rows(trace, cells: list[str], mid: str, sep: str, head: str, tail: 
     the one join, so the text is the only large string a call allocates.
     """
     steps = trace.expand(cells)
-    if not trace.period:
-        rows = [f"{n}{mid}{c}" for n, c in enumerate(steps)]
-        del cells, steps  # the caller's cells are freed before the join
-        rows[0] = head + rows[0]
-        rows[-1] += tail
-        return sep.join(rows)
-    start = -(-len(cells) // 100) * 100  # at least 100: a cycle has a row
-    stop = max(start, len(steps) // 100 * 100)
+    start = -(-len(cells) // 100) * 100  # at least 100: a trace has a row
+    stop = max(start, len(steps) // 100 * 100)  # start with no cycle: no full block
     recur = trace.period // math.gcd(trace.period, 100)  # blocks until a phase recurs
     parts = []
 
@@ -82,6 +76,7 @@ def numbered_rows(trace, cells: list[str], mid: str, sep: str, head: str, tail: 
         else:
             lay(f"{sep}{b // 100}", template)
     lay(sep, [f"{n}{mid}{c}" for n, c in enumerate(steps[stop:], stop)])
+    del cells, steps  # the caller's cells are freed before the join
     parts[0] = head  # in place of the separator before row 0
     parts.append(tail)
     return "".join(parts)

@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .core import (PerceptionView, adjust_reserve_full, require_count, require_finite,
-                   require_nonnegative, require_positive)
+from .core import (PerceptionView, Role, adjust_reserve_full, require_count, require_finite,
+                   require_nonnegative, require_positive, require_role)
 from .errors import InvalidConfig
 
 #: Clamp bounds used when imbalance scaling pushes a rate out of range.
@@ -137,6 +137,9 @@ class NegotiationScenario:
     config: NegotiationConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for side, role in ((self.buyer, Role.BUYER), (self.seller, Role.SELLER)):
+            if side.view is not None:
+                require_role(f"{role.value}.view", side.view, role)
         rates = self.rates
         if self.scale_rates_by_imbalance:
             rates = concession_rates_from_imbalance(rates, self.buyer.view, self.seller.view)

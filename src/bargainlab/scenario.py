@@ -10,11 +10,13 @@ the kind's engine module, and its renderers in ``kinds``.  The engine
 module is imported only when a document of the kind is read, so only
 society documents load numpy.
 
-A body is read and written by walking the init fields of its dataclass,
-which are the fields of its document; what its engine runs on, the body
-builds from them itself.  A JSON array is a ``tuple[X, ...]``, an object
-whose keys are data a ``Mapping[str, X]``, and the one field a document
-leaves out is a perception view's role, implied by where the view sits.
+A body's document fields are the init fields of its dataclass; what its
+engine runs on, the body builds from them itself.  Each annotation has one
+codec, a reader and a writer worked out once: a JSON array is a
+``tuple[X, ...]``, an object whose keys are data a ``Mapping[str, X]``, a
+union of dataclasses an object with a "kind" tag, and the one field a
+document leaves out is a perception view's role, implied by where the
+view sits.
 Reading checks shape and types; value invariants belong to the engine
 dataclasses, and any they raise is reported at the offending field's path
 (body-relative, e.g. "rates.r_a").  A perception view checks its own
@@ -30,7 +32,6 @@ import dataclasses
 import functools
 import json
 import math
-import types
 import typing
 from collections import abc
 from dataclasses import dataclass, field
@@ -64,13 +65,13 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# reading: shape and type checks, engine invariants reported at their path
+# the codec: how each annotation maps to JSON, worked out once per annotation
 
 def _join(path: str, name: str | None) -> str:
     return f"{path}.{name}" if path and name else path or name or ""
 
 
-def _obj(value: Any, path: str, allowed: set[str] | None = None,
+def _obj(value: Any, path: str, allowed: abc.Container[str] | None = None,
          required: tuple[str, ...] = ()) -> dict:
     """``value`` as a JSON object whose keys are all in ``allowed`` (None:
     any key) and include ``required``."""
@@ -101,96 +102,87 @@ _NAMES = {int: "an integer", str: "a string", bool: "a boolean"}
 
 
 def _scalar(expected: type, value: Any, path: str) -> Any:
-    if expected is float:
-        return _num(value, path)
     if not isinstance(value, expected) or (expected is int and isinstance(value, bool)):
         raise ScenarioError(f"expected {_NAMES[expected]}, got {type(value).__name__}", path)
     return value
 
 
+_Reader = Callable[[Any, str], Any]
+_Writer = Callable[[Any], Any]
+
+
 @functools.cache
-def _fields(cls: type) -> dict[str, tuple[Any, bool]]:
-    """Each init field of a dataclass: name -> (annotation, required in documents)."""
-    hints = typing.get_type_hints(cls)
-    return {f.name: (hints[f.name], f.default is f.default_factory is dataclasses.MISSING)
-            for f in dataclasses.fields(cls) if f.init}
-
-
-def _options(annotation: Any) -> tuple | None:
-    """The non-None members of a union annotation, or None for any other."""
-    if typing.get_origin(annotation) not in (typing.Union, types.UnionType):
-        return None
-    return tuple(a for a in typing.get_args(annotation) if a is not type(None))
-
-
-def _read(annotation: Any, value: Any, path: str) -> Any:
+def _codec(annotation: Any) -> tuple[_Reader, _Writer]:
+    """The reader ``(value, path) -> field value`` and the writer ``field
+    value -> JSON value`` of an annotation."""
+    origin, args = typing.get_origin(annotation), typing.get_args(annotation)
     if annotation in (float, int, str, bool):
-        return _scalar(annotation, value, path)
-    origin = typing.get_origin(annotation)
+        return (_num if annotation is float else functools.partial(_scalar, annotation),
+                lambda value: value)
     if origin is tuple:  # tuple[X, ...] is a JSON array
-        if not isinstance(value, list):
-            raise ScenarioError("expected an array", path)
-        item = typing.get_args(annotation)[0]
-        return tuple(_read(item, v, f"{path}[{i}]") for i, v in enumerate(value))
-    if origin is abc.Mapping:  # Mapping[str, X] is a JSON object whose keys are data
-        item = typing.get_args(annotation)[1]
-        return {key: _read(item, v, f"{path}.{key}") for key, v in _obj(value, path).items()}
-    options = _options(annotation)
-    if options is None:
-        if annotation.__name__ == "PerceptionView":
-            return _read_view(annotation, value, path)
-        return _read_fields(annotation, value, path)
+        read, write = _codec(args[0])
+
+        def read_array(value: Any, path: str) -> tuple:
+            if not isinstance(value, list):
+                raise ScenarioError("expected an array", path)
+            return tuple(read(v, f"{path}[{i}]") for i, v in enumerate(value))
+        return read_array, lambda value: [write(v) for v in value]
+    if origin is abc.Mapping:  # an object whose keys are data
+        read, write = _codec(args[1])
+        return (lambda value, path: {key: read(v, f"{path}.{key}")
+                                     for key, v in _obj(value, path).items()},
+                lambda value: {key: write(v) for key, v in value.items()})
+    if not args:  # a dataclass
+        return functools.partial(_read_fields, annotation), _write_fields
+    options = tuple(a for a in args if a is not type(None))  # a union; None is left out
     if len(options) == 1:
-        return _read(options[0], value, path)
+        return _codec(options[0])
     # a union of dataclasses is stored with a "kind" tag: the lowercased class name
     tags = {cls.__name__.lower(): cls for cls in options}
-    obj = _obj(value, path, {"kind"}.union(*map(_fields, options)), ("kind",))
-    tag = _scalar(str, obj["kind"], f"{path}.kind")
-    if tag not in tags:
-        raise ScenarioError(f"must be one of {', '.join(tags)}", f"{path}.kind")
-    return _read_fields(tags[tag], {k: v for k, v in obj.items() if k != "kind"}, path)
+    allowed = {"kind"}.union(*(_document_fields(cls)[0] for cls in options))
+
+    def read_tagged(value: Any, path: str) -> Any:
+        obj = _obj(value, path, allowed, ("kind",))
+        tag = _scalar(str, obj["kind"], f"{path}.kind")
+        if tag not in tags:
+            raise ScenarioError(f"must be one of {', '.join(tags)}", f"{path}.kind")
+        return _read_fields(tags[tag], {k: v for k, v in obj.items() if k != "kind"}, path)
+    return read_tagged, lambda value: {"kind": type(value).__name__.lower(),
+                                       **_write_fields(value)}
 
 
-def _read_fields(cls: type, value: Any, path: str, **given: Any) -> Any:
-    fields = {name: spec for name, spec in _fields(cls).items() if name not in given}
-    obj = _obj(value, path, set(fields), tuple(name for name, (_, req) in fields.items() if req))
-    kwargs = {name: _read(fields[name][0], v, _join(path, name)) for name, v in obj.items()}
+@functools.cache
+def _document_fields(cls: type) -> tuple[dict[str, _Reader], tuple[tuple[str, _Writer], ...],
+                                         tuple[str, ...], Any]:
+    """A dataclass's document fields, its init fields but a perception
+    view's role: name -> reader, (name, writer) pairs, the names a document
+    must give, and the role type when the role is implied by where the view
+    sits (None for any other class)."""
+    hints = typing.get_type_hints(cls)
+    view = cls.__name__ == "PerceptionView"
+    fields = [f for f in dataclasses.fields(cls) if f.init and not (view and f.name == "role")]
+    codecs = {f.name: _codec(hints[f.name]) for f in fields}
+    return ({name: read for name, (read, _) in codecs.items()},
+            tuple((name, write) for name, (_, write) in codecs.items()),
+            tuple(f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING),
+            hints["role"] if view else None)
+
+
+def _read_fields(cls: type, value: Any, path: str) -> Any:
+    readers, _, required, role = _document_fields(cls)
+    kwargs = {name: readers[name](v, _join(path, name))
+              for name, v in _obj(value, path, readers, required).items()}
+    if role is not None:  # buyer.view or stages[i].buyer_view holds a buyer's view
+        kwargs["role"] = role.BUYER if path.endswith(("buyer.view", "buyer_view")) else role.SELLER
     try:
-        return cls(**kwargs, **given)
+        return cls(**kwargs)
     except InvalidConfig as exc:  # an engine invariant, reported at its field's path
         raise ScenarioError(exc.rule, _join(path, exc.field)) from None
 
 
-def _read_view(cls: type, value: Any, path: str) -> Any:
-    from .core import Role
-
-    # the role is implied by where the view sits: buyer.view or stages[i].buyer_view
-    role = Role.BUYER if path.endswith(("buyer.view", "buyer_view")) else Role.SELLER
-    return _read_fields(cls, value, path, role=role)
-
-
-# ---------------------------------------------------------------------------
-# writing: the inverse of reading
-
-def _write(annotation: Any, value: Any) -> Any:
-    origin = typing.get_origin(annotation)
-    if origin is tuple:
-        item = typing.get_args(annotation)[0]
-        return [_write(item, v) for v in value]
-    if origin is abc.Mapping:
-        item = typing.get_args(annotation)[1]
-        return {key: _write(item, v) for key, v in value.items()}
-    options = _options(annotation)
-    if options is not None:
-        doc = _write(type(value), value)
-        return {"kind": type(value).__name__.lower(), **doc} if len(options) > 1 else doc
-    if not dataclasses.is_dataclass(annotation):
-        return value
-    doc = {name: _write(spec[0], getattr(value, name)) for name, spec in _fields(annotation).items()
-           if getattr(value, name) is not None}
-    if annotation.__name__ == "PerceptionView":
-        del doc["role"]  # implied by where the view sits
-    return doc
+def _write_fields(value: Any) -> dict:
+    return {name: write(v) for name, write in _document_fields(type(value))[1]
+            if (v := getattr(value, name)) is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +259,8 @@ def parse_scenario(text: str) -> Scenario:
     kind = _scalar(str, top["kind"], "kind")
     if kind not in KINDS:
         raise ScenarioError(f"must be one of {', '.join(KINDS)}", "kind")
-    metadata = _read(Mapping[str, str], top.get("metadata", {}), "metadata")
-    body = _read(KINDS[kind].body_type(), _obj(top["body"], "body"), "")  # paths are body-relative
+    metadata = _codec(Mapping[str, str])[0](top.get("metadata", {}), "metadata")
+    body = _read_fields(KINDS[kind].body_type(), _obj(top["body"], "body"), "")  # body-relative
     KINDS[kind].check(body)
     return Scenario(version=version, kind=kind, body=body, metadata=metadata)
 
@@ -276,7 +268,7 @@ def parse_scenario(text: str) -> Scenario:
 def scenario_document(scenario: Scenario) -> dict:
     """Scenario as a plain JSON-ready dict."""
     doc: dict[str, Any] = {"version": scenario.version, "kind": scenario.kind,
-                           "body": _write(type(scenario.body), scenario.body)}
+                           "body": _write_fields(scenario.body)}
     if scenario.metadata:
         doc["metadata"] = dict(scenario.metadata)
     return doc

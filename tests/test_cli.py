@@ -18,7 +18,7 @@ from bargainlab.cli import main
 from bargainlab.negotiation import NegotiationScenario
 from bargainlab.report import run_scenario
 from bargainlab.scenario import (KINDS, MAX_AGENTS, MAX_EXCHANGES, MAX_STEPS, load_preset,
-                                 preset_names, preset_text)
+                                 parse_scenario, preset_names, preset_text)
 
 
 @pytest.fixture
@@ -157,6 +157,29 @@ def test_negotiation_numbers_stay_finite(doc, code, error, fmt, tmp_path, capsys
     else:
         assert "inf" not in captured.out and "nan" not in captured.out
         assert captured.out.splitlines()[-1] == "# outcome,agreement,0,1.7e+308"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_chain_shares_are_of_the_stated_anchor(fmt, tmp_path, capsys):
+    """At the float maximum the first link's margin plus its settlement
+    overflows, so shares must divide by the anchor the document states."""
+    doc = json.loads(preset_text("baterias"))
+    doc["body"]["anchor_price"] = sys.float_info.max
+    path = tmp_path / "max-anchor.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(path), "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    results, _ = parse_scenario(path.read_text()).body.run()
+    expected = [r.margin / sys.float_info.max for r in results]
+    if fmt == "json":
+        squeeze = json.loads(captured.out, parse_constant=_no_non_finite)["outcome"]["squeeze"]
+        assert squeeze["anchor_price"] == sys.float_info.max
+        assert [share for _, share in squeeze["margin_shares"]] == expected
+    else:
+        rows = captured.out.splitlines()[1:-1]
+        assert [float(row.split(",")[-1]) for row in rows] == pytest.approx(expected, rel=1e-5)
+    assert expected == pytest.approx([0.8278, 0.1722], abs=1e-4)
 
 
 def test_no_chain_is_success(tmp_path, capsys):

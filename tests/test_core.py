@@ -9,7 +9,7 @@ from bargainlab.chain import ChainStage
 from bargainlab.core import (DEFAULT_EPSILON, PerceptionView, Role,
                              adjust_reserve_full, equity_index, imbalance_ratio,
                              motivation, power, require_count, require_nonnegative,
-                             require_positive)
+                             require_positive, require_role)
 from bargainlab.errors import InvalidConfig
 from bargainlab.negotiation import ConcessionRates, SideSpec
 
@@ -59,6 +59,13 @@ class TestDomainRules:
     def test_numbers_in_domain_come_back_as_floats(self, require, value):
         result = require("x", value)
         assert type(result) is float and result == value
+
+    def test_roles(self):
+        view = buyer_view(1, 1, 1, 1)
+        assert require_role("v", view, Role.BUYER) is view
+        with pytest.raises(InvalidConfig) as excinfo:
+            require_role("v", view, Role.SELLER)
+        assert (excinfo.value.field, excinfo.value.rule) == ("v", "must have role SELLER")
 
     @pytest.mark.parametrize("bad, rule", [(1.0, "must be an integer"),
                                            (True, "must be an integer"),

@@ -14,8 +14,8 @@ from bargainlab import negotiation
 from bargainlab.core import PerceptionView, Role
 from bargainlab.errors import InvalidConfig
 from bargainlab.negotiation import (RATE_MAX, Agreement, Breakdown,
-                                    ConcessionRates, NegotiationConfig,
-                                    concession_rates_from_imbalance,
+                                    ConcessionRates, NegotiationConfig, NegotiationScenario,
+                                    SideSpec, concession_rates_from_imbalance,
                                     fixed_point, run, settle, step)
 from negotiation_reference import (CYCLING_STALLS, cycle, dynamics, exact_fixed_point, fields,
                                    first_repeat)
@@ -122,6 +122,20 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig) as excinfo:
             fig3_config(rates=(0.05, 0.02, 0.3, 0.2))  # FIG3_RATES as a plain tuple
         assert (excinfo.value.field, excinfo.value.rule) == ("rates", "must be a ConcessionRates")
+
+
+@pytest.mark.parametrize("side, role", [("buyer", "BUYER"), ("seller", "SELLER")])
+def test_each_side_view_must_have_its_side_role(side, role):
+    """A seller's view in the buyer slot would give the buyer the seller's
+    reserve formula: 100 x 0.5 = 50 where the buyer's gives 200."""
+    sides = {"buyer": SideSpec(0.0, 100.0), "seller": SideSpec(100.0, 0.0)}
+    other = Role.SELLER if role == "BUYER" else Role.BUYER
+    sides[side] = replace(sides[side], view=PerceptionView(2.0, 1.0, 1.0, 1.0, other))
+    with pytest.raises(InvalidConfig) as excinfo:
+        NegotiationScenario(**sides, rates=FIG3_RATES, max_steps=10)
+    assert (excinfo.value.field, excinfo.value.rule) == (f"{side}.view", f"must have role {role}")
+    sides[side] = replace(sides[side], view=replace(sides[side].view, role=Role[role]))
+    assert NegotiationScenario(**sides, rates=FIG3_RATES, max_steps=10).config
 
 
 def buyer_with_ratio(rho):
