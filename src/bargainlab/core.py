@@ -106,6 +106,8 @@ class PerceptionView:
 
 def require_role(name: str, view: PerceptionView, role: Role) -> PerceptionView:
     """``view``, or InvalidConfig naming ``name`` unless it is ``role``'s view."""
+    if not isinstance(view, PerceptionView):
+        raise InvalidConfig("must be a PerceptionView", field=name)
     if view.role is not role:
         raise InvalidConfig(f"must have role {role.name}", field=name)
     return view

@@ -19,13 +19,25 @@ A round's pairs are disjoint, so the kernel applies a whole round as one
 array update, which gives the same floats as taking its pairs one at a
 time.  A round's index row is laid out ``[first | second]``: its pairs'
 first sides, then their second sides in the same order, so the round
-gathers its wealth once and scatters it once.  The first sides' share is
-``s`` = the richer side's share where the first is richer, else one minus
-it, and the second sides' is ``1 - s``.  Every power ratio is at least 1,
-so the richer side's share lies in [1/2, 1], where ``1 - share`` is exact
-(Sterbenz's lemma) and ``1 - (1 - share)`` is ``share`` again: the one
-gain buffer ``[s | 1 - s]`` times the surplus is bitwise the pair-by-pair
-gains.  One kernel, ``_epochs``, runs one config under a tuple of regimes
+gathers its wealth once and scatters it once.  Every power ratio is at
+least 1, so the richer side's share s lies in [1/2, 1], where s - 1/2 is
+exact (Sterbenz's lemma) and so are 1/2 + (s - 1/2) = s and
+1/2 - (s - 1/2) = 1 - s, multiples of 2^-53 in [0, 1].  The side is
+picked by sign, not by selection: the first sides' gain is 1/2 plus
+s - 1/2 carrying the sign of their wealth minus the second sides', and
+the second sides' is 1/2 minus it.  That is s where the first side is
+richer and 1 - s where it is poorer, the second side getting the
+complement: bitwise the pair-by-pair shares.  A tie has ratio 1 and
+share 1/2 under either regime, so its sign picks nothing.  The
+difference is NaN only where a wealth is NaN or both are inf; there the
+ratio is NaN too, and so is the share, unless an exponent of 0 makes
+it 1, whose share 1/2 again picks nothing.  The gains are then
+multiplied by the surplus, which is skipped at surplus 1.  Each
+regime's span of the ratios, its in-place rule and the authoritarian
+clamp are resolved once per run, so a round makes 13 numpy calls (14
+at another surplus) plus one per regime and one per authoritarian
+regime, into buffers allocated once: only its gather allocates.  One
+kernel, ``_epochs``, runs one config under a tuple of regimes
 from a tuple of seeds as the rows of one wealth array and yields that
 array after each epoch; its callers measure what they read.
 ``run_society`` is its one-row case and takes the Ginis of a block of
@@ -206,16 +218,16 @@ def _sample_initial(dist: WealthDistribution, n: int, rng: np.random.Generator) 
     return rng.lognormal(dist.mu, dist.sigma, size=n)
 
 
-def _power_ratio(ratio: np.ndarray, regime: RegimeRule) -> None:
-    """Turn wealth ratios into the regime's power ratios, in place."""
+def _power_ratio(regime: RegimeRule) -> tuple[np.ufunc, float]:
+    """The regime's rule as a ufunc and its operand: ``op(ratio, operand)``
+    turns wealth ratios into the regime's power ratios."""
     if isinstance(regime, Institutional):
-        np.minimum(ratio, regime.cap, out=ratio)
-    else:
-        # float_power has no SIMD loop: it calls the C library's pow once per
-        # ratio, as Python's float ** does, where np.power rounds some results
-        # differently.  It overflows to inf where ** raises; the kernel clamps
-        # that to the float maximum, whose share is 1
-        np.float_power(ratio, regime.power_exponent, out=ratio)
+        return np.minimum, regime.cap
+    # float_power has no SIMD loop: it calls the C library's pow once per
+    # ratio, as Python's float ** does, where np.power rounds some results
+    # differently.  It overflows to inf where ** raises; the kernel clamps
+    # that to the float maximum, whose share is 1
+    return np.float_power, regime.power_exponent
 
 
 def run_society(cfg: SocietyConfig) -> WealthTrace:
@@ -330,6 +342,17 @@ def _epochs(cfg: SocietyConfig, regimes: tuple[RegimeRule, ...],
     row_offsets = (np.arange(rows) * n).reshape(len(regimes), len(seeds), 1)
     gain = np.empty(2 * half)  # [first sides' | second sides'] share of the surplus
     gain_first, gain_second = gain[:half], gain[half:]
+    rho, low, diff = np.empty(half), np.empty(half), np.empty(half)
+    # each regime's rule, in place on the ratios of the rows it owns
+    rules = []
+    for r, regime in enumerate(regimes):
+        ratios = rho[r * per_regime:(r + 1) * per_regime]
+        rules.append((ratios, *_power_ratio(regime)))
+        if isinstance(regime, Authoritarian):
+            # a cap bounds institutional ratios; these are infinite where
+            # ratio ** exponent overflows.  Clamped to the float maximum
+            # they get share MAX / (1 + MAX), exactly 1; NaN stays NaN
+            rules.append((ratios, np.minimum, _MAX_RATIO))
     for epoch in range(cfg.epochs):
         for t in range(epoch * pairings, (epoch + 1) * pairings):
             if t % chunk == 0:
@@ -344,24 +367,23 @@ def _epochs(cfg: SocietyConfig, regimes: tuple[RegimeRule, ...],
             side = sides[t % chunk]
             w = flat[side]
             w_first, w_second = w[:half], w[half:]
-            rho = np.maximum(w_first, w_second)
-            rho /= np.minimum(w_first, w_second)
-            for r, regime in enumerate(regimes):  # regime r owns its rows' pairs
-                ratios = rho[r * per_regime:(r + 1) * per_regime]
-                _power_ratio(ratios, regime)
-                if isinstance(regime, Authoritarian):
-                    # a cap bounds institutional ratios; these are infinite
-                    # where ratio ** exponent overflows.  Clamped to the float
-                    # maximum they get share MAX / (1 + MAX), exactly 1; NaN
-                    # stays NaN
-                    np.minimum(ratios, _MAX_RATIO, out=ratios)
-            share = rho / (1.0 + rho)
-            # rho >= 1 puts share in [1/2, 1], so 1 - share is exact and
-            # 1 - (1 - share) is share again: the second sides' gains are
-            # bitwise the shares the first sides did not take
-            gain_first[...] = np.where(w_first >= w_second, share, 1.0 - share)
-            np.subtract(1.0, gain_first, out=gain_second)
-            gain *= surplus
+            np.subtract(w_first, w_second, out=diff)
+            np.maximum(w_first, w_second, out=rho)
+            np.minimum(w_first, w_second, out=low)
+            rho /= low
+            for ratios, op, operand in rules:
+                op(ratios, operand, out=ratios)
+            np.add(rho, 1.0, out=low)
+            rho /= low  # the richer side's share s
+            # s in [1/2, 1] makes s - 1/2 exact and 1/2 +- (s - 1/2) the
+            # exact s and 1 - s: the first sides get s where they are
+            # richer, else 1 - s, and the second sides the complement
+            rho -= 0.5
+            np.copysign(rho, diff, out=gain_first)
+            np.negative(gain_first, out=gain_second)
+            gain += 0.5
+            if surplus != 1.0:  # x * 1 is x
+                gain *= surplus
             w += gain
             flat[side] = w
         yield wealth

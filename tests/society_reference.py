@@ -59,3 +59,32 @@ def reference_run(cfg: SocietyConfig) -> tuple[np.ndarray, np.ndarray, np.ndarra
         gini_series.append(gini(wealth))
         totals.append(sum(wealth))
     return np.asarray(wealth), np.asarray(gini_series), np.asarray(totals)
+
+
+def conservation_bound(cfg: SocietyConfig, totals: np.ndarray) -> np.ndarray:
+    """How far each epoch's increment ``np.diff(totals)`` may miss
+    ``injected_per_epoch`` I, given the run's totals T_0, T_1, ...:
+    (n + P) u (T_e-1 + T_e) + 4 u I for epoch e, with n agents, P
+    pairings per epoch and u = 2^-53 the unit roundoff.
+
+    Let S_e be the exact sum of the wealth after epoch e.  A pair's gains
+    are the surplus times shares s and 1 - s that sum to exactly 1, so the
+    two rounded products miss the surplus by at most u times it, and
+    all m = n // 2 pairs of a round by u m surplus.  Each new wealth
+    w + gain is one rounded addition, off by at most u/(1 - u) times the
+    new wealth; no wealth decreases, so a round's new wealths sum to at most
+    S_e.  Over P rounds, S_e - S_e-1 misses I by at most u I + P u S_e / (1 - u).
+    A total is a left-to-right sum of n non-negative terms, within
+    gamma_n-1 = (n - 1) u / (1 - (n - 1) u) of its exact value (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 4.2),
+    so the two totals add (n - 1) u (S_e-1 + S_e) to first order.  The
+    float I and the subtraction of the totals round once each, adding at
+    most 2 u I plus a second-order term.  With the n - 1 rounded up to n,
+    the spare u (T_e-1 + T_e) covers every second-order term while
+    n (n + P) u stays below 1/2, far above any population here.  With no
+    subnormal wealth each rounding is relative.
+    """
+    u = 2.0 ** -53
+    injected = cfg.pairings_per_epoch * (cfg.n_agents // 2) * cfg.unit_surplus
+    return (cfg.n_agents + cfg.pairings_per_epoch) * u * (totals[:-1] + totals[1:]) \
+        + 4 * u * injected

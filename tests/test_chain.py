@@ -78,14 +78,16 @@ def test_validation():
         ChainSpec(stages=(stage(),), anchor_price=0.0)
 
 
-@pytest.mark.parametrize("views, field, role", [
-    ((neutral(B), neutral(B)), "seller_view", "SELLER"),
-    ((neutral(S), neutral(S)), "buyer_view", "BUYER"),
+@pytest.mark.parametrize("views, field, rule", [
+    ((neutral(B), neutral(B)), "seller_view", "must have role SELLER"),
+    ((neutral(S), neutral(S)), "buyer_view", "must have role BUYER"),
+    ((neutral(B), None), "buyer_view", "must be a PerceptionView"),
+    ((None, neutral(B)), "seller_view", "must be a PerceptionView"),
 ])
-def test_each_view_must_have_its_role(views, field, role):
+def test_each_view_must_have_its_role(views, field, rule):
     with pytest.raises(InvalidConfig) as excinfo:
         ChainStage("x", *views, 1.0, SYM)
-    assert (excinfo.value.field, excinfo.value.rule) == (field, f"must have role {role}")
+    assert (excinfo.value.field, excinfo.value.rule) == (field, rule)
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])

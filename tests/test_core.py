@@ -66,6 +66,10 @@ class TestDomainRules:
         with pytest.raises(InvalidConfig) as excinfo:
             require_role("v", view, Role.SELLER)
         assert (excinfo.value.field, excinfo.value.rule) == ("v", "must have role SELLER")
+        for not_a_view in (None, (1, 1, 1, 1)):
+            with pytest.raises(InvalidConfig) as excinfo:
+                require_role("v", not_a_view, Role.BUYER)
+            assert (excinfo.value.field, excinfo.value.rule) == ("v", "must be a PerceptionView")
 
     @pytest.mark.parametrize("bad, rule", [(1.0, "must be an integer"),
                                            (True, "must be an integer"),

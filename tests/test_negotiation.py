@@ -136,6 +136,11 @@ def test_each_side_view_must_have_its_side_role(side, role):
     assert (excinfo.value.field, excinfo.value.rule) == (f"{side}.view", f"must have role {role}")
     sides[side] = replace(sides[side], view=replace(sides[side].view, role=Role[role]))
     assert NegotiationScenario(**sides, rates=FIG3_RATES, max_steps=10).config
+    # a view's four magnitudes without the view
+    sides[side] = replace(sides[side], view=(2.0, 1.0, 1.0, 1.0))
+    with pytest.raises(InvalidConfig) as excinfo:
+        NegotiationScenario(**sides, rates=FIG3_RATES, max_steps=10)
+    assert (excinfo.value.field, excinfo.value.rule) == (f"{side}.view", "must be a PerceptionView")
 
 
 def buyer_with_ratio(rho):
